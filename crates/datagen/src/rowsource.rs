@@ -11,9 +11,9 @@
 //! eager-sized memory).
 
 use crate::dataset::{Attribute, Dataset};
-use crate::io::CsvError;
+use crate::io::{parse_row, read_header, read_line, CsvError};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom};
+use std::io::{self, BufReader, Seek, SeekFrom};
 use std::path::Path;
 
 /// Default number of rows per block for the buffered adapters.
@@ -199,9 +199,9 @@ impl RowSource for DatasetSource {
 /// most one block of rows resident. Rewinds by seeking back to the
 /// first data byte, so a fit's two passes never materialize the file.
 ///
-/// Validation is identical to the eager reader, byte for byte: the same
-/// malformed-input conditions are rejected with the same 1-based line
-/// numbers and reasons.
+/// It parses with the eager reader's header and row parsers, so the
+/// same malformed-input conditions are rejected with the same 1-based
+/// line numbers and reasons.
 #[derive(Debug)]
 pub struct CsvFileSource {
     reader: BufReader<File>,
@@ -209,7 +209,7 @@ pub struct CsvFileSource {
     block_rows: usize,
     data_offset: u64,
     next_line: usize,
-    line_buf: String,
+    line_buf: Vec<u8>,
 }
 
 impl CsvFileSource {
@@ -224,28 +224,8 @@ impl CsvFileSource {
         block_rows: usize,
     ) -> Result<Self, SourceError> {
         let mut reader = BufReader::new(File::open(path)?);
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(SourceError::Malformed {
-                line: 1,
-                reason: "empty file".into(),
-            });
-        }
-        trim_newline(&mut header);
-        let mut attributes = Vec::new();
-        for field in header.split(',') {
-            let (name, domain) = field
-                .rsplit_once(':')
-                .ok_or_else(|| SourceError::Malformed {
-                    line: 1,
-                    reason: format!("header field `{field}` missing `:domain`"),
-                })?;
-            let domain: usize = domain.parse().map_err(|_| SourceError::Malformed {
-                line: 1,
-                reason: format!("bad domain in `{field}`"),
-            })?;
-            attributes.push(Attribute::new(name, domain));
-        }
+        let mut line_buf = Vec::new();
+        let attributes = read_header(&mut reader, &mut line_buf)?;
         let data_offset = reader.stream_position()?;
         Ok(Self {
             reader,
@@ -253,19 +233,8 @@ impl CsvFileSource {
             block_rows: block_rows.max(1),
             data_offset,
             next_line: 2,
-            line_buf: String::new(),
+            line_buf,
         })
-    }
-}
-
-/// Strips one trailing `\n` (and a preceding `\r`, if any) in place —
-/// the same normalization `BufRead::lines` applies.
-fn trim_newline(s: &mut String) {
-    if s.ends_with('\n') {
-        s.pop();
-        if s.ends_with('\r') {
-            s.pop();
-        }
     }
 }
 
@@ -282,48 +251,12 @@ impl RowSource for CsvFileSource {
         let m = self.attributes.len();
         let mut columns: Vec<Vec<u32>> = vec![Vec::with_capacity(self.block_rows); m];
         let mut rows = 0;
-        while rows < self.block_rows {
-            self.line_buf.clear();
-            if self.reader.read_line(&mut self.line_buf)? == 0 {
-                break;
-            }
+        while rows < self.block_rows && read_line(&mut self.reader, &mut self.line_buf)? {
             let line = self.next_line;
             self.next_line += 1;
-            trim_newline(&mut self.line_buf);
-            if self.line_buf.is_empty() {
-                continue;
+            if parse_row(&self.line_buf, line, &self.attributes, &mut columns)? {
+                rows += 1;
             }
-            let mut count = 0;
-            for (j, field) in self.line_buf.split(',').enumerate() {
-                if j >= m {
-                    return Err(SourceError::Malformed {
-                        line,
-                        reason: "too many fields".into(),
-                    });
-                }
-                let v: u32 = field.parse().map_err(|_| SourceError::Malformed {
-                    line,
-                    reason: format!("bad value `{field}`"),
-                })?;
-                if v as usize >= self.attributes[j].domain {
-                    return Err(SourceError::Malformed {
-                        line,
-                        reason: format!(
-                            "value {v} outside domain {} of {}",
-                            self.attributes[j].domain, self.attributes[j].name
-                        ),
-                    });
-                }
-                columns[j].push(v);
-                count += 1;
-            }
-            if count != m {
-                return Err(SourceError::Malformed {
-                    line,
-                    reason: format!("expected {m} fields, got {count}"),
-                });
-            }
-            rows += 1;
         }
         if rows == 0 {
             return Ok(None);

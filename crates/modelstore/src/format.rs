@@ -53,8 +53,10 @@ use crate::artifact::{
 use crate::codec::{ByteReader, ByteWriter, ReadError};
 use crate::crc32::crc32;
 use mathkit::Matrix;
-use std::io::{Read as _, Write as _};
+use std::ffi::OsString;
+use std::io::Read as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic: the first four bytes of every `.dpcm` artifact.
 pub const MAGIC: [u8; 4] = *b"DPCM";
@@ -922,6 +924,41 @@ fn decode_inner(bytes: &[u8], sink: &obskit::MetricsSink) -> Result<ModelArtifac
     })
 }
 
+/// Writes `bytes` to `path` atomically: they go to a fresh temporary
+/// file in the same directory, which is then renamed over `path`, so a
+/// concurrent reader sees the old file or the new one whole, never a
+/// torn mix. Nothing is fsynced, so the write is not crash-durable.
+///
+/// The temporary name is unique per call (process id plus a counter),
+/// so concurrent saves to one path never share it, and it does not end
+/// in `.dpcm`, so model directory listings skip it. It is removed if
+/// the write or the rename fails.
+pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), StoreError> {
+    // Only uniqueness is needed, which `fetch_add` gives at any ordering.
+    static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} does not name a file", path.display()),
+        )
+    })?;
+    let mut temp = OsString::from(".");
+    temp.push(name);
+    temp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let temp = path.with_file_name(temp);
+    let written = std::fs::write(&temp, bytes).and_then(|()| std::fs::rename(&temp, path));
+    if written.is_err() {
+        // The write's own error is the one to report.
+        let _ = std::fs::remove_file(&temp);
+    }
+    written.map_err(StoreError::from)
+}
+
 impl ModelArtifact {
     /// Encodes into `.dpcm` bytes (see [`encode`]).
     pub fn encode(&self) -> Vec<u8> {
@@ -933,12 +970,10 @@ impl ModelArtifact {
         decode(bytes)
     }
 
-    /// Writes the encoded artifact to `path`.
+    /// Writes the encoded artifact to `path`, atomically (see
+    /// [`write_atomic`]).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.encode())?;
-        f.flush()?;
-        Ok(())
+        write_atomic(path, &self.encode())
     }
 
     /// Reads and decodes an artifact from `path`.

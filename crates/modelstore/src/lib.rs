@@ -63,8 +63,8 @@ pub use artifact::{
     AttributeSpec, BudgetEntry, BudgetLedger, CopulaFamily, ModelArtifact, RngProvenance, ShardInfo,
 };
 pub use format::{
-    decode, decode_observed, encode, probe, probe_version, SectionInfo, StoreError, FORMAT_VERSION,
-    MAGIC,
+    decode, decode_observed, encode, probe, probe_version, write_atomic, SectionInfo, StoreError,
+    FORMAT_VERSION, MAGIC,
 };
 pub use shard_format::{
     decode_shard_artifact, encode_shard_artifact, probe_shard_artifact, SamplingSpec,

@@ -35,11 +35,11 @@
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::format::{
-    decode_schema, encode_framed, encode_schema_payload, field_err, split_framed, Framing,
-    SectionInfo, StoreError,
+    decode_schema, encode_framed, encode_schema_payload, field_err, split_framed, write_atomic,
+    Framing, SectionInfo, StoreError,
 };
 use crate::AttributeSpec;
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::path::Path;
 
 /// File magic: the first four bytes of every `.dpcs` shard summary.
@@ -591,12 +591,10 @@ impl ShardArtifact {
         decode_shard_artifact(bytes)
     }
 
-    /// Writes the encoded artifact to `path`.
+    /// Writes the encoded artifact to `path`, atomically (see
+    /// [`write_atomic`]).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.encode())?;
-        f.flush()?;
-        Ok(())
+        write_atomic(path, &self.encode())
     }
 
     /// Reads and decodes a shard artifact from `path`.

@@ -449,6 +449,57 @@ fn save_load_round_trips_on_disk() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Saves replace the file atomically: while one thread alternately
+/// saves two artifacts to one path, every read of that path decodes,
+/// and no temporary file outlives the saves.
+#[test]
+fn concurrent_reads_never_see_a_torn_save() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let a = random_artifact(21);
+    let mut b = a.clone();
+    b.provenance.base_seed ^= 1;
+    let dir = std::env::temp_dir().join(format!("modelstore_atomic_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.dpcm");
+    a.save(&path).unwrap();
+
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    let (reads, torn) = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            start.wait();
+            for i in 0..1000 {
+                let next = if i % 2 == 0 { &b } else { &a };
+                next.save(&path).expect("save");
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        start.wait();
+        let (mut reads, mut torn) = (0u64, 0u64);
+        loop {
+            let finished = done.load(Ordering::SeqCst);
+            let bytes = std::fs::read(&path).expect("the artifact path always exists");
+            reads += 1;
+            torn += u64::from(ModelArtifact::decode(&bytes).is_err());
+            if finished {
+                break;
+            }
+        }
+        writer.join().expect("writer thread panicked");
+        (reads, torn)
+    });
+    assert_eq!(torn, 0, "{torn} of {reads} reads saw a torn artifact");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["model.dpcm"], "temporary files left behind");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `probe` validates framing without decoding and lists the six sections
 /// in order (same section set in both format versions).
 #[test]

@@ -5,6 +5,12 @@
 //! actually speaks: objects, arrays, strings (with the standard escapes
 //! and `\uXXXX`), finite numbers, booleans and null. Parse depth is
 //! bounded so hostile nesting cannot overflow the stack.
+//!
+//! Decoding is linear in the document size: a string's runs of ordinary
+//! bytes are copied with one slice each and never re-validated as UTF-8
+//! (the input is already a `&str`). A fit envelope carries its training
+//! CSV as one string field of up to megabytes, so this is the daemon's
+//! largest single parse.
 
 /// Maximum nesting depth accepted from untrusted request bodies.
 const MAX_DEPTH: usize = 32;
@@ -47,12 +53,11 @@ impl Json {
     /// Parses one complete JSON document (trailing whitespace allowed,
     /// trailing content rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing content after document"));
         }
         Ok(v)
@@ -104,11 +109,20 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, reason: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -170,7 +184,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(Json::Num(v)),
             _ => Err(JsonError {
@@ -184,6 +198,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of ordinary bytes up to the next `"`, `\` or
+            // control byte as one slice. Both ends of the run are ASCII
+            // positions or the end of the text, hence char boundaries.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -192,49 +216,50 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("non-hex \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are rejected rather than paired:
-                            // the protocol's strings are ids and CSV text,
-                            // all inside the BMP.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(self.err(format!("unknown escape `\\{}`", other as char)))
-                        }
-                    }
+                    self.escape(&mut out)?;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("utf-8 input");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control byte in string")),
             }
         }
+    }
+
+    /// Decodes the escape after a consumed `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                // Exactly four hex digits: `u32::from_str_radix` would
+                // also take a sign (`\u+041`).
+                if !hex.iter().all(u8::is_ascii_hexdigit) {
+                    return Err(self.err("non-hex \\u escape"));
+                }
+                let code = hex.iter().fold(0u32, |acc, &h| {
+                    acc * 16 + char::from(h).to_digit(16).expect("checked hex digit")
+                });
+                self.pos += 4;
+                // Surrogates are rejected rather than paired: the
+                // protocol's strings are ids and CSV text, all inside
+                // the BMP.
+                let c = char::from_u32(code)
+                    .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                out.push(c);
+            }
+            other => return Err(self.err(format!("unknown escape `\\{}`", other as char))),
+        }
+        Ok(())
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
@@ -322,6 +347,11 @@ pub fn quote(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obskit::Stopwatch;
+    use rngkit::rngs::StdRng;
+    use rngkit::Rng;
+    use testkit::prop::{vec, Gen};
+    use testkit::{prop_assert, prop_assert_eq, property_tests};
 
     #[test]
     fn parses_the_protocol_shapes() {
@@ -365,6 +395,9 @@ mod tests {
             "NaN",
             "{\"a\"}",
             "\"bad \\q escape\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u12\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -383,5 +416,146 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(0.0).as_u64(), Some(0));
         assert_eq!(Json::Num(1e18).as_u64(), None, "beyond exact range");
+    }
+
+    /// The char-at-a-time string decoder that the run-copying
+    /// [`Parser::string`] replaced, kept as its reference: one scalar
+    /// per step, the same escapes and errors.
+    fn reference_string(p: &mut Parser) -> Result<String, JsonError> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    p.escape(&mut out)?;
+                }
+                Some(c) if c < 0x20 => return Err(p.err("raw control byte in string")),
+                Some(_) => {
+                    let c = p.text[p.pos..].chars().next().expect("non-empty");
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// One scalar value, weighted toward what stresses the decoder:
+    /// quotes, backslashes, control characters and 2-, 3- and 4-byte
+    /// UTF-8 sequences besides plain ASCII.
+    fn any_char(rng: &mut StdRng) -> char {
+        let code = match rng.gen_range(0..6u32) {
+            0 => rng.gen_range(0x20..0x7fu32),
+            1 => rng.gen_range(0..0x20u32),
+            2 => u32::from([b'"', b'\\', b'/', b'u'][rng.gen_range(0..4usize)]),
+            3 => rng.gen_range(0x80..0x800u32),
+            4 => rng.gen_range(0x800..0x1_0000u32),
+            _ => rng.gen_range(0x1_0000..0x11_0000u32),
+        };
+        // Surrogate code points are not scalars; fall back to ASCII.
+        char::from_u32(code).unwrap_or('s')
+    }
+
+    fn unicode_string() -> Gen<String> {
+        vec(Gen::new(any_char, |_| Vec::new()), 0..48).map(|cs| cs.into_iter().collect())
+    }
+
+    /// Bytes a mutation may write: JSON structure, escape material and
+    /// a control byte.
+    const MUTANTS: [u8; 12] = [
+        b'"', b'\\', b'u', b'+', b'0', b'f', b'{', b'}', b'[', b',', b':', 0x01,
+    ];
+
+    /// `doc` with one byte replaced, re-encoded as valid UTF-8 (a
+    /// `&str` is what the parser takes).
+    fn mutate(doc: &str, at: usize, with: u8) -> String {
+        let mut bytes = doc.as_bytes().to_vec();
+        if !bytes.is_empty() {
+            let at = at % bytes.len();
+            bytes[at] = with;
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// `doc` cut at the char boundary at or below `at`.
+    fn truncate(doc: &str, at: usize) -> &str {
+        let mut at = at % (doc.len() + 1);
+        while !doc.is_char_boundary(at) {
+            at -= 1;
+        }
+        &doc[..at]
+    }
+
+    fn envelope(s: &str) -> String {
+        format!(
+            "{{\"id\":\"fit-0\",\"epsilon\":1.0,\"seed\":7,\"csv\":{},\"k\":[1,2.5,null,true]}}",
+            quote(s)
+        )
+    }
+
+    property_tests! {
+        fn quoted_strings_round_trip(s in unicode_string()) {
+            prop_assert_eq!(Json::parse(&quote(&s)), Ok(Json::Str(s.clone())));
+            let v = Json::parse(&envelope(&s)).map_err(|e| e.to_string())?;
+            prop_assert_eq!(v.get("csv").and_then(Json::as_str), Some(s.as_str()));
+        }
+
+        fn string_decoder_matches_the_reference(
+            s in unicode_string(),
+            at in 0usize..4096,
+            with in 0usize..MUTANTS.len(),
+            cut in 0usize..4096,
+        ) {
+            let quoted = quote(&s);
+            let mutated = mutate(&quoted, at, MUTANTS[with]);
+            for doc in [quoted.as_str(), mutated.as_str(), truncate(&quoted, cut)] {
+                let mut fast = Parser::new(doc);
+                let mut reference = Parser::new(doc);
+                prop_assert_eq!(fast.string(), reference_string(&mut reference));
+                prop_assert_eq!(fast.pos, reference.pos);
+            }
+        }
+
+        fn damaged_documents_fail_cleanly(
+            s in unicode_string(),
+            at in 0usize..4096,
+            with in 0usize..MUTANTS.len(),
+            cut in 0usize..4096,
+        ) {
+            let doc = envelope(&s);
+            let mutated = mutate(&doc, at, MUTANTS[with]);
+            for damaged in [mutated.as_str(), truncate(&doc, cut)] {
+                if let Err(e) = Json::parse(damaged) {
+                    prop_assert!(
+                        e.offset <= damaged.len(),
+                        "offset {} past a {}-byte document",
+                        e.offset,
+                        damaged.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        // Mixed content so every decoder branch runs: plain runs,
+        // escapes and multibyte scalars.
+        let unit = "12,0,3,45\n\"q\"\\ é€😀\t";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        let doc = envelope(&big);
+        assert!(doc.len() > 1 << 20);
+        let watch = Stopwatch::start();
+        let v = Json::parse(&doc).expect("well-formed envelope");
+        let elapsed_ms = watch.elapsed_ns() / 1_000_000;
+        assert_eq!(v.get("csv").and_then(Json::as_str), Some(big.as_str()));
+        // Linear decoding takes milliseconds even unoptimized; the
+        // quadratic decoder it replaced took minutes on this input.
+        assert!(elapsed_ms < 2_000, "1 MiB string took {elapsed_ms} ms");
     }
 }

@@ -303,10 +303,16 @@ impl ModelRegistry {
     }
 
     /// Caches a freshly fitted model under its canonical checksum
-    /// ([`modelstore::ModelArtifact::checksum`]), as `POST /v1/fit`
-    /// does right after writing `{id}.dpcm`.
+    /// ([`modelstore::ModelArtifact::checksum`]), right after its
+    /// `{id}.dpcm` was written.
     pub fn insert(&self, id: &str, model: Arc<FittedModel>) {
-        let key = model.artifact().checksum();
+        self.insert_keyed(id, model.artifact().checksum(), model);
+    }
+
+    /// [`insert`](Self::insert) under a checksum the caller already
+    /// holds: the fit route hashes the bytes it just wrote rather than
+    /// encoding the artifact again.
+    pub(crate) fn insert_keyed(&self, id: &str, key: u64, model: Arc<FittedModel>) {
         // A refit revives a tombstoned id: the new artifact was just
         // written, so the pending deletion is superseded.
         self.insert_cached(id, key, model, true);

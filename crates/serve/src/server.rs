@@ -53,6 +53,7 @@ use crate::registry::{valid_model_id, ModelRegistry, RegistryError};
 use datagen::RowSource;
 use dpcopula::{DpCopulaConfig, DpCopulaError, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
+use modelstore::crc32::fnv1a64;
 use obskit::{names, MetricsRegistry, MetricsSink, Stopwatch, Unit};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -1033,13 +1034,16 @@ fn respond_fitted(
     rows: usize,
     attributes: usize,
 ) -> Response {
+    // One encode serves the file, the response checksum and the cache
+    // key (`FittedModel::save` plus `checksum()` would encode twice).
+    let bytes = model.artifact().encode();
     let path = state.registry.path_for(id);
-    if let Err(e) = model.save(&path) {
+    if let Err(e) = modelstore::write_atomic(&path, &bytes) {
         return Response::error(500, &format!("writing {}: {e}", path.display()), &[]);
     }
-    let checksum = model.artifact().checksum();
+    let checksum = fnv1a64(&bytes);
     let spent = model.artifact().ledger.spent();
-    state.registry.insert(id, Arc::new(model));
+    state.registry.insert_keyed(id, checksum, Arc::new(model));
 
     let remaining = state
         .gate

@@ -266,6 +266,13 @@ echo "==> sharded-fit regression gates (merge overhead < 15%, shard speedup)"
 # BENCH_pipeline.json untouched.
 QUICK=1 cargo run -p dpcopula-bench --release --offline --bin bench_pipeline
 
+echo "==> dpbench smoke: end-to-end benchmark checks at scaled-down sizes"
+# About 10 s over all four workloads. Exits nonzero when any output
+# check fails: served windows byte-identical to in-process sampling, fit
+# checksums equal to in-process fits, sharded fit equal to fit_shard x4
+# plus merge.
+cargo run --release --offline --manifest-path dpbench/Cargo.toml --bin dpbench -- --smoke
+
 echo "==> statcheck smoke: empirical DP audit of every margin method"
 # Exits nonzero if any registered mechanism exceeds its declared epsilon
 # empirically, or if the broken-Laplace negative control goes undetected.
