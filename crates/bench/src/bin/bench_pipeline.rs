@@ -11,7 +11,7 @@
 use datagen::census::us_census;
 use datagen::RowSource;
 use dpcopula::kendall::{dp_correlation_matrix, SamplingStrategy};
-use dpcopula::{DpCopula, DpCopulaConfig, EngineOptions, SamplingProfile, SynthesisRequest};
+use dpcopula::{DpCopulaConfig, EngineOptions, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
 use obskit::{MetricsRegistry, MetricsSink, Stopwatch};
 use rngkit::rngs::StdRng;
@@ -95,10 +95,6 @@ impl<S: RowSource> RowSource for BlockCensus<S> {
     fn rewind(&mut self) -> Result<(), datagen::SourceError> {
         self.inner.rewind()
     }
-
-    fn known_rows(&self) -> Option<usize> {
-        self.inner.known_rows()
-    }
 }
 
 const STAGE_NAMES: [&str; 5] = [
@@ -162,14 +158,12 @@ fn main() {
         let mut per_stage: Vec<Vec<f64>> = (0..5).map(|_| Vec::with_capacity(samples)).collect();
         let mut totals = Vec::with_capacity(samples);
         for s in 0..samples {
-            let (_, report) = DpCopula::new(config)
-                .synthesize_staged(
-                    data.columns(),
-                    &data.domains(),
-                    0xf00d + s as u64,
-                    &EngineOptions::with_workers(workers),
-                )
-                .expect("census synthesis succeeds");
+            let (_, report) =
+                SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+                    .engine(EngineOptions::with_workers(workers))
+                    .seed(0xf00d + s as u64)
+                    .run()
+                    .expect("census synthesis succeeds");
             for (bucket, (_, d)) in per_stage.iter_mut().zip(report.timings.stages()) {
                 bucket.push(d.as_secs_f64());
             }
@@ -212,14 +206,15 @@ fn main() {
     for (pi, &profile) in profiles.iter().enumerate() {
         let mut sampling = Vec::with_capacity(samples);
         for s in 0..samples {
-            let (_, report) = DpCopula::new(config.with_profile(profile))
-                .synthesize_staged(
-                    data.columns(),
-                    &data.domains(),
-                    0xf00d + s as u64,
-                    &EngineOptions::with_workers(4),
-                )
-                .expect("census synthesis succeeds");
+            let (_, report) = SynthesisRequest::from_config(
+                data.columns(),
+                &data.domains(),
+                config.with_profile(profile),
+            )
+            .engine(EngineOptions::with_workers(4))
+            .seed(0xf00d + s as u64)
+            .run()
+            .expect("census synthesis succeeds");
             let (_, d) = report
                 .timings
                 .stages()

@@ -148,7 +148,12 @@ fn main() {
     let t0 = Stopwatch::start();
     for i in 0..baseline_requests {
         let cols = model
-            .try_sample_range(i * rows_per_request, rows_per_request, 1)
+            .try_sample_range_profiled(
+                dpcopula::SamplingProfile::Reference,
+                i * rows_per_request,
+                rows_per_request,
+                1,
+            )
             .expect("baseline window");
         let dataset = datagen::Dataset::new(attributes.clone(), cols);
         let mut bytes = Vec::new();

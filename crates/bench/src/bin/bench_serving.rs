@@ -15,7 +15,7 @@
 //! leaves the committed `BENCH_serving.json` untouched.
 
 use datagen::census::us_census;
-use dpcopula::{DpCopula, DpCopulaConfig, EngineOptions, FittedModel, SamplingProfile};
+use dpcopula::{EngineOptions, FittedModel, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
 use obskit::Stopwatch;
 use std::fmt::Write as _;
@@ -39,16 +39,19 @@ fn main() {
     let worker_counts = [1usize, 2, 4];
 
     let data = us_census(n, 0xcafe);
-    let dp = DpCopula::new(DpCopulaConfig::kendall(
-        Epsilon::new(1.0).expect("positive epsilon"),
-    ));
-    let opts = EngineOptions::with_workers(4);
+    let domains = data.domains();
 
     // The one budgeted step: fit.
     let t0 = Stopwatch::start();
-    let (model, _) = dp
-        .fit_staged(data.columns(), &data.domains(), 0xfeed, &opts)
-        .expect("census fit succeeds");
+    let (model, _) = SynthesisRequest::new(
+        data.columns(),
+        &domains,
+        Epsilon::new(1.0).expect("positive epsilon"),
+    )
+    .engine(EngineOptions::with_workers(4))
+    .seed(0xfeed)
+    .fit()
+    .expect("census fit succeeds");
     let fit_s = t0.elapsed().as_secs_f64();
     println!(
         "fit: {fit_s:.4}s over {n} records x {} attributes",
@@ -102,7 +105,9 @@ fn main() {
                 // Rotate the window so runs do not share chunk boundaries.
                 let offset = s * serve_rows;
                 let t = Stopwatch::start();
-                let cols = model.sample_range_profiled(profile, offset, serve_rows, workers);
+                let cols = model
+                    .try_sample_range_profiled(profile, offset, serve_rows, workers)
+                    .expect("in-range window");
                 times.push(t.elapsed().as_secs_f64());
                 assert_eq!(cols[0].len(), serve_rows);
             }

@@ -16,7 +16,7 @@ use crate::report::{fmt, Table};
 use crate::runner::evaluate_timed;
 use datagen::census::us_census;
 use datagen::synthetic::{MarginKind, SyntheticSpec};
-use dpcopula::{DpCopula, DpCopulaConfig, EngineOptions};
+use dpcopula::{DpCopulaConfig, EngineOptions, SynthesisRequest};
 use dpmech::Epsilon;
 use queryeval::Workload;
 use rngkit::rngs::StdRng;
@@ -132,13 +132,10 @@ pub fn run_fig11(params: &ExperimentParams) -> Vec<Table> {
     )
     .with_k_ratio(params.k_ratio);
     for workers in [1usize, 2, 4] {
-        let (_, report) = DpCopula::new(config)
-            .synthesize_staged(
-                data.columns(),
-                &data.domains(),
-                0x11c0,
-                &EngineOptions::with_workers(workers),
-            )
+        let (_, report) = SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+            .engine(EngineOptions::with_workers(workers))
+            .seed(0x11c0)
+            .run()
             .expect("census synthesis succeeds");
         let t = report.timings;
         println!(

@@ -56,8 +56,9 @@ USAGE:
                        [--read-timeout-ms N] [--write-timeout-ms N]
                        [--head-timeout-ms N] [--body-timeout-ms N]
 
-Every subcommand also takes [--metrics json|prom|off] (default off) and
-[--metrics-out FILE]. With metrics on, the full obskit taxonomy is
+Every subcommand but serve also takes [--metrics json|prom|off] (default
+off) and [--metrics-out FILE]; serve exposes GET /metrics instead. Any
+flag a subcommand does not list is an error. With metrics on, the full obskit taxonomy is
 pre-registered and a snapshot is written next to the result file
 (`RESULT.metrics.json` / `.prom`), to --metrics-out when given, or to
 stdout when the command writes no file.
@@ -98,16 +99,33 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    let parse = |known: &[&[&str]]| Flags::parse(cmd, rest, known);
     let result = match cmd.as_str() {
-        "gen" => Flags::parse(rest).and_then(|f| cmd_gen(&f)),
-        "fit" => Flags::parse(rest).and_then(|f| cmd_fit(&f)),
-        "fit-shard" => Flags::parse(rest).and_then(|f| cmd_fit_shard(&f)),
+        "gen" => {
+            parse(&[&["out", "dataset", "records", "seed"], METRICS]).and_then(|f| cmd_gen(&f))
+        }
+        "fit" => parse(&[&["input", "out", "shards"], CONFIG, METRICS]).and_then(|f| cmd_fit(&f)),
+        "fit-shard" => parse(&[
+            &["input", "out", "shard-index", "shards", "total-rows"],
+            CONFIG,
+            METRICS,
+        ])
+        .and_then(|f| cmd_fit_shard(&f)),
         "merge" => cmd_merge(rest),
-        "inspect" => Flags::parse(rest).and_then(|f| cmd_inspect(&f)),
-        "sample" => Flags::parse(rest).and_then(|f| cmd_sample(&f)),
-        "synth" => Flags::parse(rest).and_then(|f| cmd_synth(&f)),
-        "eval" => Flags::parse(rest).and_then(|f| cmd_eval(&f)),
-        "serve" => Flags::parse(rest).and_then(|f| cmd_serve(&f)),
+        "inspect" => parse(&[&["model"], METRICS]).and_then(|f| cmd_inspect(&f)),
+        "sample" => parse(&[
+            &["model", "out", "rows", "offset", "workers", "profile"],
+            METRICS,
+        ])
+        .and_then(|f| cmd_sample(&f)),
+        "synth" => parse(&[&["input", "out", "rows", "profile"], CONFIG, METRICS])
+            .and_then(|f| cmd_synth(&f)),
+        "eval" => parse(&[
+            &["synthetic", "reference", "queries", "seed", "sanity"],
+            METRICS,
+        ])
+        .and_then(|f| cmd_eval(&f)),
+        "serve" => parse(&[SERVE]).and_then(|f| cmd_serve(&f)),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -123,6 +141,32 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags of the shared fit configuration ([`parse_config`]).
+const CONFIG: &[&str] = &[
+    "epsilon", "seed", "method", "margin", "k", "workers", "chunk",
+];
+/// The metrics side-channel flags ([`Metrics::parse`]).
+const METRICS: &[&str] = &["metrics", "metrics-out"];
+/// The daemon's flags ([`cmd_serve`]).
+const SERVE: &[&str] = &[
+    "addr",
+    "model-dir",
+    "tenants",
+    "default-epsilon",
+    "cache-cap",
+    "max-body-bytes",
+    "max-fit-body",
+    "pool",
+    "workers",
+    "max-rows",
+    "max-connections",
+    "max-inflight",
+    "read-timeout-ms",
+    "write-timeout-ms",
+    "head-timeout-ms",
+    "body-timeout-ms",
+];
+
 /// `--name value` flag pairs, hand-parsed (the workspace takes no
 /// dependencies, so no clap).
 struct Flags {
@@ -130,13 +174,20 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` for subcommand `cmd`, which reads only the flags in
+    /// `known`: any other flag is refused before anything is read or
+    /// written, so a misspelt `--eps` cannot silently fall back to the
+    /// default budget.
+    fn parse(cmd: &str, args: &[String], known: &[&[&str]]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got `{flag}`"))?;
+            if !known.iter().any(|group| group.contains(&name)) {
+                return Err(format!("unknown flag --{name} for {cmd}"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -492,7 +543,11 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
             inputs.push(arg.clone());
         }
     }
-    let flags = Flags::parse(&flag_args)?;
+    let flags = Flags::parse(
+        "merge",
+        &flag_args,
+        &[&["input", "out", "workers"], METRICS],
+    )?;
     // `--input` also works, for symmetry with `fit`.
     inputs.extend(flags.get_all("input").iter().map(|s| s.to_string()));
     if inputs.is_empty() {

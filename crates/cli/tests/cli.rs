@@ -68,6 +68,51 @@ fn unknown_command_is_an_error() {
 }
 
 #[test]
+fn unknown_flags_are_errors_before_anything_is_written() {
+    // A misspelt `--eps` must not release a model at the default budget.
+    let dir = Scratch::new("unknown_flag");
+    let csv = gen_small(&dir, "census.csv");
+    let model = dir.path("model.dpcm");
+    let out = run(&["fit", "--input", &csv, "--out", &model, "--eps", "0.1"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --eps for fit"), "{stderr}");
+    assert!(!Path::new(&model).exists(), "fit wrote {model}");
+
+    // Every subcommand checks, merge's positional form included; a flag
+    // another subcommand reads is still unknown here.
+    let merged = dir.path("merged.dpcm");
+    for (args, message) in [
+        (
+            vec!["merge", "a.dpcs", "--out", &merged, "--seed", "1"],
+            "unknown flag --seed for merge",
+        ),
+        (
+            vec!["gen", "--out", &merged, "--rows", "10"],
+            "unknown flag --rows for gen",
+        ),
+        (
+            vec![
+                "sample",
+                "--model",
+                &model,
+                "--out",
+                &merged,
+                "--epsilon",
+                "1",
+            ],
+            "unknown flag --epsilon for sample",
+        ),
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!Path::new(&merged).exists(), "{args:?} wrote {merged}");
+    }
+}
+
+#[test]
 fn gen_writes_a_readable_census_csv() {
     let dir = Scratch::new("gen");
     let csv = gen_small(&dir, "census.csv");

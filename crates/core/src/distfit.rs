@@ -16,28 +16,29 @@
 //!   releases a `.dpcm` **byte-identical** to the single-process
 //!   `fit --shards N` at the same seeds (pinned in
 //!   `tests/distfit_identity.rs`);
-//! * [`gather_source`] is the streaming gather the in-process fit uses
-//!   to consume a [`RowSource`] without materializing the columns: block
-//!   memory stays bounded by the source's chunk size, while the resident
-//!   per-fit state is the exact histogram counts and the τ subsample.
+//! * [`CountedSource`] is the counting pass the in-process fit makes
+//!   over a [`RowSource`] before its reducing pass: block memory stays
+//!   bounded by the source's chunk size.
+//!
+//! Both fits reduce their rows with the one
+//! [`RowReducer`](crate::shard::RowReducer) of the in-process fit, and
+//! the merge folds summaries with its one
+//! [`fold_summaries`](crate::engine::fold_summaries).
 //!
 //! The ε accounting of the merge is the in-process sharded fit's
 //! (DESIGN.md §12, restated for the wire formats in §14): margins
 //! compose in parallel across shards (per-label max), and the pooled τ
 //! noise is drawn once at merge time against the pooled sensitivity.
 
-use crate::empirical::MarginalDistribution;
-use crate::engine::{EngineOptions, FitParts};
+use crate::engine::{fold_summaries, EngineOptions};
 use crate::error::DpCopulaError;
 use crate::kendall::SamplingStrategy;
 use crate::model::{assemble_artifact, ArtifactMeta, FittedModel, STREAM_SCHEME};
-use crate::shard::{self, ShardSpec, ShardSummary};
+use crate::shard::{self, RowReducer, ShardSummary};
 use crate::synthesizer::{CorrelationMethod, DpCopulaConfig};
 use datagen::{Block, RowSource};
-use dpmech::{BudgetAccountant, Epsilon, ShardLedger};
+use dpmech::{Epsilon, ShardLedger};
 use mathkit::concord::Concordance;
-use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
-use mathkit::Matrix;
 use modelstore::{
     AttributeSpec, SamplingSpec, ShardArtifact, ShardConcordance, ShardFitConfig, ShardSpend,
 };
@@ -53,179 +54,57 @@ fn sampling_spec(strategy: SamplingStrategy) -> SamplingSpec {
     }
 }
 
-/// Inverts a subsample plan: `slots[local_row] = sample slot` for every
-/// participating local row, `u32::MAX` for the rest — the structure that
-/// lets a single streaming pass scatter rows into subsample order.
-fn invert_locals(locals: &[usize], shard_n: usize) -> Vec<u32> {
-    debug_assert!(shard_n < u32::MAX as usize, "shard too large for slot map");
-    let mut slots = vec![u32::MAX; shard_n];
-    for (slot, &local) in locals.iter().enumerate() {
-        slots[local] = slot as u32;
-    }
-    slots
+/// A [`RowSource`] after the counting pass of a two-pass fit: its row
+/// count, plus the blocks a one-pass source had to buffer so the
+/// reducing pass can read them again ([`RowSource::rewindable`] is the
+/// capability contract).
+pub(crate) struct CountedSource<'a> {
+    source: &'a mut dyn RowSource,
+    buffered: Option<Vec<Block>>,
+    /// Rows the source holds.
+    pub rows: usize,
 }
 
-/// Everything the streaming gather reduced a [`RowSource`] to: the
-/// schema, the row count, the shard partition, the **exact** per-shard
-/// histogram counts, and the per-shard τ record subsample.
-pub(crate) struct SourceGather {
-    /// Attribute names, in source order.
-    pub names: Vec<String>,
-    /// Attribute domains.
-    pub domains: Vec<usize>,
-    /// Total rows the source held.
-    pub n: usize,
-    /// The shard partition of those rows.
-    pub specs: Vec<ShardSpec>,
-    /// Exact histogram counts per `[shard][attribute][bin]` — what
-    /// `Histogram1D::from_values` would build on the resident slice.
-    pub exact: Vec<Vec<Vec<f64>>>,
-    /// τ record subsample per `[shard][attribute][slot]`, in subsample
-    /// order; empty for single-attribute fits.
-    pub sampled: Vec<Vec<Vec<u32>>>,
-}
-
-/// Streams a [`RowSource`] into [`SourceGather`] without materializing
-/// its columns.
-///
-/// Rewindable sources are read twice (count, then accumulate) and only
-/// ever hold one block resident; one-pass sources are buffered block by
-/// block on the first pass and replayed — the documented capability
-/// contract ([`RowSource::rewindable`]). Validation matches the eager
-/// path: empty input, too few records for pairwise estimation, more
-/// shards than rows, and per-value domain violations are all named
-/// errors, never panics.
-pub(crate) fn gather_source(
-    source: &mut dyn RowSource,
-    shards: usize,
-    strategy: SamplingStrategy,
-    eps2: Epsilon,
-    base_seed: u64,
-) -> Result<SourceGather, DpCopulaError> {
-    let attrs = source.attributes().to_vec();
-    let m = attrs.len();
-    if m == 0 {
-        return Err(DpCopulaError::EmptyInput);
-    }
-    let names: Vec<String> = attrs.iter().map(|a| a.name.clone()).collect();
-    let domains: Vec<usize> = attrs.iter().map(|a| a.domain).collect();
-
-    // Pass 1: count rows (buffering the blocks when the source cannot
-    // rewind).
-    let mut n = 0usize;
-    let mut buffered: Option<Vec<Block>> = if source.rewindable() {
-        None
-    } else {
-        Some(Vec::new())
-    };
-    while let Some(block) = source.next_block()? {
-        if block.columns().len() != m {
-            return Err(DpCopulaError::ArityMismatch {
-                columns: block.columns().len(),
-                domains: m,
-            });
+impl<'a> CountedSource<'a> {
+    /// The counting pass. A rewindable source holds one block at a time;
+    /// a one-pass source keeps every block for the replay.
+    pub(crate) fn count(source: &'a mut dyn RowSource) -> Result<Self, DpCopulaError> {
+        let mut buffered = (!source.rewindable()).then(Vec::new);
+        let mut rows = 0;
+        while let Some(block) = source.next_block()? {
+            rows += block.rows();
+            if let Some(blocks) = buffered.as_mut() {
+                blocks.push(block);
+            }
         }
-        n += block.rows();
-        if let Some(buf) = buffered.as_mut() {
-            buf.push(block);
-        }
-    }
-    if n == 0 {
-        return Err(DpCopulaError::EmptyInput);
-    }
-    if m > 1 && n < 2 {
-        return Err(DpCopulaError::TooFewRecords {
-            records: n,
-            required: 2,
-        });
-    }
-    if shards > n {
-        return Err(DpCopulaError::TooManyShards { shards, records: n });
-    }
-    let specs = shard::shard_specs(n, shards);
-
-    // The subsample plan is a pure function of (n, m, strategy, seed) —
-    // identical to the eager fill_tau plan.
-    let slot_maps: Vec<Vec<u32>> = if m > 1 {
-        let target = shard::kendall_sample_target(m, n, strategy, eps2);
-        let targets = shard::partition_sample_target(target, &specs);
-        specs
-            .iter()
-            .map(|&spec| {
-                let locals =
-                    shard::shard_locals(spec, targets[spec.seed_index as usize], base_seed);
-                invert_locals(&locals, spec.len())
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut exact: Vec<Vec<Vec<f64>>> = specs
-        .iter()
-        .map(|_| domains.iter().map(|&d| vec![0.0f64; d]).collect())
-        .collect();
-    let mut sampled: Vec<Vec<Vec<u32>>> = slot_maps
-        .iter()
-        .map(|slots| {
-            let k = slots.iter().filter(|&&s| s != u32::MAX).count();
-            (0..m).map(|_| vec![0u32; k]).collect()
+        Ok(Self {
+            source,
+            buffered,
+            rows,
         })
-        .collect();
+    }
 
-    // Pass 2: accumulate — exact counts always, subsample scatter when
-    // there are pairs to estimate.
-    let mut cur = 0usize; // current shard index
-    let mut row = 0usize; // global row cursor
-    let mut accumulate = |block: &Block| -> Result<(), DpCopulaError> {
-        for r in 0..block.rows() {
-            while row >= specs[cur].end {
-                cur += 1;
-            }
-            let local = row - specs[cur].start;
-            for (j, col) in block.columns().iter().enumerate() {
-                let v = col[r];
-                if v as usize >= domains[j] {
-                    return Err(DpCopulaError::ValueOutOfDomain {
-                        dim: j,
-                        value: v,
-                        domain: domains[j],
-                    });
-                }
-                exact[cur][j][v as usize] += 1.0;
-                if m > 1 {
-                    let slot = slot_maps[cur][local];
-                    if slot != u32::MAX {
-                        sampled[cur][j][slot as usize] = v;
-                    }
+    /// The second pass: hands every block's columns to `each`, in order,
+    /// dropping each buffered block once it has been read.
+    pub(crate) fn replay(
+        self,
+        mut each: impl FnMut(&[Vec<u32>]) -> Result<(), DpCopulaError>,
+    ) -> Result<(), DpCopulaError> {
+        match self.buffered {
+            Some(blocks) => {
+                for block in blocks {
+                    each(block.columns())?;
                 }
             }
-            row += 1;
+            None => {
+                self.source.rewind()?;
+                while let Some(block) = self.source.next_block()? {
+                    each(block.columns())?;
+                }
+            }
         }
         Ok(())
-    };
-    match buffered {
-        Some(blocks) => {
-            for block in &blocks {
-                accumulate(block)?;
-            }
-        }
-        None => {
-            source.rewind()?;
-            while let Some(block) = source.next_block()? {
-                accumulate(&block)?;
-            }
-        }
     }
-
-    Ok(SourceGather {
-        names,
-        domains,
-        n,
-        specs,
-        exact,
-        sampled,
-    })
 }
 
 /// A [`RowSource`] read fully into memory: schema, domains, columns.
@@ -331,91 +210,52 @@ pub fn fit_shard(
     };
     let domains: Vec<usize> = attrs.iter().map(|a| a.domain).collect();
     let (eps1, eps2) = config.epsilon.split_ratio(config.k_ratio);
-    let eps_margin = eps1.divide(m);
     let specs = shard::shard_specs(total_rows, shards);
     let spec = specs[shard_index];
-    let expected = spec.len();
     sink.gauge_set(ENGINE_SHARDS, Unit::Info, shards as u64);
 
-    // The shard's slot of the global subsample plan — a pure function of
-    // (total_rows, m, strategy, seed), no data needed.
-    let slot_map: Option<Vec<u32>> = if m > 1 {
+    // One streaming pass through the fit's row reducer. The shard's slot
+    // of the global subsample plan is a pure function of (total_rows, m,
+    // strategy, seed), so no counting pass is needed; block memory stays
+    // bounded by the source's chunk size.
+    let target = (m > 1).then(|| {
         let target = shard::kendall_sample_target(m, total_rows, strategy, eps2);
-        let targets = shard::partition_sample_target(target, &specs);
-        let locals = shard::shard_locals(spec, targets[shard_index], base_seed);
-        Some(invert_locals(&locals, expected))
-    } else {
-        None
-    };
-
-    // One streaming pass: exact histogram counts + subsample scatter.
-    // The expected row count is known up front, so no counting pass is
-    // needed; block memory stays bounded by the source's chunk size.
-    let mut exact: Vec<Vec<f64>> = domains.iter().map(|&d| vec![0.0f64; d]).collect();
-    let mut sampled: Vec<Vec<u32>> = match &slot_map {
-        Some(slots) => {
-            let k = slots.iter().filter(|&&s| s != u32::MAX).count();
-            vec![vec![0u32; k]; m]
-        }
-        None => Vec::new(),
-    };
-    let mut rows = 0usize;
+        shard::partition_sample_target(target, &specs)[shard_index]
+    });
+    let workers = opts.workers.max(1);
+    let mut reducer = RowReducer::new(
+        &domains,
+        &[spec],
+        target.as_ref().map(std::slice::from_ref),
+        base_seed,
+        workers,
+    );
     while let Some(block) = source.next_block()? {
-        if block.columns().len() != m {
-            return Err(DpCopulaError::ArityMismatch {
-                columns: block.columns().len(),
-                domains: m,
-            });
-        }
-        for r in 0..block.rows() {
-            let local = rows + r;
-            if local >= expected {
-                continue; // keep counting; the mismatch errors below
-            }
-            for (j, col) in block.columns().iter().enumerate() {
-                let v = col[r];
-                if v as usize >= domains[j] {
-                    return Err(DpCopulaError::ValueOutOfDomain {
-                        dim: j,
-                        value: v,
-                        domain: domains[j],
-                    });
-                }
-                exact[j][v as usize] += 1.0;
-                if let Some(slots) = &slot_map {
-                    let slot = slots[local];
-                    if slot != u32::MAX {
-                        sampled[j][slot as usize] = v;
-                    }
-                }
-            }
-        }
-        rows += block.rows();
+        reducer.push(block.columns(), workers)?;
     }
-    if rows != expected {
+    if reducer.rows() != spec.len() {
         return Err(DpCopulaError::ShardRowCountMismatch {
-            expected,
-            found: rows,
+            expected: spec.len(),
+            found: reducer.rows(),
         });
     }
+    let (exact, sampled) = reducer.finish();
 
     // Publish this shard's noisy margins (stream seed_index·m + j) and
     // score its within-shard concordances — the fit half of the shard
     // pipeline, under the same stages and draw counters as in-process.
-    let workers = opts.workers.max(1);
     let margin_name = config.margin.registry_name();
-    let exact_all = vec![exact];
     let mut summaries = shard::build_margin_summaries_from_counts(
-        &exact_all,
+        &exact,
         &[spec],
         margin_name,
-        eps_margin,
+        eps1.divide(m),
         base_seed,
         workers,
         sink,
     );
     if m > 1 {
-        shard::fill_tau_from_sampled(&mut summaries, vec![sampled], workers, sink);
+        shard::fill_tau_from_sampled(&mut summaries, sampled, workers, sink);
     }
     let summary = summaries.remove(0);
 
@@ -616,66 +456,9 @@ pub fn merge_shards(
 
     // The merge proper — the exact second half of the in-process fit.
     let conf = &first.config;
-    let m = first.schema.len();
     let epsilon = Epsilon::new(conf.epsilon)?;
-    let (eps1, eps2) = epsilon.split_ratio(conf.k_ratio);
-    let mut accountant = BudgetAccountant::new(epsilon);
-    let eps_margin = eps1.divide(m);
-    sink.gauge_set(ENGINE_SHARDS, Unit::Info, declared as u64);
-
-    let merge_watch = Stopwatch::start();
-    let noisy_margins = shard::merge_margins(&summaries);
-    for _ in 0..m {
-        accountant.spend_tracked(eps_margin, "margins", sink)?;
-    }
-    let raw = if m == 1 {
-        Matrix::identity(1)
-    } else {
-        let cross = shard::cross_concordances(&summaries, workers, sink);
-        shard::combine_tau(&summaries, &cross, eps2, conf.base_seed, sink)
-    };
-    if m > 1 {
-        accountant.spend_tracked(eps2, "correlation", sink)?;
-    }
-    let correlation = if m == 1 {
-        raw
-    } else {
-        let mut p = raw;
-        clamp_to_correlation(&mut p);
-        repair_positive_definite(&p)
-    };
-    let shard_merge_ns = merge_watch.elapsed_ns();
-
-    if sink.enabled() {
-        sink.observe_labeled(
-            SPAN_NS,
-            &[("span", "pipeline/shard_merge")],
-            Unit::Nanos,
-            shard_merge_ns,
-        );
-        for (s, summary) in summaries.iter().enumerate() {
-            sink.add_labeled(
-                SHARD_EPS_SPENT_NEPS,
-                &[("shard", &s.to_string())],
-                Unit::NanoEps,
-                summary.ledger.total_neps(),
-            );
-        }
-    }
-
-    let (shard_infos, shard_entries) = crate::engine::shard_provenance(&summaries, declared);
-    let parts = FitParts {
-        margins: noisy_margins
-            .iter()
-            .map(|noisy| MarginalDistribution::from_noisy_histogram(noisy))
-            .collect(),
-        noisy_margins,
-        correlation,
-        epsilon_margins: eps1.value(),
-        epsilon_correlations: if m > 1 { eps2.value() } else { 0.0 },
-        shards: shard_infos,
-        shard_entries,
-    };
+    let budget = DpCopulaConfig::kendall(epsilon).with_k_ratio(conf.k_ratio);
+    let parts = fold_summaries(&summaries, None, &budget, conf.base_seed, 0, workers, sink)?;
     let artifact = assemble_artifact(
         &ArtifactMeta {
             epsilon_total: epsilon.value(),

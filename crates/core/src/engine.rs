@@ -1,12 +1,15 @@
 //! The staged parallel synthesis engine.
 //!
-//! [`DpCopula::synthesize`] runs the pipeline of Figure 4 as one opaque
-//! serial pass. This module decomposes it into five explicit stages —
-//! budget plan → margins → correlation → PD repair → sampling — each
-//! individually timed, with the three data-parallel stages fanned out
-//! through [`parkit`]:
+//! The pipeline of Figure 4 runs as five explicit stages — budget plan →
+//! margins → correlation → PD repair → sampling — each individually
+//! timed, behind [`crate::SynthesisRequest`]. One fit function serves
+//! resident columns and streaming sources alike, and the data-parallel
+//! work fans out through [`parkit`]:
 //!
-//! * **margins** — one task per attribute (`C(m,1)` tasks);
+//! * **budget plan** — the row reducer that checks domains and gathers
+//!   exact counts and the τ subsample, one task per attribute over a
+//!   large resident input;
+//! * **margins** — one task per (shard, attribute);
 //! * **correlation** — one task per attribute pair (`C(m,2)` tasks),
 //!   over cached per-column rank structures;
 //! * **sampling** — one task per row chunk of
@@ -24,13 +27,14 @@
 //! The `STREAM_*` constants below partition the derivation space so no
 //! two stages can collide on a generator even when their indices overlap.
 
+use crate::distfit::CountedSource;
 use crate::empirical::MarginalDistribution;
-use crate::error::{validate_columns, DpCopulaError};
+use crate::error::{validate_shape, DpCopulaError};
 use crate::mle::dp_mle_matrix_par;
 use crate::sampler::CopulaSampler;
-use crate::shard;
+use crate::shard::{self, RowReducer};
 use crate::spearman::dp_spearman_matrix_par;
-use crate::synthesizer::{CorrelationMethod, DpCopula, Synthesis};
+use crate::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, Synthesis};
 use datagen::RowSource;
 use dpmech::BudgetAccountant;
 use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
@@ -130,13 +134,16 @@ impl EngineOptions {
 /// Wall-clock time spent in each pipeline stage of one staged run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Input validation, budget split, and accounting.
+    /// Input validation, budget split, and ingest: the row reducer's
+    /// exact counts and τ subsample.
     pub budget_plan: Duration,
     /// DP marginal histogram publication (parallel over attributes).
     pub margins: Duration,
-    /// DP correlation-matrix estimation (parallel over pairs).
+    /// DP correlation estimation: within-shard τ layers (parallel over
+    /// pairs), or the MLE/Spearman matrix.
     pub correlation: Duration,
-    /// Clamping + eigenvalue positive-definite repair.
+    /// The summary fold (margin sums, cross-shard τ terms and the pooled
+    /// τ noise), then clamping + eigenvalue positive-definite repair.
     pub pd_repair: Duration,
     /// Copula sampling (parallel over row chunks).
     pub sampling: Duration,
@@ -196,9 +203,10 @@ pub struct PipelineReport {
 }
 
 /// The fitted model pieces stages 1–4 produce — everything of a run
-/// except the sampled rows. `DpCopula::fit_staged` packages this into a
-/// durable [`crate::model::FittedModel`]; [`DpCopula::synthesize_staged`]
-/// feeds it straight into the sampling stage.
+/// except the sampled rows. [`crate::SynthesisRequest::fit`] packages
+/// this into a durable [`crate::model::FittedModel`];
+/// [`crate::SynthesisRequest::run`] feeds it straight into the sampling
+/// stage.
 pub(crate) struct FitParts {
     /// Ready-to-sample marginal distributions (CDFs from noisy counts).
     pub margins: Vec<MarginalDistribution>,
@@ -219,61 +227,223 @@ pub(crate) struct FitParts {
     pub shard_entries: Vec<Vec<BudgetEntry>>,
 }
 
-/// Per-shard provenance records and budget sub-ledgers for the model
-/// artifact, only when actually sharded: the 1-shard artifact must stay
-/// on format v1, byte-identical to the pre-shard pipeline.
-pub(crate) fn shard_provenance(
+/// The data one fit reads: borrowed resident columns with their domains,
+/// or a streaming source read block by block.
+pub(crate) enum FitInput<'a> {
+    /// Resident columns, `columns[j]` on the domain `0..domains[j]`.
+    Columns {
+        columns: &'a [Vec<u32>],
+        domains: &'a [usize],
+    },
+    /// A source whose attributes name the schema.
+    Source(&'a mut dyn RowSource),
+}
+
+/// A fit input past its shape checks: resident columns, or a source
+/// after its counting pass.
+enum Rows<'a> {
+    Resident(&'a [Vec<u32>]),
+    Streamed(CountedSource<'a>),
+}
+
+/// What one fit released, plus how long its stages took.
+pub(crate) struct Fit {
+    /// The released model pieces.
+    pub parts: FitParts,
+    /// Stages 1–4 timed; `sampling` stays zero.
+    pub timings: StageTimings,
+    /// Attribute names and domains (`attr{j}` for bare columns).
+    pub schema: Vec<AttributeSpec>,
+    /// Input row count.
+    pub rows: usize,
+}
+
+/// Folds per-shard summaries into the released fit — the merge half of
+/// every fit, shared by the in-process fit and
+/// [`crate::distfit::merge_shards`]: the per-bin margin sums, the budget
+/// accountant, the pooled τ matrix (cross-shard concordances, then one
+/// noise draw per pair), clamping and positive-definite repair, the
+/// shard spans and per-shard ε counters, and the shard provenance.
+///
+/// `raw` replaces the τ terms with a correlation estimate that has no
+/// mergeable summary (MLE, Spearman; single-shard only). Only the budget
+/// fields of `config` are read. `build_ns` is the caller's summary
+/// building time: it and the cross-shard concordances are reported as
+/// `pipeline/shard_fit`, the serial fold alone as `pipeline/shard_merge`.
+pub(crate) fn fold_summaries(
     summaries: &[shard::ShardSummary],
-    shards: usize,
-) -> (Vec<ShardInfo>, Vec<Vec<BudgetEntry>>) {
-    if shards <= 1 {
-        return (Vec::new(), Vec::new());
+    raw: Option<Matrix>,
+    config: &DpCopulaConfig,
+    base_seed: u64,
+    build_ns: u64,
+    workers: usize,
+    sink: &MetricsSink,
+) -> Result<FitParts, DpCopulaError> {
+    let m = summaries[0].noisy_margins.len();
+    let (eps1, eps2) = config.epsilon.split_ratio(config.k_ratio);
+    let eps_margin = eps1.divide(m);
+    let mut accountant = BudgetAccountant::new(config.epsilon);
+    sink.gauge_set(ENGINE_SHARDS, Unit::Info, summaries.len() as u64);
+
+    let watch = Stopwatch::start();
+    let noisy_margins = shard::merge_margins(summaries);
+    for _ in 0..m {
+        accountant.spend_tracked(eps_margin, "margins", sink)?;
     }
-    let infos = summaries
-        .iter()
-        .map(|s| ShardInfo {
-            row_start: s.spec.start as u64,
-            row_end: s.spec.end as u64,
-            seed_index: s.spec.seed_index,
-        })
-        .collect();
-    let entries = summaries
-        .iter()
-        .map(|s| {
-            s.ledger
-                .entries()
-                .iter()
-                .map(|(label, neps)| BudgetEntry {
-                    label: label.clone(),
-                    epsilon: *neps as f64 * 1e-9,
-                })
-                .collect()
-        })
-        .collect();
-    (infos, entries)
+    let mut merge_ns = watch.elapsed_ns();
+    let mut fit_ns = build_ns;
+    let correlation = if m == 1 {
+        Matrix::identity(1)
+    } else {
+        let mut p = match raw {
+            Some(p) => p,
+            None => {
+                let watch = Stopwatch::start();
+                let cross = shard::cross_concordances(summaries, workers, sink);
+                fit_ns += watch.elapsed_ns();
+                let watch = Stopwatch::start();
+                let p = shard::combine_tau(summaries, &cross, eps2, base_seed, sink);
+                merge_ns += watch.elapsed_ns();
+                p
+            }
+        };
+        accountant.spend_tracked(eps2, "correlation", sink)?;
+        clamp_to_correlation(&mut p);
+        repair_positive_definite(&p)
+    };
+
+    if sink.enabled() {
+        sink.observe_labeled(
+            SPAN_NS,
+            &[("span", "pipeline/shard_fit")],
+            Unit::Nanos,
+            fit_ns,
+        );
+        sink.observe_labeled(
+            SPAN_NS,
+            &[("span", "pipeline/shard_merge")],
+            Unit::Nanos,
+            merge_ns,
+        );
+        for (s, summary) in summaries.iter().enumerate() {
+            sink.add_labeled(
+                SHARD_EPS_SPENT_NEPS,
+                &[("shard", &s.to_string())],
+                Unit::NanoEps,
+                summary.ledger.total_neps(),
+            );
+        }
+    }
+
+    // Per-shard provenance and sub-ledgers only when actually sharded:
+    // the 1-shard artifact must stay on format v1, byte-identical to the
+    // pre-shard pipeline.
+    let (shards, shard_entries) = if summaries.len() <= 1 {
+        (Vec::new(), Vec::new())
+    } else {
+        summaries
+            .iter()
+            .map(|s| {
+                let info = ShardInfo {
+                    row_start: s.spec.start as u64,
+                    row_end: s.spec.end as u64,
+                    seed_index: s.spec.seed_index,
+                };
+                let entries = s
+                    .ledger
+                    .entries()
+                    .iter()
+                    .map(|(label, neps)| BudgetEntry {
+                        label: label.clone(),
+                        epsilon: *neps as f64 * 1e-9,
+                    })
+                    .collect();
+                (info, entries)
+            })
+            .unzip()
+    };
+
+    Ok(FitParts {
+        margins: noisy_margins
+            .iter()
+            .map(|noisy| MarginalDistribution::from_noisy_histogram(noisy))
+            .collect(),
+        noisy_margins,
+        correlation,
+        epsilon_margins: eps1.value(),
+        epsilon_correlations: if m > 1 { eps2.value() } else { 0.0 },
+        shards,
+        shard_entries,
+    })
 }
 
 impl DpCopula {
-    /// Runs stages 1–4 of the pipeline (budget plan → margins →
-    /// correlation → PD repair) — the *fit*, which is everything that
-    /// touches the raw data and the privacy budget. Sampling from the
-    /// result is free post-processing.
+    /// Runs stages 1–4 of the pipeline — the *fit*, which is everything
+    /// that touches the raw data and the privacy budget — on resident
+    /// columns and streaming sources alike. Sampling from the result is
+    /// free post-processing.
+    ///
+    /// The input is partitioned into `opts.shards` row shards, reduced to
+    /// per-shard summaries and folded by [`fold_summaries`]; one shard is
+    /// the unsharded fit. A source is read twice — a counting pass, then
+    /// the reducing pass — holding one block at a time when it can
+    /// rewind, and buffering its blocks when it cannot. Only that
+    /// ingestion is bounded by the block size: under Kendall's τ the fit
+    /// also holds the exact counts, each shard's subsample plan (8 B per
+    /// sampled row, plus an 8 B/row permutation and a 4 B/row slot map
+    /// while a shard's plan is drawn) and the subsample itself — every
+    /// row under `SamplingStrategy::Full`. MLE and Spearman read the raw
+    /// records, so for them the reducing pass keeps the columns. For
+    /// equal rows every input kind and block size releases the same
+    /// bytes (pinned in `tests/distfit_identity.rs`).
     pub(crate) fn fit_parts(
         &self,
-        columns: &[Vec<u32>],
-        domains: &[usize],
+        input: FitInput<'_>,
         base_seed: u64,
         opts: &EngineOptions,
         sink: &MetricsSink,
-    ) -> Result<(FitParts, StageTimings), DpCopulaError> {
+    ) -> Result<Fit, DpCopulaError> {
+        let cfg = self.config();
         let workers = opts.workers.max(1);
         let mut timings = StageTimings::default();
 
-        // Stage 1: budget plan.
+        // Stage 1: budget plan — shape checks, the shard and subsample
+        // plan, and the one reducer pass over the rows, which checks
+        // every value against its domain and gathers the exact counts
+        // and the τ subsample.
         let span = sink.span("budget_plan");
-        validate_columns(columns, domains)?;
-        let m = columns.len();
-        let n = columns[0].len();
+        let (schema, input) = match input {
+            FitInput::Columns { columns, domains } => {
+                validate_shape(columns, domains)?;
+                let schema = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &d)| AttributeSpec::new(format!("attr{j}"), d))
+                    .collect();
+                (schema, Rows::Resident(columns))
+            }
+            FitInput::Source(source) => {
+                let schema: Vec<AttributeSpec> = source
+                    .attributes()
+                    .iter()
+                    .map(|a| AttributeSpec::new(a.name.clone(), a.domain))
+                    .collect();
+                if schema.is_empty() {
+                    return Err(DpCopulaError::EmptyInput);
+                }
+                let counted = CountedSource::count(source)?;
+                if counted.rows == 0 {
+                    return Err(DpCopulaError::EmptyInput);
+                }
+                (schema, Rows::Streamed(counted))
+            }
+        };
+        let domains: Vec<usize> = schema.iter().map(|a| a.domain).collect();
+        let m = domains.len();
+        let n = match &input {
+            Rows::Resident(columns) => columns[0].len(),
+            Rows::Streamed(counted) => counted.rows,
+        };
         if m > 1 && n < 2 {
             // Pairwise correlation (Kendall/Spearman/MLE) needs >= 2
             // observations.
@@ -291,383 +461,109 @@ impl DpCopula {
                 records: n,
             });
         }
-        let cfg = self.config();
-        if opts.shards > 1 && m > 1 {
+        let strategy = match cfg.method {
+            CorrelationMethod::Kendall(strategy) => Some(strategy),
             // Only Kendall's tau has a mergeable summary (DESIGN.md §12).
-            match cfg.method {
-                CorrelationMethod::Kendall(_) => {}
-                CorrelationMethod::Mle(_) => {
-                    return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "mle" })
-                }
-                CorrelationMethod::Spearman => {
-                    return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "spearman" })
-                }
+            CorrelationMethod::Mle(_) if opts.shards > 1 && m > 1 => {
+                return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "mle" })
             }
-        }
+            CorrelationMethod::Spearman if opts.shards > 1 && m > 1 => {
+                return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "spearman" })
+            }
+            _ => None,
+        };
         let (eps1, eps2) = cfg.epsilon.split_ratio(cfg.k_ratio);
-        let mut accountant = BudgetAccountant::new(cfg.epsilon);
-        let eps_margin = eps1.divide(m);
         let specs = shard::shard_specs(n, opts.shards);
-        sink.gauge_set(ENGINE_SHARDS, Unit::Info, opts.shards as u64);
+        let targets = strategy.filter(|_| m > 1).map(|strategy| {
+            let target = shard::kendall_sample_target(m, n, strategy, eps2);
+            shard::partition_sample_target(target, &specs)
+        });
+        let watch = Stopwatch::start();
+        let mut reducer = RowReducer::new(&domains, &specs, targets.as_deref(), base_seed, workers);
+        let kept: Vec<Vec<u32>>;
+        let resident: &[Vec<u32>] = match input {
+            Rows::Resident(columns) => {
+                reducer.push(columns, workers)?;
+                columns
+            }
+            Rows::Streamed(counted) => {
+                // MLE and Spearman partition the raw records, so the
+                // reducing pass keeps a copy of every block for them.
+                let keep = if m > 1 && strategy.is_none() { m } else { 0 };
+                let mut columns: Vec<Vec<u32>> = (0..keep).map(|_| Vec::with_capacity(n)).collect();
+                counted.replay(|block| {
+                    reducer.push(block, workers)?;
+                    for (col, part) in columns.iter_mut().zip(block) {
+                        col.extend_from_slice(part);
+                    }
+                    Ok(())
+                })?;
+                kept = columns;
+                &kept
+            }
+        };
+        let (exact, sampled) = reducer.finish();
+        let mut build_ns = watch.elapsed_ns();
         timings.budget_plan = span.finish();
 
         // Stage 2: DP margins — one task per (shard, attribute), eps1/m
         // each; shards hold disjoint rows, so parallel composition keeps
         // the combined per-attribute cost at eps1/m (the per-shard max).
         let span = sink.span("margins");
-        let margin_name = cfg.margin.registry_name();
-        let fit_watch = Stopwatch::start();
-        let mut summaries = shard::build_margin_summaries(
-            columns,
-            domains,
-            &specs,
-            margin_name,
-            eps_margin,
-            base_seed,
-            workers,
-            sink,
-        );
-        let mut shard_fit_ns = fit_watch.elapsed_ns();
-        let merge_watch = Stopwatch::start();
-        let noisy_margins = shard::merge_margins(&summaries);
-        let mut shard_merge_ns = merge_watch.elapsed_ns();
-        for _ in 0..m {
-            accountant.spend_tracked(eps_margin, "margins", sink)?;
-        }
-        let margins: Vec<MarginalDistribution> = noisy_margins
-            .iter()
-            .map(|noisy| MarginalDistribution::from_noisy_histogram(noisy))
-            .collect();
-        timings.margins = span.finish();
-
-        // Stage 3: DP correlation matrix (raw, pre-repair) with eps2.
-        let span = sink.span("correlation");
-        let raw = if m == 1 {
-            Matrix::identity(1)
-        } else {
-            match cfg.method {
-                CorrelationMethod::Kendall(strategy) => {
-                    // Summary building covers the per-shard τ layers AND
-                    // the cross-shard concordance fan-out (estimation
-                    // work that scales with shard pairs); only the
-                    // serial fold into the released matrix is merging.
-                    let watch = Stopwatch::start();
-                    shard::fill_tau(
-                        &mut summaries,
-                        columns,
-                        strategy,
-                        eps2,
-                        base_seed,
-                        workers,
-                        sink,
-                    );
-                    let cross = shard::cross_concordances(&summaries, workers, sink);
-                    shard_fit_ns += watch.elapsed_ns();
-                    let watch = Stopwatch::start();
-                    let p = shard::combine_tau(&summaries, &cross, eps2, base_seed, sink);
-                    shard_merge_ns += watch.elapsed_ns();
-                    p
-                }
-                // Stage-1 validation guarantees a single shard here.
-                CorrelationMethod::Mle(strategy) => {
-                    dp_mle_matrix_par(columns, eps2, strategy, base_seed, workers, sink)?
-                }
-                CorrelationMethod::Spearman => {
-                    dp_spearman_matrix_par(columns, eps2, base_seed, workers, sink)?
-                }
-            }
-        };
-        if m > 1 {
-            accountant.spend_tracked(eps2, "correlation", sink)?;
-        }
-        timings.correlation = span.finish();
-
-        // Stage 4: clamp + positive-definite repair (post-processing).
-        let span = sink.span("pd_repair");
-        let correlation = if m == 1 {
-            raw
-        } else {
-            let mut p = raw;
-            clamp_to_correlation(&mut p);
-            repair_positive_definite(&p)
-        };
-        timings.pd_repair = span.finish();
-
-        // Shard observability: the two cost centres of the merge path
-        // (per-shard summary building vs. merging) and each shard's own
-        // ε expenditure.
-        if sink.enabled() {
-            sink.observe_labeled(
-                SPAN_NS,
-                &[("span", "pipeline/shard_fit")],
-                Unit::Nanos,
-                shard_fit_ns,
-            );
-            sink.observe_labeled(
-                SPAN_NS,
-                &[("span", "pipeline/shard_merge")],
-                Unit::Nanos,
-                shard_merge_ns,
-            );
-            for (s, summary) in summaries.iter().enumerate() {
-                sink.add_labeled(
-                    SHARD_EPS_SPENT_NEPS,
-                    &[("shard", &s.to_string())],
-                    Unit::NanoEps,
-                    summary.ledger.total_neps(),
-                );
-            }
-        }
-
-        let (shard_infos, shard_entries) = shard_provenance(&summaries, opts.shards);
-
-        Ok((
-            FitParts {
-                margins,
-                noisy_margins,
-                correlation,
-                epsilon_margins: eps1.value(),
-                epsilon_correlations: if m > 1 { eps2.value() } else { 0.0 },
-                shards: shard_infos,
-                shard_entries,
-            },
-            timings,
-        ))
-    }
-
-    /// The streaming counterpart of [`DpCopula::fit_parts`]: runs stages
-    /// 1–4 against a [`RowSource`] without materializing its columns,
-    /// returning the fit parts plus the source's schema and row count.
-    ///
-    /// Under the Kendall estimator (the only one with streamable
-    /// sufficient statistics) the resident state is the exact histogram
-    /// counts, the τ record subsample and one block at a time — peak
-    /// memory is bounded by the source's block size, not its row count.
-    /// MLE and Spearman need the raw records partitioned, so they fall
-    /// back to materializing the source and delegating to the eager path
-    /// (the documented limitation; they also refuse `shards > 1`).
-    ///
-    /// For equal input the released values are byte-identical to the
-    /// eager path at the same `(config, base_seed, shards)`: the gather
-    /// accumulates exactly the counts `Histogram1D::from_values` builds
-    /// and the same subsample rows, and every noise stream keys off the
-    /// same logical indices (pinned in `tests/distfit_identity.rs`).
-    pub(crate) fn fit_parts_source(
-        &self,
-        source: &mut dyn RowSource,
-        base_seed: u64,
-        opts: &EngineOptions,
-        sink: &MetricsSink,
-    ) -> Result<(FitParts, StageTimings, Vec<AttributeSpec>, usize), DpCopulaError> {
-        let cfg = self.config();
-        let strategy = match cfg.method {
-            CorrelationMethod::Kendall(strategy) => strategy,
-            CorrelationMethod::Mle(_) | CorrelationMethod::Spearman => {
-                let (schema, domains, columns) = crate::distfit::materialize_source(source)?;
-                let (parts, timings) = self.fit_parts(&columns, &domains, base_seed, opts, sink)?;
-                let n = columns[0].len();
-                return Ok((parts, timings, schema, n));
-            }
-        };
-        let workers = opts.workers.max(1);
-        let mut timings = StageTimings::default();
-
-        // Stage 1: budget plan — including the streaming gather, whose
-        // passes over the source replace holding the columns resident.
-        let span = sink.span("budget_plan");
-        if opts.shards == 0 {
-            return Err(DpCopulaError::ZeroShards);
-        }
-        let (eps1, eps2) = cfg.epsilon.split_ratio(cfg.k_ratio);
-        let gather = crate::distfit::gather_source(source, opts.shards, strategy, eps2, base_seed)?;
-        let crate::distfit::SourceGather {
-            names,
-            domains,
-            n,
-            specs,
-            exact,
-            sampled,
-        } = gather;
-        let m = domains.len();
-        let mut accountant = BudgetAccountant::new(cfg.epsilon);
-        let eps_margin = eps1.divide(m);
-        sink.gauge_set(ENGINE_SHARDS, Unit::Info, opts.shards as u64);
-        timings.budget_plan = span.finish();
-
-        // Stage 2: DP margins from the exact streamed counts — the same
-        // (shard, attribute) task list, stream keys and noise draws as
-        // the eager path.
-        let span = sink.span("margins");
-        let margin_name = cfg.margin.registry_name();
-        let fit_watch = Stopwatch::start();
+        let watch = Stopwatch::start();
         let mut summaries = shard::build_margin_summaries_from_counts(
             &exact,
             &specs,
-            margin_name,
-            eps_margin,
+            cfg.margin.registry_name(),
+            eps1.divide(m),
             base_seed,
             workers,
             sink,
         );
-        let mut shard_fit_ns = fit_watch.elapsed_ns();
-        let merge_watch = Stopwatch::start();
-        let noisy_margins = shard::merge_margins(&summaries);
-        let mut shard_merge_ns = merge_watch.elapsed_ns();
-        for _ in 0..m {
-            accountant.spend_tracked(eps_margin, "margins", sink)?;
-        }
-        let margins: Vec<MarginalDistribution> = noisy_margins
-            .iter()
-            .map(|noisy| MarginalDistribution::from_noisy_histogram(noisy))
-            .collect();
+        build_ns += watch.elapsed_ns();
         timings.margins = span.finish();
 
-        // Stage 3: DP Kendall correlation over the streamed subsample.
+        // Stage 3: DP correlation — each shard's within-shard τ layer, or
+        // the raw matrix of an estimator without a mergeable summary
+        // (stage 1 guarantees a single shard for those).
         let span = sink.span("correlation");
-        let raw = if m == 1 {
-            Matrix::identity(1)
-        } else {
-            let watch = Stopwatch::start();
-            shard::fill_tau_from_sampled(&mut summaries, sampled, workers, sink);
-            let cross = shard::cross_concordances(&summaries, workers, sink);
-            shard_fit_ns += watch.elapsed_ns();
-            let watch = Stopwatch::start();
-            let p = shard::combine_tau(&summaries, &cross, eps2, base_seed, sink);
-            shard_merge_ns += watch.elapsed_ns();
-            p
+        let raw = match cfg.method {
+            _ if m == 1 => None,
+            CorrelationMethod::Kendall(_) => {
+                let watch = Stopwatch::start();
+                shard::fill_tau_from_sampled(&mut summaries, sampled, workers, sink);
+                build_ns += watch.elapsed_ns();
+                None
+            }
+            CorrelationMethod::Mle(strategy) => Some(dp_mle_matrix_par(
+                resident, eps2, strategy, base_seed, workers, sink,
+            )?),
+            CorrelationMethod::Spearman => Some(dp_spearman_matrix_par(
+                resident, eps2, base_seed, workers, sink,
+            )?),
         };
-        if m > 1 {
-            accountant.spend_tracked(eps2, "correlation", sink)?;
-        }
         timings.correlation = span.finish();
 
-        // Stage 4: clamp + positive-definite repair (post-processing).
+        // Stage 4: the summary fold — margin sums, the pooled τ matrix
+        // and its noise — then clamp + positive-definite repair.
         let span = sink.span("pd_repair");
-        let correlation = if m == 1 {
-            raw
-        } else {
-            let mut p = raw;
-            clamp_to_correlation(&mut p);
-            repair_positive_definite(&p)
-        };
+        let parts = fold_summaries(&summaries, raw, cfg, base_seed, build_ns, workers, sink)?;
         timings.pd_repair = span.finish();
 
-        if sink.enabled() {
-            sink.observe_labeled(
-                SPAN_NS,
-                &[("span", "pipeline/shard_fit")],
-                Unit::Nanos,
-                shard_fit_ns,
-            );
-            sink.observe_labeled(
-                SPAN_NS,
-                &[("span", "pipeline/shard_merge")],
-                Unit::Nanos,
-                shard_merge_ns,
-            );
-            for (s, summary) in summaries.iter().enumerate() {
-                sink.add_labeled(
-                    SHARD_EPS_SPENT_NEPS,
-                    &[("shard", &s.to_string())],
-                    Unit::NanoEps,
-                    summary.ledger.total_neps(),
-                );
-            }
-        }
-
-        let (shard_infos, shard_entries) = shard_provenance(&summaries, opts.shards);
-        let schema = names
-            .iter()
-            .zip(&domains)
-            .map(|(name, &d)| AttributeSpec::new(name.clone(), d))
-            .collect();
-
-        Ok((
-            FitParts {
-                margins,
-                noisy_margins,
-                correlation,
-                epsilon_margins: eps1.value(),
-                epsilon_correlations: if m > 1 { eps2.value() } else { 0.0 },
-                shards: shard_infos,
-                shard_entries,
-            },
+        Ok(Fit {
+            parts,
             timings,
             schema,
-            n,
-        ))
-    }
-
-    /// Runs the full pipeline as five explicit stages, fanning the
-    /// data-parallel ones out across `opts.workers` threads.
-    ///
-    /// Releases exactly the same kind of [`Synthesis`] as
-    /// [`DpCopula::synthesize`] (which delegates here), plus a
-    /// [`PipelineReport`] with per-stage timings. All randomness is
-    /// derived from `base_seed` via index-keyed streams, so for a fixed
-    /// `(data, config, base_seed, sample_chunk)` the output is
-    /// bit-identical at any worker count.
-    ///
-    /// *Soft-deprecated:* prefer [`crate::request::SynthesisRequest`],
-    /// which adds a metrics sink to the same run; this wrapper delegates
-    /// to the identical internal path with metrics off and releases
-    /// byte-identical output (`DESIGN.md` §10).
-    pub fn synthesize_staged(
-        &self,
-        columns: &[Vec<u32>],
-        domains: &[usize],
-        base_seed: u64,
-        opts: &EngineOptions,
-    ) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
-        self.synthesize_staged_with(columns, domains, base_seed, opts, &MetricsSink::off())
-    }
-
-    /// [`DpCopula::synthesize_staged`] with a metrics sink: every stage
-    /// runs under a `pipeline/<stage>` span, the fan-outs publish
-    /// per-task latency, and the budget ledger and noise mechanisms
-    /// publish their counters. With a disabled sink this is exactly
-    /// `synthesize_staged` — same bytes, no recording.
-    pub(crate) fn synthesize_staged_with(
-        &self,
-        columns: &[Vec<u32>],
-        domains: &[usize],
-        base_seed: u64,
-        opts: &EngineOptions,
-        sink: &MetricsSink,
-    ) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
-        let pipeline = sink.span("pipeline");
-        let (parts, timings) = self.fit_parts(columns, domains, base_seed, opts, sink)?;
-        let out = self.sample_parts(parts, timings, columns[0].len(), base_seed, opts, sink)?;
-        drop(pipeline);
-        Ok(out)
-    }
-
-    /// The streaming counterpart of
-    /// [`DpCopula::synthesize_staged_with`]: fits from a [`RowSource`]
-    /// via [`DpCopula::fit_parts_source`] (bounded resident memory under
-    /// the Kendall estimator) and samples the released model. With
-    /// `output_records` unset the output row count is the source's row
-    /// count, exactly as the eager path defaults to the input length.
-    pub(crate) fn synthesize_source_with(
-        &self,
-        source: &mut dyn RowSource,
-        base_seed: u64,
-        opts: &EngineOptions,
-        sink: &MetricsSink,
-    ) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
-        let pipeline = sink.span("pipeline");
-        let (parts, timings, _schema, n) = self.fit_parts_source(source, base_seed, opts, sink)?;
-        let out = self.sample_parts(parts, timings, n, base_seed, opts, sink)?;
-        drop(pipeline);
-        Ok(out)
+            rows: n,
+        })
     }
 
     /// Stage 5: copula sampling — one task per row chunk
     /// (post-processing, no budget). The profile picks the hot path; both
     /// draw from the same fitted DP model. `n_default` is the output row
     /// count when the config leaves `output_records` unset (the input's
-    /// row count, preserving the eager default).
-    fn sample_parts(
+    /// row count).
+    pub(crate) fn sample_parts(
         &self,
         parts: FitParts,
         mut timings: StageTimings,
@@ -681,7 +577,7 @@ impl DpCopula {
         let profile = self.config().sampling_profile;
         let sampler = CopulaSampler::new(&parts.correlation, parts.margins)?;
         let n_out = self.config().output_records.unwrap_or(n_default);
-        let out_columns = sampler.sample_columns_window_profile_observed(
+        let out_columns = sampler.sample_window(
             profile,
             0,
             n_out,
@@ -727,9 +623,24 @@ mod tests {
     use crate::kendall::SamplingStrategy;
     use crate::mle::PartitionStrategy;
     use crate::synthesizer::{DpCopulaConfig, MarginMethod};
+    use crate::SynthesisRequest;
     use dpmech::Epsilon;
     use rngkit::rngs::StdRng;
     use rngkit::{Rng, SeedableRng};
+
+    /// One full run through the request front door.
+    fn staged(
+        dp: DpCopula,
+        cols: &[Vec<u32>],
+        domains: &[usize],
+        seed: u64,
+        opts: &EngineOptions,
+    ) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
+        SynthesisRequest::from_config(cols, domains, *dp.config())
+            .engine(*opts)
+            .seed(seed)
+            .run()
+    }
 
     fn test_columns(m: usize, n: usize, domain: u32, seed: u64) -> Vec<Vec<u32>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -751,14 +662,18 @@ mod tests {
         config.method = CorrelationMethod::Kendall(SamplingStrategy::Fixed(500));
         let dp = DpCopula::new(config);
 
-        let (base, report) = dp
-            .synthesize_staged(&cols, &domains, 42, &EngineOptions::with_workers(1))
-            .unwrap();
+        let (base, report) =
+            staged(dp, &cols, &domains, 42, &EngineOptions::with_workers(1)).unwrap();
         assert_eq!(report.workers, 1);
         for workers in [2, 7] {
-            let (out, report) = dp
-                .synthesize_staged(&cols, &domains, 42, &EngineOptions::with_workers(workers))
-                .unwrap();
+            let (out, report) = staged(
+                dp,
+                &cols,
+                &domains,
+                42,
+                &EngineOptions::with_workers(workers),
+            )
+            .unwrap();
             assert_eq!(report.workers, workers);
             assert_eq!(out.columns, base.columns, "workers={workers}");
             assert_eq!(out.correlation, base.correlation, "workers={workers}");
@@ -770,9 +685,7 @@ mod tests {
     fn staged_report_times_every_stage() {
         let cols = test_columns(2, 3_000, 32, 2);
         let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let (_, report) = dp
-            .synthesize_staged(&cols, &[32, 32], 7, &EngineOptions::default())
-            .unwrap();
+        let (_, report) = staged(dp, &cols, &[32, 32], 7, &EngineOptions::default()).unwrap();
         let t = report.timings;
         // Margins, correlation and sampling do real work; the plan and
         // repair stages may round to zero but must not exceed the total.
@@ -796,12 +709,22 @@ mod tests {
         ] {
             let mut config = DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap());
             config.method = method;
-            let (one, _) = DpCopula::new(config)
-                .synthesize_staged(&cols, &domains, 5, &EngineOptions::with_workers(1))
-                .unwrap();
-            let (two, _) = DpCopula::new(config)
-                .synthesize_staged(&cols, &domains, 5, &EngineOptions::with_workers(2))
-                .unwrap();
+            let (one, _) = staged(
+                DpCopula::new(config),
+                &cols,
+                &domains,
+                5,
+                &EngineOptions::with_workers(1),
+            )
+            .unwrap();
+            let (two, _) = staged(
+                DpCopula::new(config),
+                &cols,
+                &domains,
+                5,
+                &EngineOptions::with_workers(2),
+            )
+            .unwrap();
             assert_eq!(one.columns, two.columns, "{method:?}");
         }
     }
@@ -810,9 +733,7 @@ mod tests {
     fn staged_single_attribute_short_circuits_correlation() {
         let cols = vec![(0..500u32).map(|i| i % 40).collect::<Vec<_>>()];
         let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let (out, _) = dp
-            .synthesize_staged(&cols, &[40], 9, &EngineOptions::default())
-            .unwrap();
+        let (out, _) = staged(dp, &cols, &[40], 9, &EngineOptions::default()).unwrap();
         assert_eq!(out.correlation, Matrix::identity(1));
         assert_eq!(out.epsilon_correlations, 0.0);
     }
@@ -827,11 +748,11 @@ mod tests {
         for shards in [2, 4] {
             let mut opts = EngineOptions::with_workers(1);
             opts.shards = shards;
-            let (base, _) = dp.synthesize_staged(&cols, &domains, 42, &opts).unwrap();
+            let (base, _) = staged(dp, &cols, &domains, 42, &opts).unwrap();
             for workers in [2, 7] {
                 let mut opts = EngineOptions::with_workers(workers);
                 opts.shards = shards;
-                let (out, _) = dp.synthesize_staged(&cols, &domains, 42, &opts).unwrap();
+                let (out, _) = staged(dp, &cols, &domains, 42, &opts).unwrap();
                 assert_eq!(
                     out.columns, base.columns,
                     "shards={shards} workers={workers}"
@@ -850,13 +771,13 @@ mod tests {
 
         let opts = EngineOptions::with_shards(0);
         assert_eq!(
-            dp.synthesize_staged(&cols, &domains, 1, &opts).unwrap_err(),
+            staged(dp, &cols, &domains, 1, &opts).unwrap_err(),
             DpCopulaError::ZeroShards
         );
 
         let opts = EngineOptions::with_shards(101);
         assert_eq!(
-            dp.synthesize_staged(&cols, &domains, 1, &opts).unwrap_err(),
+            staged(dp, &cols, &domains, 1, &opts).unwrap_err(),
             DpCopulaError::TooManyShards {
                 shards: 101,
                 records: 100
@@ -871,9 +792,7 @@ mod tests {
             let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
             config.method = method;
             assert_eq!(
-                DpCopula::new(config)
-                    .synthesize_staged(&cols, &domains, 1, &opts)
-                    .unwrap_err(),
+                staged(DpCopula::new(config), &cols, &domains, 1, &opts).unwrap_err(),
                 DpCopulaError::ShardedCorrelationUnsupported { method: name },
                 "{method:?}"
             );
@@ -886,9 +805,7 @@ mod tests {
         // pairs to estimate; one attribute has none.
         let cols = vec![(0..500u32).map(|i| i % 40).collect::<Vec<_>>()];
         let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let (out, _) = dp
-            .synthesize_staged(&cols, &[40], 9, &EngineOptions::with_shards(3))
-            .unwrap();
+        let (out, _) = staged(dp, &cols, &[40], 9, &EngineOptions::with_shards(3)).unwrap();
         assert_eq!(out.correlation, Matrix::identity(1));
     }
 
@@ -906,9 +823,14 @@ mod tests {
             MarginMethod::StructureFirst,
         ] {
             let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(margin);
-            let (out, _) = DpCopula::new(config)
-                .synthesize_staged(&cols, &[32, 32], 11, &EngineOptions::default())
-                .unwrap();
+            let (out, _) = staged(
+                DpCopula::new(config),
+                &cols,
+                &[32, 32],
+                11,
+                &EngineOptions::default(),
+            )
+            .unwrap();
             assert_eq!(out.noisy_margins.len(), 2, "margin {margin:?}");
         }
     }

@@ -315,6 +315,19 @@ impl From<datagen::SourceError> for DpCopulaError {
 /// Validates the common columnar-input invariants shared by all
 /// synthesizers.
 pub fn validate_columns(columns: &[Vec<u32>], domains: &[usize]) -> Result<(), DpCopulaError> {
+    validate_shape(columns, domains)?;
+    for (dim, (col, &domain)) in columns.iter().zip(domains).enumerate() {
+        if let Some(&value) = col.iter().find(|&&v| v as usize >= domain) {
+            return Err(DpCopulaError::ValueOutOfDomain { dim, value, domain });
+        }
+    }
+    Ok(())
+}
+
+/// The shape half of [`validate_columns`]: at least one attribute and
+/// one record, one domain per column, no ragged columns. The fit checks
+/// the values themselves as its row reducer counts them.
+pub(crate) fn validate_shape(columns: &[Vec<u32>], domains: &[usize]) -> Result<(), DpCopulaError> {
     if columns.is_empty() {
         return Err(DpCopulaError::EmptyInput);
     }
@@ -328,15 +341,8 @@ pub fn validate_columns(columns: &[Vec<u32>], domains: &[usize]) -> Result<(), D
     if n == 0 {
         return Err(DpCopulaError::EmptyInput);
     }
-    for col in columns {
-        if col.len() != n {
-            return Err(DpCopulaError::RaggedColumns);
-        }
-    }
-    for (dim, (col, &domain)) in columns.iter().zip(domains).enumerate() {
-        if let Some(&value) = col.iter().find(|&&v| v as usize >= domain) {
-            return Err(DpCopulaError::ValueOutOfDomain { dim, value, domain });
-        }
+    if columns.iter().any(|col| col.len() != n) {
+        return Err(DpCopulaError::RaggedColumns);
     }
     Ok(())
 }

@@ -17,21 +17,21 @@
 //!
 //! ## Deterministic row windows
 //!
-//! [`FittedModel::sample_range`] generates the absolute row window
-//! `[offset, offset + n)` of a conceptually infinite synthetic row space.
-//! Rows are gridded into fixed chunks (`provenance.sample_chunk` rows);
-//! chunk `c` draws from `parkit::stream_rng(base_seed, sampler_stream,
-//! c)`, so every row is a pure function of the artifact plus its absolute
-//! index. Horizontally sharded servers that each own a disjoint row range
-//! therefore produce disjoint, non-overlapping rows that concatenate to
-//! exactly the single-machine output — and `sample_range(0, n)`
-//! reproduces `synthesize_staged`'s released rows bit-for-bit.
+//! [`FittedModel::try_sample_range_profiled`] generates the absolute row
+//! window `[offset, offset + n)` of a conceptually infinite synthetic row
+//! space. Rows are gridded into fixed chunks (`provenance.sample_chunk`
+//! rows); chunk `c` draws from `parkit::stream_rng(base_seed,
+//! sampler_stream, c)`, so every row is a pure function of the artifact
+//! plus its absolute index. Horizontally sharded servers that each own a
+//! disjoint row range therefore produce disjoint, non-overlapping rows
+//! that concatenate to exactly the single-machine output — and the
+//! reference window `[0, n)` reproduces the rows
+//! [`crate::SynthesisRequest::run`] releases bit-for-bit.
 
 use crate::empirical::MarginalDistribution;
-use crate::engine::{EngineOptions, PipelineReport, STREAM_SAMPLER};
+use crate::engine::STREAM_SAMPLER;
 use crate::error::DpCopulaError;
-use crate::sampler::{CopulaSampler, SamplingProfile};
-use crate::synthesizer::DpCopula;
+use crate::sampler::{fan_out_window, record_chunk, CopulaSampler, RowWindow, SamplingProfile};
 use crate::tcopula::TCopulaSampler;
 use dphist::MarginRegistry;
 use mathkit::correlation::is_correlation_shaped;
@@ -66,8 +66,8 @@ pub(crate) struct ArtifactMeta<'a> {
 }
 
 /// Packages fitted parts into the released [`ModelArtifact`] — the one
-/// assembly path shared by the eager fit, the streaming fit and the
-/// distributed-shard merge, so all three release identical bytes for
+/// assembly path shared by [`crate::SynthesisRequest::fit`] and the
+/// distributed-shard merge, so both release identical bytes for
 /// identical parts.
 pub(crate) fn assemble_artifact(
     meta: &ArtifactMeta<'_>,
@@ -309,31 +309,34 @@ impl FittedModel {
     }
 
     /// Draws the absolute row window `[offset, offset + n)`, column-major,
-    /// fanned out across `workers` threads.
+    /// fanned out across `workers` threads — the one sampling entry point
+    /// of a fitted model.
     ///
     /// Bit-identical at any worker count and under any window split:
-    /// `sample_range(0, N)` equals `sample_range(0, k)` concatenated with
-    /// `sample_range(k, N - k)` for every `k` — each worker of a sharded
-    /// deployment owns a window and the shards jointly reproduce the
-    /// one-machine output. `sample_range(0, n)` also reproduces
-    /// `synthesize_staged`'s sampled rows for the same seed and chunk.
-    pub fn sample_range(&self, offset: usize, n: usize, workers: usize) -> Vec<Vec<u32>> {
-        self.sample_range_profiled(SamplingProfile::Reference, offset, n, workers)
-    }
-
-    /// [`FittedModel::sample_range`] under an explicit
-    /// [`SamplingProfile`]. `Reference` reproduces the pinned serving
-    /// bytes; `Fast` serves an equally valid draw from the same model at
-    /// much higher throughput, deterministic with itself at any worker
-    /// count or window split. Student-t models have no vectorised path
-    /// yet and serve the reference stream under either profile.
-    pub fn sample_range_profiled(
+    /// the window `[0, N)` equals `[0, k)` concatenated with `[k, N)` for
+    /// every `k` — each worker of a sharded deployment owns a window and
+    /// the shards jointly reproduce the one-machine output. `Reference`
+    /// reproduces the pinned serving bytes (the window `[0, n)` equals
+    /// the rows [`crate::SynthesisRequest::run`] releases for the same
+    /// seed and chunk); `Fast` serves an equally valid draw from the same
+    /// model at much higher throughput, deterministic with itself.
+    /// Student-t models have no vectorised path yet and serve the
+    /// reference stream under either profile.
+    ///
+    /// A window whose end would overflow the addressable row space (it
+    /// comes from untrusted input: CLI flags, RPC requests) is refused
+    /// with [`DpCopulaError::RowWindowOverflow`] instead of panicking
+    /// inside the chunk-grid math.
+    pub fn try_sample_range_profiled(
         &self,
         profile: SamplingProfile,
         offset: usize,
         n: usize,
         workers: usize,
-    ) -> Vec<Vec<u32>> {
+    ) -> Result<Vec<Vec<u32>>, DpCopulaError> {
+        if offset.checked_add(n).is_none() {
+            return Err(DpCopulaError::RowWindowOverflow { offset, n });
+        }
         let sink = &self.sink;
         let span = sink.span("serve/window");
         sink.add(SERVE_WINDOWS_TOTAL, Unit::Count, 1);
@@ -347,7 +350,7 @@ impl FittedModel {
         let prov = &self.artifact.provenance;
         let chunk = prov.sample_chunk as usize;
         let out = match &self.sampler {
-            ServingSampler::Gaussian(s) => s.sample_columns_window_profile_observed(
+            ServingSampler::Gaussian(s) => s.sample_window(
                 profile,
                 offset,
                 n,
@@ -359,200 +362,30 @@ impl FittedModel {
                 STAGE_SERVE,
             ),
             ServingSampler::StudentT(s) => {
+                let window = RowWindow {
+                    offset,
+                    n,
+                    base_seed: prov.base_seed,
+                    stream: prov.sampler_stream,
+                    chunk,
+                };
                 let d = self.dims();
-                let windows = parkit::chunk_windows(offset, n, chunk);
-                let pieces: Vec<Vec<Vec<u32>>> =
-                    parkit::par_map_observed(workers, &windows, sink, STAGE_SERVE, |_, w| {
-                        let mut rng =
-                            parkit::stream_rng(prov.base_seed, prov.sampler_stream, w.id as u64);
-                        let mut cols = vec![Vec::with_capacity(w.take); d];
-                        let mut buf = vec![0u32; d];
-                        for _ in 0..w.skip {
-                            s.sample_record(&mut rng, &mut buf);
-                        }
-                        for _ in 0..w.take {
-                            s.sample_record(&mut rng, &mut buf);
-                            for (col, &v) in cols.iter_mut().zip(&buf) {
-                                col.push(v);
-                            }
-                        }
-                        cols
-                    });
-                let mut out = vec![Vec::with_capacity(n); d];
-                for piece in pieces {
-                    for (col, mut part) in out.iter_mut().zip(piece) {
-                        col.append(&mut part);
-                    }
-                }
-                out
+                fan_out_window(d, window, workers, sink, STAGE_SERVE, |rng, skip, take| {
+                    record_chunk(d, skip, take, |buf| s.sample_record(rng, buf))
+                })
             }
         };
         drop(span);
-        out
-    }
-
-    /// Checked variant of [`sample_range`](Self::sample_range) for
-    /// windows that come from untrusted input (CLI flags, RPC requests):
-    /// a window whose end would overflow the addressable row space is
-    /// refused with [`DpCopulaError::RowWindowOverflow`] instead of
-    /// panicking inside the chunk-grid math.
-    pub fn try_sample_range(
-        &self,
-        offset: usize,
-        n: usize,
-        workers: usize,
-    ) -> Result<Vec<Vec<u32>>, DpCopulaError> {
-        self.try_sample_range_profiled(SamplingProfile::Reference, offset, n, workers)
-    }
-
-    /// Checked variant of
-    /// [`sample_range_profiled`](Self::sample_range_profiled).
-    pub fn try_sample_range_profiled(
-        &self,
-        profile: SamplingProfile,
-        offset: usize,
-        n: usize,
-        workers: usize,
-    ) -> Result<Vec<Vec<u32>>, DpCopulaError> {
-        if offset.checked_add(n).is_none() {
-            return Err(DpCopulaError::RowWindowOverflow { offset, n });
-        }
-        Ok(self.sample_range_profiled(profile, offset, n, workers))
-    }
-
-    /// Convenience for `sample_range(0, n, workers)`.
-    pub fn sample_columns(&self, n: usize, workers: usize) -> Vec<Vec<u32>> {
-        self.sample_range(0, n, workers)
-    }
-}
-
-impl DpCopula {
-    /// Fits the model — stages 1–4 of the staged pipeline, everything
-    /// that touches the raw data and spends budget — and packages the
-    /// releases as a durable, self-describing [`FittedModel`].
-    ///
-    /// The returned report's sampling stage is zero: sampling is the
-    /// caller's post-processing, via [`FittedModel::sample_range`] now or
-    /// after a save/load round-trip, and
-    /// `fit_staged(..).sample_range(0, n)` is bit-identical to
-    /// `synthesize_staged(..)` with `output_records = n` at the same
-    /// `(base_seed, sample_chunk)`.
-    pub fn fit_staged(
-        &self,
-        columns: &[Vec<u32>],
-        domains: &[usize],
-        base_seed: u64,
-        opts: &EngineOptions,
-    ) -> Result<(FittedModel, PipelineReport), DpCopulaError> {
-        self.fit_staged_with(columns, domains, base_seed, opts, &MetricsSink::off())
-    }
-
-    /// [`DpCopula::fit_staged`] with a metrics sink: the four fit stages
-    /// run under `pipeline/<stage>` spans and the fitted model keeps
-    /// `sink` for its serving-path metrics. With a disabled sink this is
-    /// exactly `fit_staged`.
-    pub(crate) fn fit_staged_with(
-        &self,
-        columns: &[Vec<u32>],
-        domains: &[usize],
-        base_seed: u64,
-        opts: &EngineOptions,
-        sink: &MetricsSink,
-    ) -> Result<(FittedModel, PipelineReport), DpCopulaError> {
-        let workers = opts.workers.max(1);
-        let pipeline = sink.span("pipeline");
-        let (parts, timings) = self.fit_parts(columns, domains, base_seed, opts, sink)?;
-        drop(pipeline);
-        let cfg = self.config();
-        let schema = domains
-            .iter()
-            .enumerate()
-            .map(|(j, &d)| AttributeSpec::new(format!("attr{j}"), d))
-            .collect();
-        let artifact = assemble_artifact(
-            &ArtifactMeta {
-                epsilon_total: cfg.epsilon.value(),
-                margin_method: cfg.margin.registry_name(),
-                base_seed,
-                sample_chunk: opts.sample_chunk.max(1) as u64,
-            },
-            schema,
-            parts,
-        );
-        let mut model = FittedModel::from_artifact(artifact)?;
-        model.sink = sink.clone();
-        Ok((
-            model,
-            PipelineReport {
-                timings,
-                workers,
-                base_seed,
-            },
-        ))
-    }
-
-    /// The streaming counterpart of [`DpCopula::fit_staged`]: fits from
-    /// a [`datagen::RowSource`] without materializing its columns.
-    ///
-    /// The artifact's schema carries the source's attribute names (where
-    /// the eager path, fed bare columns, has to invent `attr{j}` names),
-    /// and under the Kendall estimator the resident fit state is bounded
-    /// by the source's block size rather than its row count — the
-    /// out-of-core path the CLI and the serving daemon use for inputs too
-    /// large to hold. MLE and Spearman have no streamable sufficient
-    /// statistics and fall back to materializing the source. Released
-    /// values are byte-identical to the eager fit on the same data at the
-    /// same `(config, base_seed, shards)`.
-    pub fn fit_source(
-        &self,
-        source: &mut dyn datagen::RowSource,
-        base_seed: u64,
-        opts: &EngineOptions,
-    ) -> Result<(FittedModel, PipelineReport), DpCopulaError> {
-        self.fit_source_with(source, base_seed, opts, &MetricsSink::off())
-    }
-
-    /// [`DpCopula::fit_source`] with a metrics sink, mirroring
-    /// [`DpCopula::fit_staged_with`].
-    pub(crate) fn fit_source_with(
-        &self,
-        source: &mut dyn datagen::RowSource,
-        base_seed: u64,
-        opts: &EngineOptions,
-        sink: &MetricsSink,
-    ) -> Result<(FittedModel, PipelineReport), DpCopulaError> {
-        let workers = opts.workers.max(1);
-        let pipeline = sink.span("pipeline");
-        let (parts, timings, schema, _n) = self.fit_parts_source(source, base_seed, opts, sink)?;
-        drop(pipeline);
-        let cfg = self.config();
-        let artifact = assemble_artifact(
-            &ArtifactMeta {
-                epsilon_total: cfg.epsilon.value(),
-                margin_method: cfg.margin.registry_name(),
-                base_seed,
-                sample_chunk: opts.sample_chunk.max(1) as u64,
-            },
-            schema,
-            parts,
-        );
-        let mut model = FittedModel::from_artifact(artifact)?;
-        model.sink = sink.clone();
-        Ok((
-            model,
-            PipelineReport {
-                timings,
-                workers,
-                base_seed,
-            },
-        ))
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineOptions;
     use crate::synthesizer::DpCopulaConfig;
+    use crate::SynthesisRequest;
     use dpmech::Epsilon;
     use rngkit::rngs::StdRng;
     use rngkit::{Rng, SeedableRng};
@@ -571,23 +404,34 @@ mod tests {
 
     fn fitted(seed: u64) -> FittedModel {
         let cols = test_columns(3, 2_000, 32, seed);
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let (model, _) = dp
-            .fit_staged(&cols, &[32, 32, 32], seed, &EngineOptions::with_workers(2))
+        let (model, _) = SynthesisRequest::new(&cols, &[32, 32, 32], Epsilon::new(1.0).unwrap())
+            .workers(2)
+            .seed(seed)
+            .fit()
             .unwrap();
         model
     }
 
+    /// A reference-profile window.
+    fn range(model: &FittedModel, offset: usize, n: usize, workers: usize) -> Vec<Vec<u32>> {
+        model
+            .try_sample_range_profiled(SamplingProfile::Reference, offset, n, workers)
+            .unwrap()
+    }
+
     #[test]
     fn fit_then_sample_matches_synthesize_staged() {
+        // Fit, then serve the window [0, n): the rows a one-shot run
+        // releases at the same seed and chunk.
         let cols = test_columns(3, 2_000, 32, 1);
         let domains = vec![32usize; 3];
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let opts = EngineOptions::with_workers(2);
-        let (synth, _) = dp.synthesize_staged(&cols, &domains, 42, &opts).unwrap();
-        let (model, report) = dp.fit_staged(&cols, &domains, 42, &opts).unwrap();
+        let request = SynthesisRequest::new(&cols, &domains, Epsilon::new(1.0).unwrap())
+            .workers(2)
+            .seed(42);
+        let (synth, _) = request.run().unwrap();
+        let (model, report) = request.fit().unwrap();
         assert_eq!(report.timings.sampling, std::time::Duration::ZERO);
-        assert_eq!(model.sample_range(0, 2_000, 4), synth.columns);
+        assert_eq!(range(&model, 0, 2_000, 4), synth.columns);
         assert_eq!(model.artifact().correlation, synth.correlation);
         assert_eq!(model.artifact().margins, synth.noisy_margins);
         let ledger = &model.artifact().ledger;
@@ -599,11 +443,19 @@ mod tests {
     fn sharded_fit_records_per_shard_provenance_and_round_trips() {
         let cols = test_columns(3, 2_000, 32, 2);
         let domains = vec![32usize; 3];
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
+        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+        let fit = |opts: EngineOptions| {
+            SynthesisRequest::from_config(&cols, &domains, config)
+                .engine(opts)
+                .seed(42)
+                .fit()
+                .unwrap()
+                .0
+        };
 
         let mut opts = EngineOptions::with_workers(2);
         opts.shards = 4;
-        let (model, _) = dp.fit_staged(&cols, &domains, 42, &opts).unwrap();
+        let model = fit(opts);
         let artifact = model.artifact();
 
         // Four shard records covering the rows exactly, stream indices
@@ -637,9 +489,7 @@ mod tests {
         assert_eq!(&ModelArtifact::decode(&bytes).unwrap(), artifact);
 
         // The unsharded fit stays on v1 with no shard records at all.
-        let (plain, _) = dp
-            .fit_staged(&cols, &domains, 42, &EngineOptions::with_workers(2))
-            .unwrap();
+        let plain = fit(EngineOptions::with_workers(2));
         assert!(plain.artifact().provenance.shards.is_empty());
         assert!(plain.artifact().ledger.shard_entries.is_empty());
         assert_eq!(
@@ -657,22 +507,19 @@ mod tests {
         model.save(&path).unwrap();
         let served = FittedModel::load(&path).unwrap();
         assert_eq!(served.artifact(), model.artifact());
-        assert_eq!(
-            served.sample_range(0, 500, 3),
-            model.sample_range(0, 500, 1)
-        );
+        assert_eq!(range(&served, 0, 500, 3), range(&model, 0, 500, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn sample_range_shards_are_disjoint_and_seamless() {
         let model = fitted(9);
-        let whole = model.sample_range(0, 3_000, 1);
+        let whole = range(&model, 0, 3_000, 1);
         // Three disjoint shards, different worker counts, stitched.
         let shards = [
-            model.sample_range(0, 1_000, 2),
-            model.sample_range(1_000, 1_000, 7),
-            model.sample_range(2_000, 1_000, 3),
+            range(&model, 0, 1_000, 2),
+            range(&model, 1_000, 1_000, 7),
+            range(&model, 2_000, 1_000, 3),
         ];
         for j in 0..model.dims() {
             let stitched: Vec<u32> = shards.iter().flat_map(|s| s[j].iter().copied()).collect();
@@ -683,7 +530,9 @@ mod tests {
     #[test]
     fn overflowing_serving_windows_are_refused() {
         let model = fitted(8);
-        let err = model.try_sample_range(usize::MAX - 5, 100, 2).unwrap_err();
+        let err = model
+            .try_sample_range_profiled(SamplingProfile::Reference, usize::MAX - 5, 100, 2)
+            .unwrap_err();
         assert_eq!(
             err,
             DpCopulaError::RowWindowOverflow {
@@ -692,11 +541,12 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("overflows"), "{err}");
-        // In-range windows behave exactly like the infallible path.
-        assert_eq!(
-            model.try_sample_range(10, 50, 2).unwrap(),
-            model.sample_range(10, 50, 2)
-        );
+        // In-range windows are the matching slice of a wider window.
+        let wide = range(&model, 0, 60, 1);
+        let narrow = range(&model, 10, 50, 2);
+        for (n, w) in narrow.iter().zip(&wide) {
+            assert_eq!(n[..], w[10..]);
+        }
     }
 
     #[test]
@@ -769,15 +619,15 @@ mod tests {
         let mut artifact = model.artifact().clone();
         artifact.family = CopulaFamily::StudentT { dof: 5.0 };
         let t_model = FittedModel::from_artifact(artifact).unwrap();
-        let whole = t_model.sample_range(0, 1_000, 1);
-        let head = t_model.sample_range(0, 321, 4);
-        let tail = t_model.sample_range(321, 679, 2);
+        let whole = range(&t_model, 0, 1_000, 1);
+        let head = range(&t_model, 0, 321, 4);
+        let tail = range(&t_model, 321, 679, 2);
         for j in 0..t_model.dims() {
             let stitched: Vec<u32> = head[j].iter().chain(&tail[j]).copied().collect();
             assert_eq!(stitched, whole[j], "column {j}");
         }
         // t sampling differs from the Gaussian path.
-        assert_ne!(whole, model.sample_range(0, 1_000, 1));
+        assert_ne!(whole, range(&model, 0, 1_000, 1));
     }
 
     #[test]

@@ -1,42 +1,35 @@
 //! [`SynthesisRequest`] — the single front door to the DPCopula
 //! pipeline.
 //!
-//! The workspace grew four entry points (`DpCopula::synthesize`,
-//! `synthesize_staged`, `fit_staged`, `selection::synthesize_adaptive`),
-//! each with its own parameter list, and adding the metrics sink to all
-//! of them would have doubled that surface again. A `SynthesisRequest`
-//! gathers everything one run needs — data and schema, the ε budget and
-//! its `k` split, the correlation estimator, the margin method, worker
-//! count, base seed, and the metrics sink — behind one builder, and
-//! finishes with:
+//! A `SynthesisRequest` gathers everything one run needs — data and
+//! schema, the ε budget and its `k` split, the correlation estimator,
+//! the margin method, worker count, base seed, and the metrics sink —
+//! behind one builder, and finishes with:
 //!
 //! * [`SynthesisRequest::run`] — the full five-stage pipeline, returning
 //!   the usual `(Synthesis, PipelineReport)`;
 //! * [`SynthesisRequest::fit`] — stages 1–4 only, returning a durable
-//!   `(FittedModel, PipelineReport)` for fit-once/sample-many serving;
+//!   `(FittedModel, PipelineReport)` for fit-once/sample-many serving
+//!   (sample it with [`FittedModel::try_sample_range_profiled`]);
 //! * [`SynthesisRequest::run_adaptive`] — DP copula-family selection
 //!   (§3.2's AIC remark) followed by the pipeline with the winner.
 //!
-//! The legacy entry points delegate here (or share the same internal
-//! path), so for equal inputs the request API releases **byte-identical**
-//! output — switching call styles never changes a published synthesis.
-//! See `DESIGN.md` §10 for the migration path and deprecation policy.
+//! `DpCopula::synthesize` and `selection::synthesize_adaptive` remain as
+//! the serial, generator-driven entry points; `DESIGN.md` §10 maps the
+//! removed staged entry points to this builder.
 //!
-//! ## Streaming input
+//! ## Input
 //!
-//! A request's input is either borrowed resident columns (the original
-//! surface, via [`SynthesisRequest::new`] / `from_config`) or a streaming
-//! [`RowSource`] (via [`SynthesisRequest::from_source`] or the
-//! [`SynthesisRequest::input`] setter) — the out-of-core path, whose
-//! resident fit state under the Kendall estimator is bounded by the
-//! source's block size rather than its row count (`DESIGN.md` §14). Both
-//! release byte-identical values for equal data; the eager constructors
-//! are *soft-deprecated* in favour of the source surface, staying exactly
-//! as they are (same bytes, pinned) but receiving no new capabilities.
+//! A request's input is either borrowed resident columns (via
+//! [`SynthesisRequest::new`] / `from_config` — the zero-copy path for
+//! data already in memory) or a streaming [`RowSource`] (via
+//! [`SynthesisRequest::from_source`] / `from_source_config` — the
+//! out-of-core path, which holds one block of input at a time). Both
+//! reach the same fit and release byte-identical values for equal data.
 
-use crate::engine::{EngineOptions, PipelineReport};
+use crate::engine::{EngineOptions, Fit, FitInput, PipelineReport};
 use crate::error::DpCopulaError;
-use crate::model::FittedModel;
+use crate::model::{assemble_artifact, ArtifactMeta, FittedModel};
 use crate::sampler::SamplingProfile;
 use crate::selection::{synthesize_adaptive, AdaptiveConfig, AdaptiveSynthesis};
 use crate::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod, Synthesis};
@@ -96,22 +89,17 @@ pub struct SynthesisRequest<'d> {
 }
 
 impl<'d> SynthesisRequest<'d> {
-    /// A request with the paper's default configuration
+    /// A request over borrowed resident columns (`columns[j]` on the
+    /// domain `0..domains[j]`) with the paper's default configuration
     /// ([`DpCopulaConfig::kendall`]: EFPA margins, Kendall estimator,
     /// `k = 8`), default engine options, base seed 0, and metrics off.
-    ///
-    /// *Soft-deprecated:* prefer [`SynthesisRequest::from_source`] (e.g.
-    /// over a [`datagen::DatasetSource`] for resident data), which adds
-    /// schema names and out-of-core fitting to the same run. This eager
-    /// surface stays byte-identical to what it always released.
+    /// The columns are read in place, never copied.
     pub fn new(columns: &'d [Vec<u32>], domains: &'d [usize], epsilon: Epsilon) -> Self {
         Self::from_config(columns, domains, DpCopulaConfig::kendall(epsilon))
     }
 
-    /// A request around an existing [`DpCopulaConfig`].
-    ///
-    /// *Soft-deprecated:* prefer [`SynthesisRequest::from_source_config`]
-    /// — see [`SynthesisRequest::new`].
+    /// A request over borrowed resident columns around an existing
+    /// [`DpCopulaConfig`].
     pub fn from_config(
         columns: &'d [Vec<u32>],
         domains: &'d [usize],
@@ -144,14 +132,6 @@ impl<'d> SynthesisRequest<'d> {
             base_seed: 0,
             sink: MetricsSink::off(),
         }
-    }
-
-    /// Replaces this request's input with a streaming [`RowSource`],
-    /// keeping every other knob — the migration hop from the eager
-    /// constructors (`DESIGN.md` §10).
-    pub fn input(mut self, source: impl RowSource + 'd) -> Self {
-        self.input = RequestInput::Source(RefCell::new(Box::new(source)));
-        self
     }
 
     /// Overrides the budget ratio `k = eps1 / eps2` between margins and
@@ -245,19 +225,21 @@ impl<'d> SynthesisRequest<'d> {
         Ok(())
     }
 
-    /// Runs the full five-stage pipeline. Equivalent to
-    /// [`DpCopula::synthesize_staged`] with this request's parameters —
-    /// same bytes, plus whatever the metrics sink records. A streaming
-    /// input fits out of core first (same released bytes for equal data).
-    pub fn run(&self) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
+    /// Stages 1–4 on this request's input, whatever its kind.
+    fn fit_parts(&self) -> Result<Fit, DpCopulaError> {
+        let dp = DpCopula::new(self.config);
         match &self.input {
-            RequestInput::Columns { columns, domains } => DpCopula::new(self.config)
-                .synthesize_staged_with(columns, domains, self.base_seed, &self.opts, &self.sink),
+            RequestInput::Columns { columns, domains } => dp.fit_parts(
+                FitInput::Columns { columns, domains },
+                self.base_seed,
+                &self.opts,
+                &self.sink,
+            ),
             RequestInput::Source(source) => {
                 let mut source = source.borrow_mut();
                 Self::reset_source(source.as_mut())?;
-                DpCopula::new(self.config).synthesize_source_with(
-                    source.as_mut(),
+                dp.fit_parts(
+                    FitInput::Source(source.as_mut()),
                     self.base_seed,
                     &self.opts,
                     &self.sink,
@@ -266,26 +248,59 @@ impl<'d> SynthesisRequest<'d> {
         }
     }
 
+    /// Runs the full five-stage pipeline: fits, then samples
+    /// `output_records` rows (default: the input's row count). Every
+    /// stage runs under a `pipeline/<stage>` span, the fan-outs publish
+    /// per-task latency, and the budget ledger and noise mechanisms
+    /// publish their counters; a disabled sink records nothing and the
+    /// bytes never depend on the sink.
+    pub fn run(&self) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
+        let pipeline = self.sink.span("pipeline");
+        let fit = self.fit_parts()?;
+        let out = DpCopula::new(self.config).sample_parts(
+            fit.parts,
+            fit.timings,
+            fit.rows,
+            self.base_seed,
+            &self.opts,
+            &self.sink,
+        )?;
+        drop(pipeline);
+        Ok(out)
+    }
+
     /// Runs stages 1–4 and packages the releases as a durable
-    /// [`FittedModel`] (equivalent to [`DpCopula::fit_staged`]). The
-    /// model keeps this request's sink for its serving-path metrics. A
-    /// streaming input fits out of core and names the artifact's schema
-    /// from the source's attributes.
+    /// [`FittedModel`], whose report's sampling stage is zero. The model
+    /// keeps this request's sink for its serving-path metrics, and its
+    /// schema names the source's attributes (`attr{j}` for bare
+    /// columns). Sampling the window `[0, n)` reproduces [`run`]'s rows
+    /// with `output_records = n` at the same seed and chunk.
+    ///
+    /// [`run`]: SynthesisRequest::run
     pub fn fit(&self) -> Result<(FittedModel, PipelineReport), DpCopulaError> {
-        match &self.input {
-            RequestInput::Columns { columns, domains } => DpCopula::new(self.config)
-                .fit_staged_with(columns, domains, self.base_seed, &self.opts, &self.sink),
-            RequestInput::Source(source) => {
-                let mut source = source.borrow_mut();
-                Self::reset_source(source.as_mut())?;
-                DpCopula::new(self.config).fit_source_with(
-                    source.as_mut(),
-                    self.base_seed,
-                    &self.opts,
-                    &self.sink,
-                )
-            }
-        }
+        let pipeline = self.sink.span("pipeline");
+        let fit = self.fit_parts()?;
+        drop(pipeline);
+        let artifact = assemble_artifact(
+            &ArtifactMeta {
+                epsilon_total: self.config.epsilon.value(),
+                margin_method: self.config.margin.registry_name(),
+                base_seed: self.base_seed,
+                sample_chunk: self.opts.sample_chunk.max(1) as u64,
+            },
+            fit.schema,
+            fit.parts,
+        );
+        let mut model = FittedModel::from_artifact(artifact)?;
+        model.set_metrics_sink(self.sink.clone());
+        Ok((
+            model,
+            PipelineReport {
+                timings: fit.timings,
+                workers: self.opts.workers.max(1),
+                base_seed: self.base_seed,
+            },
+        ))
     }
 
     /// Runs DP copula-family selection and then the pipeline with the
@@ -350,44 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn run_is_byte_identical_to_synthesize_staged() {
-        let cols = test_columns(3, 2_000, 32, 1);
-        let domains = vec![32usize; 3];
-        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-        let opts = EngineOptions::with_workers(2);
-        let (legacy, legacy_report) = DpCopula::new(config)
-            .synthesize_staged(&cols, &domains, 42, &opts)
-            .unwrap();
-        let (req, req_report) = SynthesisRequest::from_config(&cols, &domains, config)
-            .workers(2)
-            .seed(42)
-            .run()
-            .unwrap();
-        assert_eq!(req.columns, legacy.columns);
-        assert_eq!(req.correlation, legacy.correlation);
-        assert_eq!(req.noisy_margins, legacy.noisy_margins);
-        assert_eq!(req_report.base_seed, legacy_report.base_seed);
-        assert_eq!(req_report.workers, legacy_report.workers);
-    }
-
-    #[test]
-    fn fit_is_byte_identical_to_fit_staged() {
-        let cols = test_columns(3, 2_000, 32, 2);
-        let domains = vec![32usize; 3];
-        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-        let (legacy, _) = DpCopula::new(config)
-            .fit_staged(&cols, &domains, 7, &EngineOptions::with_workers(2))
-            .unwrap();
-        let (req, _) = SynthesisRequest::from_config(&cols, &domains, config)
-            .workers(2)
-            .seed(7)
-            .fit()
-            .unwrap();
-        assert_eq!(req.artifact(), legacy.artifact());
-        assert_eq!(req.sample_range(0, 500, 3), legacy.sample_range(0, 500, 1));
-    }
-
-    #[test]
     fn run_adaptive_is_reproducible_per_seed() {
         let cols = test_columns(2, 4_000, 64, 3);
         let domains = vec![64usize; 2];
@@ -427,28 +404,44 @@ mod tests {
 
     #[test]
     fn metrics_sink_observes_the_run() {
+        // Resident columns and a streaming source reach the same fit:
+        // each run records every stage span exactly once.
         let cols = test_columns(2, 1_000, 32, 5);
         let domains = vec![32usize; 2];
-        let registry = Arc::new(MetricsRegistry::new());
-        let (_, _) = SynthesisRequest::new(&cols, &domains, Epsilon::new(1.0).unwrap())
-            .metrics(MetricsSink::to_registry(registry.clone()))
-            .seed(13)
-            .run()
-            .unwrap();
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.get(PIPELINE_RUNS_TOTAL).unwrap().value,
-            MetricValue::Counter(1)
+        let attributes = (0..2)
+            .map(|j| datagen::Attribute::new(format!("attr{j}"), 32))
+            .collect();
+        let source = datagen::DatasetSource::with_block_rows(
+            datagen::Dataset::new(attributes, cols.clone()),
+            97,
         );
-        assert_eq!(
-            snap.get(PIPELINE_ROWS_OUT_TOTAL).unwrap().value,
-            MetricValue::Counter(1_000)
-        );
-        // Every pipeline stage span was recorded.
-        for stage in obskit::names::STAGES {
-            let id = obskit::series_id(obskit::SPAN_NS, &[("span", &format!("pipeline/{stage}"))]);
-            let hist = snap.get(&id).unwrap().value.as_hist().unwrap().clone();
-            assert_eq!(hist.count, 1, "{stage}");
+        let epsilon = Epsilon::new(1.0).unwrap();
+        for request in [
+            SynthesisRequest::new(&cols, &domains, epsilon),
+            SynthesisRequest::from_source(source, epsilon),
+        ] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let (_, _) = request
+                .metrics(MetricsSink::to_registry(registry.clone()))
+                .seed(13)
+                .run()
+                .unwrap();
+            let snap = registry.snapshot();
+            assert_eq!(
+                snap.get(PIPELINE_RUNS_TOTAL).unwrap().value,
+                MetricValue::Counter(1)
+            );
+            assert_eq!(
+                snap.get(PIPELINE_ROWS_OUT_TOTAL).unwrap().value,
+                MetricValue::Counter(1_000)
+            );
+            // Every pipeline stage span was recorded.
+            for stage in obskit::names::STAGES {
+                let id =
+                    obskit::series_id(obskit::SPAN_NS, &[("span", &format!("pipeline/{stage}"))]);
+                let hist = snap.get(&id).unwrap().value.as_hist().unwrap().clone();
+                assert_eq!(hist.count, 1, "{stage}");
+            }
         }
     }
 }

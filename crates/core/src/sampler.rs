@@ -11,6 +11,7 @@ use crate::error::DpCopulaError;
 use mathkit::dist::MultivariateNormal;
 use mathkit::special::norm_cdf;
 use mathkit::Matrix;
+use rngkit::rngs::StdRng;
 use rngkit::ziggurat;
 use rngkit::Rng;
 
@@ -44,6 +45,72 @@ impl SamplingProfile {
             SamplingProfile::Fast => "fast",
         }
     }
+}
+
+/// An absolute row window `[offset, offset + n)` of the synthetic row
+/// space keyed by `(base_seed, stream)`, gridded into `chunk`-row chunks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowWindow {
+    pub offset: usize,
+    pub n: usize,
+    pub base_seed: u64,
+    pub stream: u64,
+    pub chunk: usize,
+}
+
+/// The one chunk fan-out behind every sampled window, whatever the
+/// copula family or profile: splits `window` into its chunks
+/// ([`parkit::chunk_windows`]), runs `kernel(rng, skip, take)` per chunk
+/// on `stream_rng(base_seed, stream, chunk id)` across `workers` threads
+/// (task metrics to `sink` under `stage`), and concatenates the pieces
+/// in chunk order into `dims` columns.
+pub(crate) fn fan_out_window<F>(
+    dims: usize,
+    window: RowWindow,
+    workers: usize,
+    sink: &obskit::MetricsSink,
+    stage: &str,
+    kernel: F,
+) -> Vec<Vec<u32>>
+where
+    F: Fn(&mut StdRng, usize, usize) -> Vec<Vec<u32>> + Sync,
+{
+    let windows = parkit::chunk_windows(window.offset, window.n, window.chunk);
+    let pieces: Vec<Vec<Vec<u32>>> =
+        parkit::par_map_observed(workers, &windows, sink, stage, |_, w| {
+            let mut rng = parkit::stream_rng(window.base_seed, window.stream, w.id as u64);
+            kernel(&mut rng, w.skip, w.take)
+        });
+    let mut out = vec![Vec::with_capacity(window.n); dims];
+    for piece in pieces {
+        for (col, mut part) in out.iter_mut().zip(piece) {
+            col.append(&mut part);
+        }
+    }
+    out
+}
+
+/// The row-at-a-time chunk kernel of the reference path (and of the
+/// Student-t family): burns `skip` records, then keeps `take`,
+/// column-major, each drawn by `record` into a `dims`-wide buffer.
+pub(crate) fn record_chunk(
+    dims: usize,
+    skip: usize,
+    take: usize,
+    mut record: impl FnMut(&mut [u32]),
+) -> Vec<Vec<u32>> {
+    let mut cols = vec![Vec::with_capacity(take); dims];
+    let mut buf = vec![0u32; dims];
+    for _ in 0..skip {
+        record(&mut buf);
+    }
+    for _ in 0..take {
+        record(&mut buf);
+        for (col, &v) in cols.iter_mut().zip(&buf) {
+            col.push(v);
+        }
+    }
+    cols
 }
 
 /// A ready-to-sample DP copula model: DP correlation matrix plus DP
@@ -100,111 +167,34 @@ impl CopulaSampler {
     }
 
     /// Draws `n` synthetic records, returned column-major (one `Vec<u32>`
-    /// per attribute) to match the workspace's dataset layout.
+    /// per attribute) to match the workspace's dataset layout — the
+    /// reference chunk kernel on the caller's generator, nothing skipped.
     pub fn sample_columns<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Vec<u32>> {
-        let d = self.dims();
-        let mut cols = vec![vec![0u32; n]; d];
-        let mut buf = vec![0u32; d];
-        for row in 0..n {
-            self.sample_record(rng, &mut buf);
-            for (j, col) in cols.iter_mut().enumerate() {
-                col[row] = buf[j];
-            }
-        }
-        cols
-    }
-
-    /// Draws `n` synthetic records in row chunks of at most `chunk`
-    /// records, fanned out across `workers` threads and concatenated in
-    /// chunk order.
-    ///
-    /// Chunk `c` draws from `stream_rng(base_seed, STREAM_SAMPLER, c)` —
-    /// a pure function of the chunk id — so for a fixed
-    /// `(base_seed, chunk)` the output is bit-identical at any worker
-    /// count. Changing `chunk` re-keys the streams and therefore changes
-    /// the (equally valid) sample.
-    pub fn sample_columns_chunked(
-        &self,
-        n: usize,
-        base_seed: u64,
-        workers: usize,
-        chunk: usize,
-    ) -> Vec<Vec<u32>> {
-        self.sample_columns_window(
-            0,
-            n,
-            base_seed,
-            crate::engine::STREAM_SAMPLER,
-            workers,
-            chunk,
-        )
-    }
-
-    /// [`CopulaSampler::sample_columns_chunked`] with per-chunk task
-    /// metrics published to `sink` under the given `stage` label. Same
-    /// bytes as the unobserved call for any sink.
-    pub fn sample_columns_chunked_observed(
-        &self,
-        n: usize,
-        base_seed: u64,
-        workers: usize,
-        chunk: usize,
-        sink: &obskit::MetricsSink,
-        stage: &str,
-    ) -> Vec<Vec<u32>> {
-        self.sample_columns_window_observed(
-            0,
-            n,
-            base_seed,
-            crate::engine::STREAM_SAMPLER,
-            workers,
-            chunk,
-            sink,
-            stage,
-        )
+        record_chunk(self.dims(), 0, n, |buf| self.sample_record(rng, buf))
     }
 
     /// Draws the absolute row window `[offset, offset + n)` of the
     /// infinite synthetic row space keyed by `(base_seed, stream)`,
-    /// fanned out across `workers` threads.
+    /// fanned out across `workers` threads with per-chunk task metrics
+    /// (`parkit_*{stage=..}` series) published to `sink`.
     ///
     /// Rows are gridded into fixed chunks of `chunk` records; chunk `c`
     /// (covering rows `c*chunk .. (c+1)*chunk`) draws from
     /// `stream_rng(base_seed, stream, c)`, and rows of a chunk before
     /// the window are generated and discarded. Row `r` is therefore a
-    /// pure function of `(model, base_seed, stream, chunk, r)` — the
-    /// same bytes whether it is produced by one call, any split of
+    /// pure function of `(model, profile, base_seed, stream, chunk, r)` —
+    /// the same bytes whether it is produced by one call, any split of
     /// calls, or any worker count. This is what lets horizontally
     /// sharded servers each own a disjoint row range of one model and
     /// still jointly reproduce the single-machine output.
-    pub fn sample_columns_window(
-        &self,
-        offset: usize,
-        n: usize,
-        base_seed: u64,
-        stream: u64,
-        workers: usize,
-        chunk: usize,
-    ) -> Vec<Vec<u32>> {
-        self.sample_columns_window_observed(
-            offset,
-            n,
-            base_seed,
-            stream,
-            workers,
-            chunk,
-            &obskit::MetricsSink::off(),
-            "sampling",
-        )
-    }
-
-    /// [`CopulaSampler::sample_columns_window`] with per-chunk task
-    /// metrics (`parkit_*{stage=..}` series) published to `sink`. The
-    /// sampled bytes are identical for any sink — observation is pure
-    /// post-processing on the side.
+    ///
+    /// `Reference` reproduces the pinned byte stream; `Fast` draws an
+    /// equally valid sample from the same model on its own byte stream.
+    /// The sampled bytes are identical for any sink.
     #[allow(clippy::too_many_arguments)]
-    pub fn sample_columns_window_observed(
+    pub fn sample_window(
         &self,
+        profile: SamplingProfile,
         offset: usize,
         n: usize,
         base_seed: u64,
@@ -214,106 +204,26 @@ impl CopulaSampler {
         sink: &obskit::MetricsSink,
         stage: &str,
     ) -> Vec<Vec<u32>> {
-        self.sample_columns_window_profile_observed(
-            SamplingProfile::Reference,
+        let window = RowWindow {
             offset,
             n,
             base_seed,
             stream,
-            workers,
             chunk,
+        };
+        fan_out_window(
+            self.dims(),
+            window,
+            workers,
             sink,
             stage,
-        )
-    }
-
-    /// [`CopulaSampler::sample_columns_window`] under an explicit
-    /// [`SamplingProfile`]. `Reference` reproduces the pinned byte
-    /// stream; `Fast` draws an equally valid sample from the same model,
-    /// deterministic for a fixed `(base_seed, stream, chunk)` at any
-    /// worker count or window split, but on its own byte stream.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_columns_window_profile(
-        &self,
-        profile: SamplingProfile,
-        offset: usize,
-        n: usize,
-        base_seed: u64,
-        stream: u64,
-        workers: usize,
-        chunk: usize,
-    ) -> Vec<Vec<u32>> {
-        self.sample_columns_window_profile_observed(
-            profile,
-            offset,
-            n,
-            base_seed,
-            stream,
-            workers,
-            chunk,
-            &obskit::MetricsSink::off(),
-            "sampling",
-        )
-    }
-
-    /// [`CopulaSampler::sample_columns_window_profile`] with per-chunk
-    /// task metrics published to `sink`. Bytes are identical for any
-    /// sink.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_columns_window_profile_observed(
-        &self,
-        profile: SamplingProfile,
-        offset: usize,
-        n: usize,
-        base_seed: u64,
-        stream: u64,
-        workers: usize,
-        chunk: usize,
-        sink: &obskit::MetricsSink,
-        stage: &str,
-    ) -> Vec<Vec<u32>> {
-        let d = self.dims();
-        let windows = parkit::chunk_windows(offset, n, chunk);
-        let pieces: Vec<Vec<Vec<u32>>> =
-            parkit::par_map_observed(workers, &windows, sink, stage, |_, w| {
-                let mut rng = parkit::stream_rng(base_seed, stream, w.id as u64);
-                match profile {
-                    SamplingProfile::Reference => {
-                        self.sample_chunk_reference(&mut rng, w.skip, w.take)
-                    }
-                    SamplingProfile::Fast => self.sample_chunk_fast(&mut rng, w.skip, w.take),
+            |rng, skip, take| match profile {
+                SamplingProfile::Reference => {
+                    record_chunk(self.dims(), skip, take, |buf| self.sample_record(rng, buf))
                 }
-            });
-        let mut out = vec![Vec::with_capacity(n); d];
-        for piece in pieces {
-            for (col, mut part) in out.iter_mut().zip(piece) {
-                col.append(&mut part);
-            }
-        }
-        out
-    }
-
-    /// One chunk of the pinned reference path: row-at-a-time
-    /// [`CopulaSampler::sample_record`], burning `skip` rows first.
-    fn sample_chunk_reference<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        skip: usize,
-        take: usize,
-    ) -> Vec<Vec<u32>> {
-        let d = self.dims();
-        let mut cols = vec![Vec::with_capacity(take); d];
-        let mut buf = vec![0u32; d];
-        for _ in 0..skip {
-            self.sample_record(rng, &mut buf);
-        }
-        for _ in 0..take {
-            self.sample_record(rng, &mut buf);
-            for (col, &v) in cols.iter_mut().zip(&buf) {
-                col.push(v);
-            }
-        }
-        cols
+                SamplingProfile::Fast => self.sample_chunk_fast(rng, skip, take),
+            },
+        )
     }
 
     /// One chunk of the fast path: ziggurat normals drawn row-major into
@@ -375,6 +285,42 @@ mod tests {
         MarginalDistribution::from_noisy_histogram(&vec![1.0; domain])
     }
 
+    /// A window on the engine's sampling stream, metrics off.
+    fn window(
+        s: &CopulaSampler,
+        profile: SamplingProfile,
+        offset: usize,
+        n: usize,
+        seed: u64,
+        workers: usize,
+        chunk: usize,
+    ) -> Vec<Vec<u32>> {
+        let stream = crate::engine::STREAM_SAMPLER;
+        let off = obskit::MetricsSink::off();
+        s.sample_window(
+            profile, offset, n, seed, stream, workers, chunk, &off, "sampling",
+        )
+    }
+
+    fn reference(
+        s: &CopulaSampler,
+        offset: usize,
+        n: usize,
+        seed: u64,
+        workers: usize,
+        chunk: usize,
+    ) -> Vec<Vec<u32>> {
+        window(
+            s,
+            SamplingProfile::Reference,
+            offset,
+            n,
+            seed,
+            workers,
+            chunk,
+        )
+    }
+
     #[test]
     fn output_respects_domains() {
         let margins = vec![uniform_margin(10), uniform_margin(50)];
@@ -426,10 +372,10 @@ mod tests {
     fn chunked_sampling_is_worker_count_invariant() {
         let margins = vec![uniform_margin(100), uniform_margin(100)];
         let s = CopulaSampler::new(&equicorrelation(2, 0.6), margins).unwrap();
-        let base = s.sample_columns_chunked(5_000, 77, 1, 512);
+        let base = reference(&s, 0, 5_000, 77, 1, 512);
         for workers in [2, 7] {
             assert_eq!(
-                s.sample_columns_chunked(5_000, 77, workers, 512),
+                reference(&s, 0, 5_000, 77, workers, 512),
                 base,
                 "workers={workers}"
             );
@@ -446,12 +392,9 @@ mod tests {
         let margins = vec![uniform_margin(10)];
         let s = CopulaSampler::new(&Matrix::identity(1), margins).unwrap();
         // n == 0, n < chunk, chunk == 0, workers > chunks.
-        assert_eq!(
-            s.sample_columns_chunked(0, 1, 4, 64),
-            vec![Vec::<u32>::new()]
-        );
-        assert_eq!(s.sample_columns_chunked(5, 1, 4, 64)[0].len(), 5);
-        assert_eq!(s.sample_columns_chunked(3, 1, 16, 0)[0].len(), 3);
+        assert_eq!(reference(&s, 0, 0, 1, 4, 64), vec![Vec::<u32>::new()]);
+        assert_eq!(reference(&s, 0, 5, 1, 4, 64)[0].len(), 5);
+        assert_eq!(reference(&s, 0, 3, 1, 16, 0)[0].len(), 3);
     }
 
     #[test]
@@ -459,13 +402,19 @@ mod tests {
         let margins = vec![uniform_margin(60), uniform_margin(60)];
         let s = CopulaSampler::new(&equicorrelation(2, 0.4), margins).unwrap();
         let stream = crate::engine::STREAM_SAMPLER;
-        let whole = s.sample_columns_window(0, 1_000, 5, stream, 3, 128);
-        assert_eq!(whole, s.sample_columns_chunked(1_000, 5, 3, 128));
+        let whole = reference(&s, 0, 1_000, 5, 3, 128);
+        // A window inside one chunk is `sample_columns` on that chunk's
+        // stream: the reference kernel with nothing skipped.
+        let mut rng = parkit::stream_rng(5, stream, 0);
+        assert_eq!(
+            reference(&s, 0, 1_000, 5, 3, 1_000),
+            s.sample_columns(1_000, &mut rng)
+        );
         // Splits at chunk-aligned and unaligned points both reproduce
         // the one-call bytes.
         for k in [1usize, 127, 128, 129, 500, 999] {
-            let head = s.sample_columns_window(0, k, 5, stream, 2, 128);
-            let tail = s.sample_columns_window(k, 1_000 - k, 5, stream, 7, 128);
+            let head = reference(&s, 0, k, 5, 2, 128);
+            let tail = reference(&s, k, 1_000 - k, 5, 7, 128);
             let stitched: Vec<Vec<u32>> = head
                 .iter()
                 .zip(&tail)
@@ -474,7 +423,7 @@ mod tests {
             assert_eq!(stitched, whole, "split at {k}");
         }
         // An interior window equals the matching slice of the whole.
-        let mid = s.sample_columns_window(300, 150, 5, stream, 4, 128);
+        let mid = reference(&s, 300, 150, 5, 4, 128);
         for (j, col) in mid.iter().enumerate() {
             assert_eq!(col[..], whole[j][300..450], "column {j}");
         }
@@ -504,20 +453,10 @@ mod tests {
     fn fast_profile_is_worker_count_invariant_with_itself() {
         let margins = vec![uniform_margin(100), uniform_margin(100)];
         let s = CopulaSampler::new(&equicorrelation(2, 0.6), margins).unwrap();
-        let stream = crate::engine::STREAM_SAMPLER;
-        let base =
-            s.sample_columns_window_profile(SamplingProfile::Fast, 0, 5_000, 77, stream, 1, 512);
+        let base = window(&s, SamplingProfile::Fast, 0, 5_000, 77, 1, 512);
         for workers in [2, 7] {
             assert_eq!(
-                s.sample_columns_window_profile(
-                    SamplingProfile::Fast,
-                    0,
-                    5_000,
-                    77,
-                    stream,
-                    workers,
-                    512
-                ),
+                window(&s, SamplingProfile::Fast, 0, 5_000, 77, workers, 512),
                 base,
                 "workers={workers}"
             );
@@ -533,12 +472,11 @@ mod tests {
     fn fast_profile_window_splits_seamlessly() {
         let margins = vec![uniform_margin(60), uniform_margin(60)];
         let s = CopulaSampler::new(&equicorrelation(2, 0.4), margins).unwrap();
-        let stream = crate::engine::STREAM_SAMPLER;
         let fast = SamplingProfile::Fast;
-        let whole = s.sample_columns_window_profile(fast, 0, 1_000, 5, stream, 3, 128);
+        let whole = window(&s, fast, 0, 1_000, 5, 3, 128);
         for k in [1usize, 127, 128, 129, 500, 999] {
-            let head = s.sample_columns_window_profile(fast, 0, k, 5, stream, 2, 128);
-            let tail = s.sample_columns_window_profile(fast, k, 1_000 - k, 5, stream, 7, 128);
+            let head = window(&s, fast, 0, k, 5, 2, 128);
+            let tail = window(&s, fast, k, 1_000 - k, 5, 7, 128);
             let stitched: Vec<Vec<u32>> = head
                 .iter()
                 .zip(&tail)
@@ -553,9 +491,7 @@ mod tests {
         let skew = MarginalDistribution::from_noisy_histogram(&[70.0, 20.0, 10.0]);
         let s =
             CopulaSampler::new(&equicorrelation(2, 0.0), vec![skew, uniform_margin(4)]).unwrap();
-        let stream = crate::engine::STREAM_SAMPLER;
-        let cols =
-            s.sample_columns_window_profile(SamplingProfile::Fast, 0, 30_000, 2, stream, 4, 4096);
+        let cols = window(&s, SamplingProfile::Fast, 0, 30_000, 2, 4, 4096);
         let f0 = cols[0].iter().filter(|&&v| v == 0).count() as f64 / 30_000.0;
         let f2 = cols[0].iter().filter(|&&v| v == 2).count() as f64 / 30_000.0;
         assert!((f0 - 0.7).abs() < 0.02, "f0 {f0}");

@@ -38,13 +38,13 @@ use crate::kendall::{
     concordance_cached, kendall_sensitivity, recommended_sample_size, RankedColumn,
     SamplingStrategy,
 };
-use dphist::histogram::Histogram1D;
 use dphist::MarginRegistry;
 use dpmech::{laplace_noise, Epsilon, ShardLedger};
 use mathkit::concord::{cross_concordance, merge, Concordance};
 use mathkit::Matrix;
 use obskit::MetricsSink;
 use rngkit::seq::SliceRandom;
+use std::sync::Mutex;
 
 /// One shard of the fit input: a contiguous row range plus the logical
 /// stream index its stochastic work derives under.
@@ -127,76 +127,209 @@ pub struct ShardSummary {
     /// composition across shards keeps that the combined cost).
     pub noisy_margins: Vec<Vec<f64>>,
     /// The shard's τ record sample, one column per attribute (all shard
-    /// rows under `SamplingStrategy::Full`). Empty until [`fill_tau`].
+    /// rows under `SamplingStrategy::Full`). Empty until
+    /// [`fill_tau_from_sampled`].
     pub sampled: Vec<Vec<u32>>,
     /// Within-shard concordance summary per attribute pair (pair ids in
-    /// `(i, j)` lexicographic order). Empty until [`fill_tau`].
+    /// `(i, j)` lexicographic order). Empty until
+    /// [`fill_tau_from_sampled`].
     pub within: Vec<Concordance>,
     /// The shard's own budget expenditures.
     pub ledger: ShardLedger,
 }
 
-/// Builds one summary per shard with the margin layer filled in: one
-/// noisy histogram per `(shard, attribute)` task, fanned out across
-/// `workers` under the `margins` stage, each keyed by stream index
-/// `shard * m + attribute`.
-#[allow(clippy::too_many_arguments)]
-pub fn build_margin_summaries(
-    columns: &[Vec<u32>],
-    domains: &[usize],
-    specs: &[ShardSpec],
-    margin_name: &str,
-    eps_margin: Epsilon,
-    base_seed: u64,
-    workers: usize,
-    sink: &MetricsSink,
-) -> Vec<ShardSummary> {
-    let m = columns.len();
-    let tasks: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..m).map(move |j| (s, j)))
-        .collect();
-    let published: Vec<Vec<f64>> =
-        parkit::par_map_observed(workers, &tasks, sink, "margins", |_, &(s, j)| {
-            harvest_draws(sink, "margins", || {
-                let spec = specs[s];
-                let exact = Histogram1D::from_values(&columns[j][spec.start..spec.end], domains[j]);
-                let mut rng = parkit::stream_rng(
-                    base_seed,
-                    STREAM_MARGINS,
-                    spec.seed_index * m as u64 + j as u64,
-                );
-                MarginRegistry::builtin()
-                    .publish(margin_name, exact.counts(), eps_margin, &mut rng)
-                    .expect("builtin registry covers every MarginMethod")
-            })
-        });
-
-    let mut published = published.into_iter();
-    specs
+/// Orders shard `spec`'s subsample plan for `target` rows by row:
+/// `(local_row, slot)` for each sampled row, ascending — what lets one
+/// pass in row order scatter rows into subsample order while touching
+/// only the sampled rows. Linear in the shard's size, through a
+/// transient 4 B/row slot map.
+fn plan_picks(spec: ShardSpec, target: usize, base_seed: u64) -> Vec<(u32, u32)> {
+    let mut slots = vec![u32::MAX; spec.len()];
+    for (slot, &local) in shard_locals(spec, target, base_seed).iter().enumerate() {
+        slots[local] = slot as u32;
+    }
+    slots
         .iter()
-        .map(|&spec| {
-            let mut ledger = ShardLedger::new();
-            for _ in 0..m {
-                ledger.spend("margins", eps_margin);
-            }
-            ShardSummary {
-                spec,
-                noisy_margins: published.by_ref().take(m).collect(),
-                sampled: Vec::new(),
-                within: Vec::new(),
-                ledger,
-            }
+        .enumerate()
+        .filter(|&(_, &slot)| slot != u32::MAX)
+        .map(|(local, &slot)| {
+            let local = u32::try_from(local).expect("shard rows fit a u32 pick");
+            (local, slot)
         })
         .collect()
 }
 
-/// [`build_margin_summaries`] from precomputed exact histogram counts
-/// (`exact[shard][attribute][bin]`) instead of resident columns — the
-/// entry point of the streaming fit, whose single pass over a
-/// [`datagen::RowSource`] accumulates exactly the counts
-/// `Histogram1D::from_values` would build. The task list, stream keys
-/// and noise draws are identical to the eager path, so for equal counts
-/// the published margins are byte-identical.
+/// What a [`RowReducer`] hands on: `exact[shard][attribute][bin]` and
+/// `sampled[shard][attribute][slot]`.
+pub(crate) type Reduced = (Vec<Vec<Vec<f64>>>, Vec<Vec<Vec<u32>>>);
+
+/// One attribute's part of a [`RowReducer`]: its exact counts and its
+/// subsample column, per shard.
+struct ReducedColumn {
+    counts: Vec<Vec<u64>>,
+    sampled: Vec<Vec<u32>>,
+}
+
+/// The one row loop of every fit: reduces the input rows of some shards
+/// to their **exact** histogram counts and their Kendall record
+/// subsample (in [`shard_locals`] plan order), checking every value
+/// against its attribute's domain on the way.
+///
+/// Rows arrive column-major in consecutive blocks: a resident input is
+/// one [`RowReducer::push`] of all its columns, a [`datagen::RowSource`]
+/// one push per block. Attributes are independent, so a large push fans
+/// out one task per attribute. The counts equal what
+/// `Histogram1D::from_values` builds on each shard's slice, so the
+/// published margins do not depend on how the input was split into
+/// blocks or tasks.
+pub(crate) struct RowReducer {
+    domains: Vec<usize>,
+    specs: Vec<ShardSpec>,
+    /// Per shard, [`plan_picks`] of its subsample plan; empty when the
+    /// fit takes no τ subsample.
+    picks: Vec<Vec<(u32, u32)>>,
+    /// Per attribute; each push task locks only its own.
+    columns: Vec<Mutex<ReducedColumn>>,
+    rows: usize,
+}
+
+impl RowReducer {
+    /// A reducer over the rows of `specs` — every shard of an in-process
+    /// fit, or the one shard of a shard worker — whose first pushed row
+    /// is row `specs[0].start`. `targets[s]` is shard `s`'s share of the
+    /// Kendall subsample ([`partition_sample_target`]); `None` takes no
+    /// subsample (one attribute, or an estimator that reads raw rows).
+    /// The shards' subsample plans are drawn across `workers` threads.
+    pub(crate) fn new(
+        domains: &[usize],
+        specs: &[ShardSpec],
+        targets: Option<&[usize]>,
+        base_seed: u64,
+        workers: usize,
+    ) -> Self {
+        let picks: Vec<Vec<(u32, u32)>> = match targets {
+            Some(targets) => parkit::par_map(workers, specs, |s, &spec| {
+                plan_picks(spec, targets[s], base_seed)
+            }),
+            None => Vec::new(),
+        };
+        let columns = domains
+            .iter()
+            .map(|&d| {
+                Mutex::new(ReducedColumn {
+                    counts: specs.iter().map(|_| vec![0; d]).collect(),
+                    sampled: picks.iter().map(|p| vec![0; p.len()]).collect(),
+                })
+            })
+            .collect();
+        Self {
+            domains: domains.to_vec(),
+            specs: specs.to_vec(),
+            picks,
+            columns,
+            rows: 0,
+        }
+    }
+
+    /// Adds the next block of rows, `columns[j][i]` being row `i`'s value
+    /// of attribute `j` — one task per attribute across `workers` threads
+    /// when the block is large enough to pay for the fan-out, inline
+    /// otherwise. Rows past the last shard are counted by
+    /// [`RowReducer::rows`] but not read.
+    ///
+    /// A block with the wrong number of columns is an
+    /// [`DpCopulaError::ArityMismatch`]; an out-of-domain value is a
+    /// [`DpCopulaError::ValueOutOfDomain`] naming the block's lowest
+    /// offending attribute, then its lowest offending row.
+    pub(crate) fn push(
+        &mut self,
+        columns: &[Vec<u32>],
+        workers: usize,
+    ) -> Result<(), DpCopulaError> {
+        if columns.len() != self.domains.len() {
+            return Err(DpCopulaError::ArityMismatch {
+                columns: columns.len(),
+                domains: self.domains.len(),
+            });
+        }
+        let first = self.specs[0].start + self.rows;
+        let len = columns.first().map_or(0, Vec::len);
+        // Below this many values a fan-out costs more than it saves.
+        let workers = if len * columns.len() < 1 << 18 {
+            1
+        } else {
+            workers
+        };
+        let reduced = parkit::par_map(workers, &self.columns, |j, column| {
+            let mut column = column.lock().expect("one task per attribute");
+            for (s, spec) in self.specs.iter().enumerate() {
+                let (lo, hi) = (spec.start.max(first), spec.end.min(first + len));
+                if lo >= hi {
+                    continue;
+                }
+                let values = &columns[j][lo - first..hi - first];
+                let counts = &mut column.counts[s];
+                for &v in values {
+                    match counts.get_mut(v as usize) {
+                        Some(c) => *c += 1,
+                        None => {
+                            return Err(DpCopulaError::ValueOutOfDomain {
+                                dim: j,
+                                value: v,
+                                domain: self.domains[j],
+                            })
+                        }
+                    }
+                }
+                if let Some(picks) = self.picks.get(s) {
+                    // The shard's sampled rows inside this block.
+                    let (a, b) = (lo - spec.start, hi - spec.start);
+                    let from = picks.partition_point(|&(local, _)| (local as usize) < a);
+                    let to = picks.partition_point(|&(local, _)| (local as usize) < b);
+                    let out = &mut column.sampled[s];
+                    for &(local, slot) in &picks[from..to] {
+                        out[slot as usize] = values[local as usize - a];
+                    }
+                }
+            }
+            Ok(())
+        });
+        // Results come back in attribute order: the first error is the
+        // lowest attribute's.
+        reduced.into_iter().collect::<Result<(), _>>()?;
+        self.rows += len;
+        Ok(())
+    }
+
+    /// Rows pushed so far.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The exact counts (as the `f64` histogram bins the margin
+    /// mechanisms take) and the subsample, empty when none was planned.
+    pub(crate) fn finish(self) -> Reduced {
+        let shards = self.specs.len();
+        let mut exact: Vec<Vec<Vec<f64>>> = vec![Vec::new(); shards];
+        let mut sampled: Vec<Vec<Vec<u32>>> = vec![Vec::new(); self.picks.len()];
+        for column in self.columns {
+            let column = column.into_inner().expect("one task per attribute");
+            for (shard, counts) in exact.iter_mut().zip(column.counts) {
+                shard.push(counts.into_iter().map(|c| c as f64).collect());
+            }
+            for (shard, part) in sampled.iter_mut().zip(column.sampled) {
+                shard.push(part);
+            }
+        }
+        (exact, sampled)
+    }
+}
+
+/// Builds one summary per shard with the margin layer filled in from the
+/// exact histogram counts a [`RowReducer`] gathered
+/// (`exact[shard][attribute][bin]`): one noisy histogram per
+/// `(shard, attribute)` task, fanned out across `workers` under the
+/// `margins` stage, each keyed by stream index `shard * m + attribute`.
 pub fn build_margin_summaries_from_counts(
     exact: &[Vec<Vec<f64>>],
     specs: &[ShardSpec],
@@ -294,12 +427,12 @@ pub fn shard_locals(spec: ShardSpec, target: usize, base_seed: u64) -> Vec<usize
     }
 }
 
-/// The rank-and-score half of [`fill_tau`]: given each shard's sampled
-/// columns (already in subsample order), builds the per-(shard,
-/// attribute) rank caches and the within-shard [`Concordance`] per
-/// attribute pair, and stores both into the summaries. Shards below two
-/// sampled records contribute [`Concordance::EMPTY`] and participate
-/// only in cross terms.
+/// Fills the τ layer of each summary: given each shard's sampled columns
+/// (in subsample order, as a [`RowReducer`] gathers them), builds the
+/// per-(shard, attribute) rank caches and the within-shard
+/// [`Concordance`] per attribute pair, and stores both into the
+/// summaries. Shards below two sampled records contribute
+/// [`Concordance::EMPTY`] and participate only in cross terms.
 pub fn fill_tau_from_sampled(
     summaries: &mut [ShardSummary],
     sampled: Vec<Vec<Vec<u32>>>,
@@ -337,37 +470,6 @@ pub fn fill_tau_from_sampled(
     }
 }
 
-/// Fills the τ layer of each summary: draws the shard's proportional
-/// share of the global record-sample target (via [`shard_locals`]), then
-/// computes the within-shard [`Concordance`] per attribute pair over
-/// cached rank structures ([`fill_tau_from_sampled`]).
-pub fn fill_tau(
-    summaries: &mut [ShardSummary],
-    columns: &[Vec<u32>],
-    strategy: SamplingStrategy,
-    eps2_total: Epsilon,
-    base_seed: u64,
-    workers: usize,
-    sink: &MetricsSink,
-) {
-    let m = columns.len();
-    let n = columns[0].len();
-    let target = kendall_sample_target(m, n, strategy, eps2_total);
-    let specs: Vec<ShardSpec> = summaries.iter().map(|s| s.spec).collect();
-    let targets = partition_sample_target(target, &specs);
-
-    let sampled: Vec<Vec<Vec<u32>>> =
-        parkit::par_map_observed(workers, &specs, sink, "correlation", |s, spec| {
-            let locals = shard_locals(*spec, targets[s], base_seed);
-            columns
-                .iter()
-                .map(|col| locals.iter().map(|&r| col[spec.start + r]).collect())
-                .collect()
-        });
-
-    fill_tau_from_sampled(summaries, sampled, workers, sink);
-}
-
 /// The cross-shard concordance corrections of a sharded τ estimate: one
 /// integer per `(shard s, shard t > s, attribute pair)` combination
 /// (none for a single shard).
@@ -384,7 +486,7 @@ pub struct CrossTerms {
 /// [`combine_tau`] bookkeeping that follows.
 ///
 /// # Panics
-/// Panics when [`fill_tau`] has not populated the summaries.
+/// Panics when [`fill_tau_from_sampled`] has not populated the summaries.
 pub fn cross_concordances(
     summaries: &[ShardSummary],
     workers: usize,
@@ -463,24 +565,6 @@ pub fn combine_tau(
     p
 }
 
-/// Merges the τ layers into the **raw** released correlation matrix:
-/// [`cross_concordances`] then [`combine_tau`] (the engine calls the two
-/// halves separately to time summary building apart from merging).
-///
-/// # Panics
-/// Panics when [`fill_tau`] has not populated the summaries or fewer
-/// than two records were sampled in total.
-pub fn merged_tau_matrix(
-    summaries: &[ShardSummary],
-    eps2_total: Epsilon,
-    base_seed: u64,
-    workers: usize,
-    sink: &MetricsSink,
-) -> Matrix {
-    let cross = cross_concordances(summaries, workers, sink);
-    combine_tau(summaries, &cross, eps2_total, base_seed, sink)
-}
-
 /// Folds the per-shard sub-ledgers into the combined ledger with the
 /// parallel-composition per-label-max rule (shards hold disjoint rows).
 pub fn merge_ledgers(summaries: &[ShardSummary]) -> ShardLedger {
@@ -495,6 +579,10 @@ pub fn merge_ledgers(summaries: &[ShardSummary]) -> ShardLedger {
 /// bit-identical to the unsharded estimator; with any shard count under
 /// `SamplingStrategy::Full` it still is, because the merge is exact and
 /// the noise stream only depends on the pair id.
+///
+/// Like `dp_tau_matrix_par`, the bare estimator has no domains and
+/// publishes no margins, so it picks its subsample rows straight from
+/// the plan instead of running a fit's [`RowReducer`].
 pub fn dp_tau_matrix_sharded(
     columns: &[Vec<u32>],
     specs: &[ShardSpec],
@@ -528,24 +616,28 @@ pub fn dp_tau_matrix_sharded(
             ledger: ShardLedger::new(),
         })
         .collect();
-    fill_tau(
-        &mut summaries,
-        columns,
-        strategy,
-        eps2_total,
-        base_seed,
-        workers,
-        sink,
-    );
-    Ok(merged_tau_matrix(
-        &summaries, eps2_total, base_seed, workers, sink,
-    ))
+    let targets = partition_sample_target(kendall_sample_target(m, n, strategy, eps2_total), specs);
+    let sampled = specs
+        .iter()
+        .zip(&targets)
+        .map(|(&spec, &target)| {
+            let locals = shard_locals(spec, target, base_seed);
+            columns
+                .iter()
+                .map(|col| locals.iter().map(|&r| col[spec.start + r]).collect())
+                .collect()
+        })
+        .collect();
+    fill_tau_from_sampled(&mut summaries, sampled, workers, sink);
+    let cross = cross_concordances(&summaries, workers, sink);
+    Ok(combine_tau(&summaries, &cross, eps2_total, base_seed, sink))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kendall::dp_tau_matrix_par;
+    use dphist::histogram::Histogram1D;
     use dpmech::nano_eps;
     use rngkit::rngs::StdRng;
     use rngkit::{Rng, SeedableRng};
@@ -564,6 +656,59 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// Exact per-shard counts through the fit's reducer, in one push.
+    fn exact_counts(
+        cols: &[Vec<u32>],
+        domains: &[usize],
+        specs: &[ShardSpec],
+    ) -> Vec<Vec<Vec<f64>>> {
+        let mut reducer = RowReducer::new(domains, specs, None, 0, 1);
+        reducer.push(cols, 1).unwrap();
+        reducer.finish().0
+    }
+
+    #[test]
+    fn reducer_matches_slice_histograms_and_plan_order_at_any_block_split() {
+        let cols = test_columns(3, 1_001, 24, 12);
+        let domains = [24usize; 3];
+        for shards in [1usize, 3] {
+            let specs = shard_specs(1_001, shards);
+            let targets = partition_sample_target(400, &specs);
+            for block in [1usize, 7, 1_001] {
+                let mut reducer = RowReducer::new(&domains, &specs, Some(&targets), 5, 2);
+                for start in (0..1_001).step_by(block) {
+                    let end = (start + block).min(1_001);
+                    let part: Vec<Vec<u32>> = cols.iter().map(|c| c[start..end].to_vec()).collect();
+                    reducer.push(&part, 2).unwrap();
+                }
+                assert_eq!(reducer.rows(), 1_001);
+                let (exact, sampled) = reducer.finish();
+                for (s, spec) in specs.iter().enumerate() {
+                    let locals = shard_locals(*spec, targets[s], 5);
+                    for (j, col) in cols.iter().enumerate() {
+                        let slice = &col[spec.start..spec.end];
+                        let hist = Histogram1D::from_values(slice, domains[j]);
+                        assert_eq!(exact[s][j], hist.counts(), "shards={shards} block={block}");
+                        let plan: Vec<u32> = locals.iter().map(|&r| slice[r]).collect();
+                        assert_eq!(sampled[s][j], plan, "shards={shards} block={block}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reducer_refuses_blocks_of_the_wrong_arity() {
+        let mut reducer = RowReducer::new(&[4, 4], &shard_specs(4, 2), None, 0, 1);
+        assert_eq!(
+            reducer.push(&[vec![0, 1]], 1).unwrap_err(),
+            DpCopulaError::ArityMismatch {
+                columns: 1,
+                domains: 2
+            }
+        );
     }
 
     #[test]
@@ -689,9 +834,8 @@ mod tests {
         let domains = [16usize, 16];
         let eps_margin = Epsilon::new(0.25).unwrap();
         let specs = shard_specs(400, 4);
-        let summaries = build_margin_summaries(
-            &cols,
-            &domains,
+        let summaries = build_margin_summaries_from_counts(
+            &exact_counts(&cols, &domains, &specs),
             &specs,
             "identity",
             eps_margin,
@@ -727,8 +871,9 @@ mod tests {
         let domains = [16usize, 16, 16];
         let eps_margin = Epsilon::new(0.2).unwrap();
         let specs = shard_specs(500, 1);
+        let exact = exact_counts(&cols, &domains, &specs);
         let summaries =
-            build_margin_summaries(&cols, &domains, &specs, "efpa", eps_margin, 13, 1, &off());
+            build_margin_summaries_from_counts(&exact, &specs, "efpa", eps_margin, 13, 1, &off());
         let merged = merge_margins(&summaries);
         for (j, col) in cols.iter().enumerate() {
             let exact = Histogram1D::from_values(col, domains[j]);

@@ -189,16 +189,7 @@ impl TCopulaSampler {
 
     /// Draws `n` records, column-major.
     pub fn sample_columns<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Vec<u32>> {
-        let d = self.dims();
-        let mut cols = vec![vec![0u32; n]; d];
-        let mut buf = vec![0u32; d];
-        for row in 0..n {
-            self.sample_record(rng, &mut buf);
-            for (j, col) in cols.iter_mut().enumerate() {
-                col[row] = buf[j];
-            }
-        }
-        cols
+        crate::sampler::record_chunk(self.dims(), 0, n, |buf| self.sample_record(rng, buf))
     }
 }
 

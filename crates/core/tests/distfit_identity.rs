@@ -5,8 +5,13 @@
 //! merge-misuse path must surface a named error (never a panic).
 
 use datagen::{Attribute, Block, CsvFileSource, Dataset, DatasetSource, RowSource, SourceError};
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig};
-use dpcopula::{distfit, CorrelationMethod, DpCopulaError, EngineOptions, SynthesisRequest};
+use dpcopula::kendall::SamplingStrategy;
+use dpcopula::mle::PartitionStrategy;
+use dpcopula::synthesizer::DpCopulaConfig;
+use dpcopula::{
+    distfit, CorrelationMethod, DpCopulaError, EngineOptions, FittedModel, SamplingProfile,
+    SynthesisRequest,
+};
 use dpmech::Epsilon;
 use obskit::MetricsSink;
 use rngkit::rngs::StdRng;
@@ -34,6 +39,67 @@ fn test_dataset(m: usize, n: usize, domain: u32, seed: u64) -> Dataset {
         .map(|j| Attribute::new(format!("attr{j}"), domain as usize))
         .collect();
     Dataset::new(attributes, columns)
+}
+
+/// The single-process fit on resident columns, named like the dataset.
+fn eager_fit(
+    dataset: &Dataset,
+    config: DpCopulaConfig,
+    seed: u64,
+    opts: EngineOptions,
+) -> FittedModel {
+    let (mut model, _) =
+        SynthesisRequest::from_config(dataset.columns(), &dataset.domains(), config)
+            .engine(opts)
+            .seed(seed)
+            .fit()
+            .unwrap();
+    let names: Vec<&str> = dataset
+        .attributes()
+        .iter()
+        .map(|a| a.name.as_str())
+        .collect();
+    model.set_attribute_names(&names);
+    model
+}
+
+/// The single-process fit reading a streaming source.
+fn streamed_fit(
+    source: impl RowSource,
+    config: DpCopulaConfig,
+    seed: u64,
+    opts: EngineOptions,
+) -> Result<FittedModel, DpCopulaError> {
+    SynthesisRequest::from_source_config(source, config)
+        .engine(opts)
+        .seed(seed)
+        .fit()
+        .map(|(model, _)| model)
+}
+
+fn window(model: &FittedModel, offset: usize, n: usize, workers: usize) -> Vec<Vec<u32>> {
+    model
+        .try_sample_range_profiled(SamplingProfile::Reference, offset, n, workers)
+        .unwrap()
+}
+
+/// Hides a source's rewind capability, so the fit must buffer its
+/// blocks on the counting pass and replay them.
+struct OnePass<S>(S);
+
+impl<S: RowSource> RowSource for OnePass<S> {
+    fn attributes(&self) -> &[Attribute] {
+        self.0.attributes()
+    }
+    fn rewindable(&self) -> bool {
+        false
+    }
+    fn next_block(&mut self) -> Result<Option<Block>, SourceError> {
+        self.0.next_block()
+    }
+    fn rewind(&mut self) -> Result<(), SourceError> {
+        Err(SourceError::NotRewindable)
+    }
 }
 
 /// Runs `fit_shard` for every shard of `dataset` under `shards`, each
@@ -76,15 +142,7 @@ fn fit_shard_plus_merge_matches_in_process_sharded_fit_bytewise() {
         opts.shards = shards;
 
         // Reference: the single-process sharded fit on resident columns.
-        let (mut reference, _) = DpCopula::new(config)
-            .fit_staged(dataset.columns(), &dataset.domains(), 42, &opts)
-            .unwrap();
-        let names: Vec<&str> = dataset
-            .attributes()
-            .iter()
-            .map(|a| a.name.as_str())
-            .collect();
-        reference.set_attribute_names(&names);
+        let reference = eager_fit(&dataset, config, 42, opts);
 
         // Distributed: N fit-shard workers + one merge.
         let parts = fit_all_shards(&dataset, &config, shards, 42, &opts);
@@ -98,8 +156,8 @@ fn fit_shard_plus_merge_matches_in_process_sharded_fit_bytewise() {
         // And the served rows agree (follows from artifact equality, but
         // pins the whole serve path too).
         assert_eq!(
-            merged.sample_range(0, 500, 3),
-            reference.sample_range(0, 500, 1),
+            window(&merged, 0, 500, 3),
+            window(&reference, 0, 500, 1),
             "shards={shards}"
         );
     }
@@ -111,19 +169,11 @@ fn fit_shard_identity_holds_under_record_sampling_and_other_margins() {
     // margin registry name rides through the `.dpcs` config section.
     let dataset = test_dataset(3, 1_501, 24, 11);
     let mut config = DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap());
-    config.method = CorrelationMethod::Kendall(dpcopula::kendall::SamplingStrategy::Fixed(400));
+    config.method = CorrelationMethod::Kendall(SamplingStrategy::Fixed(400));
     let config = config.with_margin(dpcopula::MarginMethod::Privelet);
     let mut opts = EngineOptions::with_workers(3);
     opts.shards = 4;
-    let (mut reference, _) = DpCopula::new(config)
-        .fit_staged(dataset.columns(), &dataset.domains(), 9, &opts)
-        .unwrap();
-    let names: Vec<&str> = dataset
-        .attributes()
-        .iter()
-        .map(|a| a.name.as_str())
-        .collect();
-    reference.set_attribute_names(&names);
+    let reference = eager_fit(&dataset, config, 9, opts);
 
     let parts = fit_all_shards(&dataset, &config, 4, 9, &opts);
     let merged = distfit::merge_shards(&parts, 1, &off()).unwrap();
@@ -165,31 +215,45 @@ fn dpcs_artifacts_round_trip_through_disk() {
 
 #[test]
 fn streaming_source_fit_matches_eager_fit_bytewise() {
+    // The resident and streamed fits share one reducer, so every block
+    // size (1 row, odd, larger than the input), every Kendall subsample
+    // strategy and every shard count must release the eager bytes —
+    // from a rewindable source and from a buffered one-pass source.
     let dataset = test_dataset(3, 1_200, 20, 13);
-    let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-    for shards in [1usize, 3] {
+    let mut cases: Vec<(CorrelationMethod, usize)> = Vec::new();
+    for strategy in [
+        SamplingStrategy::Auto,
+        SamplingStrategy::Full,
+        SamplingStrategy::Fixed(300),
+    ] {
+        for shards in [1usize, 3] {
+            cases.push((CorrelationMethod::Kendall(strategy), shards));
+        }
+    }
+    // Estimators without a mergeable summary read the raw records.
+    cases.push((CorrelationMethod::Spearman, 1));
+    cases.push((CorrelationMethod::Mle(PartitionStrategy::Fixed(40)), 1));
+    for (method, shards) in cases {
+        let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+        config.method = method;
         let mut opts = EngineOptions::with_workers(2);
         opts.shards = shards;
-        let (mut eager, _) = DpCopula::new(config)
-            .fit_staged(dataset.columns(), &dataset.domains(), 21, &opts)
-            .unwrap();
-        let names: Vec<&str> = dataset
-            .attributes()
-            .iter()
-            .map(|a| a.name.as_str())
-            .collect();
-        eager.set_attribute_names(&names);
-
-        // Small blocks force the gather across many block boundaries.
-        let mut source = DatasetSource::with_block_rows(dataset.clone(), 97);
-        let (streamed, _) = DpCopula::new(config)
-            .fit_source(&mut source, 21, &opts)
-            .unwrap();
-        assert_eq!(
-            streamed.artifact().encode(),
-            eager.artifact().encode(),
-            "shards={shards}"
-        );
+        let eager = eager_fit(&dataset, config, 21, opts).artifact().encode();
+        for block_rows in [1usize, 97, 8192] {
+            let source = DatasetSource::with_block_rows(dataset.clone(), block_rows);
+            let streamed = streamed_fit(source.clone(), config, 21, opts).unwrap();
+            assert_eq!(
+                streamed.artifact().encode(),
+                eager,
+                "{method:?} shards={shards} block_rows={block_rows}"
+            );
+            let one_pass = streamed_fit(OnePass(source), config, 21, opts).unwrap();
+            assert_eq!(
+                one_pass.artifact().encode(),
+                eager,
+                "one-pass {method:?} shards={shards} block_rows={block_rows}"
+            );
+        }
     }
 }
 
@@ -205,20 +269,9 @@ fn streaming_csv_source_fit_matches_eager_fit_bytewise() {
 
     let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
     let opts = EngineOptions::with_workers(2);
-    let (mut eager, _) = DpCopula::new(config)
-        .fit_staged(dataset.columns(), &dataset.domains(), 5, &opts)
-        .unwrap();
-    let names: Vec<&str> = dataset
-        .attributes()
-        .iter()
-        .map(|a| a.name.as_str())
-        .collect();
-    eager.set_attribute_names(&names);
-
-    let mut source = CsvFileSource::open_with_block_rows(&path, 128).unwrap();
-    let (streamed, _) = DpCopula::new(config)
-        .fit_source(&mut source, 5, &opts)
-        .unwrap();
+    let eager = eager_fit(&dataset, config, 5, opts);
+    let source = CsvFileSource::open_with_block_rows(&path, 128).unwrap();
+    let streamed = streamed_fit(source, config, 5, opts).unwrap();
     assert_eq!(streamed.artifact().encode(), eager.artifact().encode());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -251,15 +304,6 @@ fn source_request_surface_matches_eager_request_bytewise() {
     let (a, _) = request.run().unwrap();
     let (b, _) = request.run().unwrap();
     assert_eq!(a.columns, b.columns);
-
-    // The .input() migration hop releases the same bytes as from_source.
-    let (hopped, _) = SynthesisRequest::from_config(dataset.columns(), &dataset.domains(), config)
-        .input(DatasetSource::new(dataset.clone()))
-        .seed(31)
-        .workers(2)
-        .run()
-        .unwrap();
-    assert_eq!(hopped.columns, eager.columns);
 
     // fit() through a source names the schema from the source.
     let (model, _) = SynthesisRequest::from_source_config(DatasetSource::new(dataset), config)
@@ -382,12 +426,28 @@ fn merge_misuse_names_the_culprit_file() {
     );
 }
 
-/// A deliberately misbehaving source: advertises domain 4 but emits a 9.
+/// A deliberately misbehaving source: advertises domain 4 but emits 9s.
 /// `Dataset` can't represent this (its constructor validates), which is
-/// exactly why the streaming gather must catch it itself.
+/// exactly why the streaming fits must catch it themselves.
+#[derive(Clone)]
 struct LyingSource {
     attrs: Vec<Attribute>,
-    done: bool,
+    blocks: Vec<Vec<Vec<u32>>>,
+    next: usize,
+}
+
+impl LyingSource {
+    fn new(blocks: Vec<Vec<Vec<u32>>>) -> Self {
+        Self {
+            attrs: vec![Attribute::new("a", 4), Attribute::new("b", 4)],
+            blocks,
+            next: 0,
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.blocks.iter().map(|b| b[0].len()).sum()
+    }
 }
 
 impl RowSource for LyingSource {
@@ -398,34 +458,57 @@ impl RowSource for LyingSource {
         true
     }
     fn next_block(&mut self) -> Result<Option<Block>, SourceError> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        Ok(Some(Block::new(vec![vec![0, 1, 2, 3], vec![0, 1, 9, 3]])))
+        let block = self.blocks.get(self.next).cloned().map(Block::new);
+        self.next += 1;
+        Ok(block)
     }
     fn rewind(&mut self) -> Result<(), SourceError> {
-        self.done = false;
+        self.next = 0;
         Ok(())
     }
 }
 
 #[test]
 fn streaming_gather_validates_like_the_eager_path() {
+    // Every input kind names the lowest attribute first, then the lowest
+    // row, within the first block that has a violation — for resident
+    // columns (one block) that is `validate_columns`' order.
     let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-    let mut source = LyingSource {
-        attrs: vec![Attribute::new("a", 4), Attribute::new("b", 4)],
-        done: false,
+    let opts = EngineOptions::default();
+    let out_of_domain = |dim, value| DpCopulaError::ValueOutOfDomain {
+        dim,
+        value,
+        domain: 4,
     };
-    let err = DpCopula::new(config)
-        .fit_source(&mut source, 1, &EngineOptions::default())
-        .unwrap_err();
-    assert_eq!(
-        err,
-        DpCopulaError::ValueOutOfDomain {
-            dim: 1,
-            value: 9,
-            domain: 4
+    let cases = [
+        (
+            vec![vec![vec![0, 1, 2, 9], vec![0, 9, 2, 3]]],
+            out_of_domain(0, 9),
+        ),
+        (
+            vec![vec![vec![0, 1], vec![0, 7]], vec![vec![9, 1], vec![0, 1]]],
+            out_of_domain(1, 7),
+        ),
+    ];
+    for (blocks, expected) in cases {
+        let source = LyingSource::new(blocks);
+        let n = source.rows();
+
+        let err = streamed_fit(source.clone(), config, 1, opts).unwrap_err();
+        assert_eq!(err, expected, "fit from a source");
+
+        let mut shard_source = source.clone();
+        let err =
+            distfit::fit_shard(&mut shard_source, &config, 0, 1, n, 1, &opts, &off()).unwrap_err();
+        assert_eq!(err, expected, "fit_shard");
+
+        // The whole input resident: one block.
+        if source.blocks.len() == 1 {
+            let columns = source.blocks[0].clone();
+            let err = SynthesisRequest::from_config(&columns, &[4, 4], config)
+                .fit()
+                .unwrap_err();
+            assert_eq!(err, expected, "fit from resident columns");
         }
-    );
+    }
 }

@@ -11,7 +11,8 @@ use dpcopula::engine::EngineOptions;
 use dpcopula::kendall::{dp_tau_matrix_par, SamplingStrategy};
 use dpcopula::mle::{dp_mle_matrix_par, PartitionStrategy};
 use dpcopula::spearman::dp_spearman_matrix_par;
-use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod, Synthesis};
+use dpcopula::{FittedModel, PipelineReport, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
 use obskit::MetricsSink;
 use rngkit::rngs::StdRng;
@@ -43,6 +44,49 @@ fn dataset(m: usize, n: usize, seed: u64) -> (Vec<Vec<u32>>, Vec<usize>) {
     (columns, domains)
 }
 
+/// One full run through the request front door.
+fn staged(
+    dp: &DpCopula,
+    columns: &[Vec<u32>],
+    domains: &[usize],
+    seed: u64,
+    opts: &EngineOptions,
+) -> (Synthesis, PipelineReport) {
+    SynthesisRequest::from_config(columns, domains, *dp.config())
+        .engine(*opts)
+        .seed(seed)
+        .run()
+        .unwrap()
+}
+
+/// A fitted model through the request front door.
+fn fitted(
+    dp: &DpCopula,
+    columns: &[Vec<u32>],
+    domains: &[usize],
+    seed: u64,
+    opts: &EngineOptions,
+) -> FittedModel {
+    SynthesisRequest::from_config(columns, domains, *dp.config())
+        .engine(*opts)
+        .seed(seed)
+        .fit()
+        .unwrap()
+        .0
+}
+
+fn window(
+    model: &FittedModel,
+    profile: SamplingProfile,
+    offset: usize,
+    n: usize,
+    workers: usize,
+) -> Vec<Vec<u32>> {
+    model
+        .try_sample_range_profiled(profile, offset, n, workers)
+        .unwrap()
+}
+
 fn bits(cols: &[Vec<f64>]) -> Vec<Vec<u64>> {
     cols.iter()
         .map(|c| c.iter().map(|v| v.to_bits()).collect())
@@ -59,18 +103,21 @@ fn margins_are_bitwise_equal_across_worker_counts() {
     ] {
         let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(margin);
         let dp = DpCopula::new(config);
-        let (serial, _) = dp
-            .synthesize_staged(&columns, &domains, 101, &EngineOptions::with_workers(1))
-            .unwrap();
+        let (serial, _) = staged(
+            &dp,
+            &columns,
+            &domains,
+            101,
+            &EngineOptions::with_workers(1),
+        );
         for workers in WORKER_COUNTS {
-            let (par, _) = dp
-                .synthesize_staged(
-                    &columns,
-                    &domains,
-                    101,
-                    &EngineOptions::with_workers(workers),
-                )
-                .unwrap();
+            let (par, _) = staged(
+                &dp,
+                &columns,
+                &domains,
+                101,
+                &EngineOptions::with_workers(workers),
+            );
             assert_eq!(
                 bits(&par.noisy_margins),
                 bits(&serial.noisy_margins),
@@ -142,15 +189,11 @@ fn sampled_records_are_bitwise_equal_across_worker_counts() {
         // Small chunks so several sampling tasks exist per worker.
         let mut opts = EngineOptions::with_workers(1);
         opts.sample_chunk = 512;
-        let (serial, _) = dp
-            .synthesize_staged(&columns, &domains, 505, &opts)
-            .unwrap();
+        let (serial, _) = staged(&dp, &columns, &domains, 505, &opts);
         for workers in WORKER_COUNTS {
             let mut opts = EngineOptions::with_workers(workers);
             opts.sample_chunk = 512;
-            let (par, _) = dp
-                .synthesize_staged(&columns, &domains, 505, &opts)
-                .unwrap();
+            let (par, _) = staged(&dp, &columns, &domains, 505, &opts);
             assert_eq!(
                 par.columns, serial.columns,
                 "method={method:?} workers={workers}"
@@ -162,7 +205,7 @@ fn sampled_records_are_bitwise_equal_across_worker_counts() {
 
 #[test]
 fn fitted_model_windows_are_bitwise_equal_across_worker_counts() {
-    // The serving layer's contract: `sample_range` is keyed off absolute
+    // The serving layer's contract: a window is keyed off absolute
     // row position, so rows [0, N) must equal the concatenation of
     // [0, k) and [k, N) — for every split point, at every worker count,
     // and after an artifact save/load round-trip.
@@ -170,14 +213,14 @@ fn fitted_model_windows_are_bitwise_equal_across_worker_counts() {
     let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
     let mut opts = EngineOptions::with_workers(1);
     opts.sample_chunk = 512; // several chunks per window
-    let (model, _) = dp.fit_staged(&columns, &domains, 606, &opts).unwrap();
+    let model = fitted(&dp, &columns, &domains, 606, &opts);
 
     let n = 2_500;
-    let whole = model.sample_range(0, n, 1);
+    let whole = window(&model, SamplingProfile::Reference, 0, n, 1);
     for k in [1, 511, 512, 513, 1_250, 2_499] {
         for &workers in &[1, 2, 7] {
-            let head = model.sample_range(0, k, workers);
-            let tail = model.sample_range(k, n - k, workers);
+            let head = window(&model, SamplingProfile::Reference, 0, k, workers);
+            let tail = window(&model, SamplingProfile::Reference, k, n - k, workers);
             for j in 0..model.dims() {
                 let stitched: Vec<u32> = head[j].iter().chain(&tail[j]).copied().collect();
                 assert_eq!(stitched, whole[j], "split k={k} workers={workers} col {j}");
@@ -190,8 +233,11 @@ fn fitted_model_windows_are_bitwise_equal_across_worker_counts() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("m.dpcm");
     model.save(&path).unwrap();
-    let reloaded = dpcopula::FittedModel::load(&path).unwrap();
-    assert_eq!(reloaded.sample_range(0, n, 7), whole);
+    let reloaded = FittedModel::load(&path).unwrap();
+    assert_eq!(
+        window(&reloaded, SamplingProfile::Reference, 0, n, 7),
+        whole
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -205,19 +251,15 @@ fn reference_profile_is_the_default_and_pins_todays_bytes() {
     let implicit = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
     let explicit = DpCopula::new(
         DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap())
-            .with_profile(dpcopula::SamplingProfile::Reference),
+            .with_profile(SamplingProfile::Reference),
     );
     let mut opts = EngineOptions::with_workers(1);
     opts.sample_chunk = 512;
-    let (base, _) = implicit
-        .synthesize_staged(&columns, &domains, 707, &opts)
-        .unwrap();
+    let (base, _) = staged(&implicit, &columns, &domains, 707, &opts);
     for &workers in &[1, 2, 7] {
         let mut opts = EngineOptions::with_workers(workers);
         opts.sample_chunk = 512;
-        let (exp, _) = explicit
-            .synthesize_staged(&columns, &domains, 707, &opts)
-            .unwrap();
+        let (exp, _) = staged(&explicit, &columns, &domains, 707, &opts);
         assert_eq!(exp.columns, base.columns, "workers={workers}");
     }
 }
@@ -228,32 +270,27 @@ fn fast_profile_is_bitwise_equal_with_itself_across_worker_counts() {
     // worker count, through the full engine and through serving.
     let (columns, domains) = dataset(4, 3_000, 9);
     let dp = DpCopula::new(
-        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap())
-            .with_profile(dpcopula::SamplingProfile::Fast),
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_profile(SamplingProfile::Fast),
     );
     let mut opts = EngineOptions::with_workers(1);
     opts.sample_chunk = 512;
-    let (serial, _) = dp
-        .synthesize_staged(&columns, &domains, 808, &opts)
-        .unwrap();
+    let (serial, _) = staged(&dp, &columns, &domains, 808, &opts);
     for workers in WORKER_COUNTS {
         let mut opts = EngineOptions::with_workers(workers);
         opts.sample_chunk = 512;
-        let (par, _) = dp
-            .synthesize_staged(&columns, &domains, 808, &opts)
-            .unwrap();
+        let (par, _) = staged(&dp, &columns, &domains, 808, &opts);
         assert_eq!(par.columns, serial.columns, "workers={workers}");
     }
 
     // Serving side: fast windows split seamlessly, like reference ones.
-    let (model, _) = dp.fit_staged(&columns, &domains, 808, &opts).unwrap();
-    let fast = dpcopula::SamplingProfile::Fast;
+    let model = fitted(&dp, &columns, &domains, 808, &opts);
+    let fast = SamplingProfile::Fast;
     let n = 2_000;
-    let whole = model.sample_range_profiled(fast, 0, n, 1);
+    let whole = window(&model, fast, 0, n, 1);
     for k in [1, 511, 512, 513, 1_999] {
         for &workers in &[1, 2, 7] {
-            let head = model.sample_range_profiled(fast, 0, k, workers);
-            let tail = model.sample_range_profiled(fast, k, n - k, workers);
+            let head = window(&model, fast, 0, k, workers);
+            let tail = window(&model, fast, k, n - k, workers);
             for j in 0..model.dims() {
                 let stitched: Vec<u32> = head[j].iter().chain(&tail[j]).copied().collect();
                 assert_eq!(stitched, whole[j], "split k={k} workers={workers} col {j}");

@@ -9,7 +9,8 @@
 
 use dpcopula::engine::EngineOptions;
 use dpcopula::kendall::SamplingStrategy;
-use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod};
+use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use rngkit::rngs::StdRng;
 use rngkit::{Rng, SeedableRng};
@@ -45,8 +46,10 @@ fn fixture_path(name: &str) -> PathBuf {
 /// named fixture (or rewrites it under `PIN_UPDATE=1`).
 fn assert_pinned(config: DpCopulaConfig, opts: &EngineOptions, name: &str) {
     let (columns, domains) = dataset(3, 4_000, 20240601);
-    let (model, _) = DpCopula::new(config)
-        .fit_staged(&columns, &domains, 77, opts)
+    let (model, _) = SynthesisRequest::from_config(&columns, &domains, config)
+        .engine(*opts)
+        .seed(77)
+        .fit()
         .unwrap();
     let bytes = model.artifact().encode();
     let path = fixture_path(name);

@@ -126,11 +126,6 @@ pub trait RowSource {
 
     /// Restarts the stream from the first row.
     fn rewind(&mut self) -> Result<(), SourceError>;
-
-    /// Total row count, when the source knows it without a pass.
-    fn known_rows(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// The eager-to-streaming adapter: serves an in-memory [`Dataset`] as a
@@ -186,10 +181,6 @@ impl RowSource for DatasetSource {
     fn rewind(&mut self) -> Result<(), SourceError> {
         self.cursor = 0;
         Ok(())
-    }
-
-    fn known_rows(&self) -> Option<usize> {
-        Some(self.dataset.len())
     }
 }
 
@@ -299,7 +290,6 @@ mod tests {
         let d = toy();
         let mut s = DatasetSource::with_block_rows(d.clone(), 2);
         assert!(s.rewindable());
-        assert_eq!(s.known_rows(), Some(5));
         assert_eq!(s.attributes(), d.attributes());
         assert_eq!(drain(&mut s), d.columns());
         // Exhausted stream stays exhausted until rewound.

@@ -71,7 +71,7 @@ pub const MODELSTORE_SECTION_PARSE_NS: &str = "modelstore_section_parse_ns";
 /// the `.dpcm` sections in wire order.
 pub const SECTIONS: [&str; 6] = ["SCHM", "MRGN", "CORR", "COPL", "BDGT", "PROV"];
 
-/// Rows served from a fitted model via `sample_range`.
+/// Rows served from a fitted model via `try_sample_range_profiled`.
 pub const SERVE_ROWS_TOTAL: &str = "serve_rows_total";
 /// Row windows served from a fitted model.
 pub const SERVE_WINDOWS_TOTAL: &str = "serve_windows_total";
@@ -126,10 +126,10 @@ pub const SAMPLING_PROFILE_ROWS_TOTAL: &str = "sampling_profile_rows_total";
 pub const SAMPLING_PROFILES: [&str; 2] = ["reference", "fast"];
 
 /// Span paths the instrumented pipeline and serving layer produce.
-/// `pipeline/shard_fit` and `pipeline/shard_merge` cut across the
-/// margin and correlation stages: summary building (per-shard work plus
-/// the cross-shard concordance fan-out) vs. the serial fold of the
-/// summaries into one model, the sharded fit's two cost centres.
+/// `pipeline/shard_fit` and `pipeline/shard_merge` cut across the fit
+/// stages: summary building (ingest, per-shard work and the cross-shard
+/// concordance fan-out) vs. the serial fold of the summaries into one
+/// model, the sharded fit's two cost centres.
 pub const SPAN_PATHS: [&str; 12] = [
     "pipeline",
     "pipeline/budget_plan",

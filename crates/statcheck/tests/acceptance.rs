@@ -10,15 +10,17 @@
 //! The sweeps cover the three statistical layers of the workspace:
 //! every registered margin method in `dphist::MarginRegistry`, the
 //! Kendall / Spearman / MLE correlation estimators, and the end-to-end
-//! `fit_staged → save → load → sample_range` path against generator
+//! `fit → save → load → try_sample_range_profiled` path against generator
 //! ground truth.
 
 use datagen::margin::TableMargin;
 use datagen::synthetic::{MarginKind, SyntheticSpec};
 use dpcopula::kendall::{kendall_tau, SamplingStrategy};
-use dpcopula::shard::{build_margin_summaries, dp_tau_matrix_sharded, merge_margins, shard_specs};
+use dpcopula::shard::{
+    build_margin_summaries_from_counts, dp_tau_matrix_sharded, merge_margins, shard_specs,
+};
 use dpcopula::synthesizer::CorrelationMethod;
-use dpcopula::{DpCopula, DpCopulaConfig, EngineOptions, FittedModel};
+use dpcopula::{DpCopulaConfig, EngineOptions, FittedModel, SamplingProfile, SynthesisRequest};
 use dphist::histogram::Histogram1D;
 use dphist::MarginRegistry;
 use dpmech::Epsilon;
@@ -40,6 +42,28 @@ fn gaussian_truth(domain: usize, total: f64) -> Vec<f64> {
             p * total
         })
         .collect()
+}
+
+/// Fits `data` through the request front door.
+fn fit(
+    config: DpCopulaConfig,
+    data: &datagen::Dataset,
+    seed: u64,
+    opts: EngineOptions,
+) -> FittedModel {
+    SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+        .engine(opts)
+        .seed(seed)
+        .fit()
+        .unwrap()
+        .0
+}
+
+/// The reference-profile rows `[0, n)` of a fitted model.
+fn rows(model: &FittedModel, n: usize, workers: usize) -> Vec<Vec<u32>> {
+    model
+        .try_sample_range_profiled(SamplingProfile::Reference, 0, n, workers)
+        .unwrap()
 }
 
 /// Normalised L1 distance between a published histogram and the truth.
@@ -120,9 +144,15 @@ fn sharded_margins_track_single_shard_error_on_every_method() {
                 (0..seeds)
                     .map(|s| {
                         let specs = shard_specs(n, shards);
-                        let summaries = build_margin_summaries(
-                            col,
-                            &[64],
+                        let counts: Vec<Vec<Vec<f64>>> = specs
+                            .iter()
+                            .map(|spec| {
+                                let part = &col[0][spec.start..spec.end];
+                                vec![Histogram1D::from_values(part, 64).counts().to_vec()]
+                            })
+                            .collect();
+                        let summaries = build_margin_summaries_from_counts(
+                            &counts,
                             &specs,
                             name,
                             eps,
@@ -239,13 +269,11 @@ fn sharded_fit_tracks_single_shard_error_end_to_end() {
             .map(|(ei, &eps)| {
                 (0..seeds)
                     .map(|s| {
-                        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(eps).unwrap()));
+                        let config = DpCopulaConfig::kendall(Epsilon::new(eps).unwrap());
                         let mut opts = EngineOptions::with_workers(2);
                         opts.shards = shards;
                         let seed = 1000 * (ei as u64 + 1) + s;
-                        let (model, _) = dp
-                            .fit_staged(data.columns(), &data.domains(), seed, &opts)
-                            .unwrap();
+                        let model = fit(config, &data, seed, opts);
                         correlation_mean_abs_error(&truth, &model.artifact().correlation)
                     })
                     .sum::<f64>()
@@ -305,11 +333,8 @@ fn correlation_estimators_recover_dependence_as_epsilon_grows() {
             .map(|(ei, &eps)| {
                 (0..seeds)
                     .map(|s| {
-                        let dp = DpCopula::new(cfg_at(eps));
                         let seed = 1000 * (ei as u64 + 1) + s;
-                        let (model, _) = dp
-                            .fit_staged(data.columns(), &data.domains(), seed, &opts)
-                            .unwrap();
+                        let model = fit(cfg_at(eps), &data, seed, opts);
                         correlation_mean_abs_error(&truth, &model.artifact().correlation)
                     })
                     .sum::<f64>()
@@ -340,11 +365,9 @@ fn correlation_estimators_recover_dependence_as_epsilon_grows() {
         .map(|(ei, &eps)| {
             (0..seeds)
                 .map(|s| {
-                    let dp = DpCopula::new(DpCopulaConfig::mle(Epsilon::new(eps).unwrap()));
+                    let config = DpCopulaConfig::mle(Epsilon::new(eps).unwrap());
                     let seed = 5000 * (ei as u64 + 1) + s;
-                    let (model, _) = dp
-                        .fit_staged(data.columns(), &data.domains(), seed, &opts)
-                        .unwrap();
+                    let model = fit(config, &data, seed, opts);
                     correlation_mean_abs_error(&truth, &model.artifact().correlation)
                 })
                 .sum::<f64>()
@@ -374,22 +397,15 @@ fn end_to_end_serving_recovers_generator_truth() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let serve_error = |eps: f64, fit_seed: u64| -> (f64, f64) {
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(eps).unwrap()));
-        let (model, _) = dp
-            .fit_staged(
-                data.columns(),
-                &data.domains(),
-                fit_seed,
-                &EngineOptions::with_workers(2),
-            )
-            .unwrap();
+        let config = DpCopulaConfig::kendall(Epsilon::new(eps).unwrap());
+        let model = fit(config, &data, fit_seed, EngineOptions::with_workers(2));
         // Round-trip through the artifact store: the audit must score
         // what a deployment would actually serve, not the in-memory fit.
         let path = dir.join(format!("m_{eps}_{fit_seed}.dpcm"));
         model.save(&path).unwrap();
         let served = FittedModel::from_artifact(ModelArtifact::load(&path).unwrap()).unwrap();
-        let cols = served.try_sample_range(0, spec.records, 3).unwrap();
-        assert_eq!(cols, model.sample_range(0, spec.records, 1));
+        let cols = rows(&served, spec.records, 3);
+        assert_eq!(cols, rows(&model, spec.records, 1));
         for col in &cols {
             assert!(col.iter().all(|&v| (v as usize) < spec.domain));
         }

@@ -9,19 +9,20 @@
 //! ```
 
 use datagen::census::us_census;
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig};
-use dpcopula::{EngineOptions, FittedModel};
+use dpcopula::{EngineOptions, FittedModel, SamplingProfile, SynthesisRequest};
 use dpcopula_examples::heading;
 use dpmech::Epsilon;
 
 fn main() {
     heading("fitting the model (this is the only step that spends epsilon)");
     let data = us_census(30_000, 13);
-    let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-    let opts = EngineOptions::with_workers(4);
-    let (mut model, report) = dp
-        .fit_staged(data.columns(), &data.domains(), 2024, &opts)
-        .expect("fit failed");
+    let domains = data.domains();
+    let (mut model, report) =
+        SynthesisRequest::new(data.columns(), &domains, Epsilon::new(1.0).unwrap())
+            .engine(EngineOptions::with_workers(4))
+            .seed(2024)
+            .fit()
+            .expect("fit failed");
     let names: Vec<&str> = data.attributes().iter().map(|a| a.name.as_str()).collect();
     model.set_attribute_names(&names);
     println!(
@@ -52,7 +53,9 @@ fn main() {
     for s in 0..3 {
         let server = FittedModel::load(path).expect("artifact must load");
         let offset = s * shard_rows;
-        let rows = server.sample_range(offset, shard_rows, 1 + s);
+        let rows = server
+            .try_sample_range_profiled(SamplingProfile::Reference, offset, shard_rows, 1 + s)
+            .expect("in-range window");
         println!(
             "  server {s}: rows [{offset}, {}) with {} worker(s)",
             offset + shard_rows,
@@ -64,7 +67,8 @@ fn main() {
     heading("checking the shards stitch to the single-machine output");
     let reference = FittedModel::load(path)
         .expect("artifact must load")
-        .sample_range(0, n, 8);
+        .try_sample_range_profiled(SamplingProfile::Reference, 0, n, 8)
+        .expect("in-range window");
     for j in 0..model.dims() {
         let stitched: Vec<u32> = shards.iter().flat_map(|s| s[j].iter().copied()).collect();
         assert_eq!(stitched, reference[j], "column {j} must stitch exactly");

@@ -159,8 +159,12 @@ fn tau_matrix(columns: &[Vec<u32>]) -> Matrix {
 fn fast_profile_is_distributionally_equal_to_reference_for_every_margin_method() {
     for method in METHODS {
         let model = fit(method);
-        let reference = model.sample_range(0, N_SERVE, 2);
-        let fast = model.sample_range_profiled(SamplingProfile::Fast, 0, N_SERVE, 3);
+        let reference = model
+            .try_sample_range_profiled(SamplingProfile::Reference, 0, N_SERVE, 2)
+            .unwrap();
+        let fast = model
+            .try_sample_range_profiled(SamplingProfile::Fast, 0, N_SERVE, 3)
+            .unwrap();
 
         let margins: Vec<MarginalDistribution> = model
             .artifact()
@@ -193,7 +197,9 @@ fn both_profiles_stay_within_attribute_domains() {
     let model = fit(MarginMethod::Efpa);
     let domains = model.domains();
     for profile in [SamplingProfile::Reference, SamplingProfile::Fast] {
-        let cols = model.sample_range_profiled(profile, 0, 5_000, 2);
+        let cols = model
+            .try_sample_range_profiled(profile, 0, 5_000, 2)
+            .unwrap();
         for (col, &d) in cols.iter().zip(&domains) {
             assert_eq!(col.len(), 5_000);
             assert!(

@@ -259,7 +259,9 @@ fn split_writes_reassemble_to_a_byte_identical_response() {
     assert_eq!(split.body, direct.body);
     // And both match in-process sampling of the saved artifact.
     let model = dpcopula::FittedModel::load(server.model_dir.join("census.dpcm")).unwrap();
-    let columns = model.try_sample_range(100, 64, 1).unwrap();
+    let columns = model
+        .try_sample_range_profiled(dpcopula::SamplingProfile::Reference, 100, 64, 1)
+        .unwrap();
     let attributes: Vec<datagen::Attribute> = model
         .artifact()
         .schema

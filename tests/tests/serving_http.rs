@@ -159,7 +159,9 @@ fn http_sample_window_is_byte_identical_to_in_process_sampling() {
     // ...must be byte-for-byte what in-process sampling of the same
     // artifact produces, at an unrelated worker count.
     let model = FittedModel::load(server.model_dir.join("census.dpcm")).unwrap();
-    let columns = model.try_sample_range(1000, 200, 3).unwrap();
+    let columns = model
+        .try_sample_range_profiled(dpcopula::SamplingProfile::Reference, 1000, 200, 3)
+        .unwrap();
     let attributes: Vec<datagen::Attribute> = model
         .artifact()
         .schema
