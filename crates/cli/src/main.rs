@@ -8,7 +8,8 @@
 //! artifact (free post-processing), `synth` runs the classic one-shot
 //! fit-and-sample pipeline in process, `eval` scores a synthetic CSV
 //! against a reference with random range-count queries, and `serve`
-//! runs the `dpcopula-serve` HTTP daemon over a model directory.
+//! runs the synthesis daemon (`crates/serve`) over a model directory —
+//! the daemon's only command-line front door.
 //!
 //! Determinism contract: `fit` + `sample --offset 0 --rows n` produces
 //! byte-for-byte the CSV `synth` emits for the same input, seed, and
@@ -772,7 +773,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         write_timeout: ms_flag(flags, "write-timeout-ms", defaults.write_timeout)?,
         head_timeout: ms_flag(flags, "head-timeout-ms", defaults.head_timeout)?,
         body_timeout: ms_flag(flags, "body-timeout-ms", defaults.body_timeout)?,
-        drain_deadline: defaults.drain_deadline,
     };
     let server = Server::bind(config).map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;

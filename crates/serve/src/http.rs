@@ -53,12 +53,13 @@ impl ReadLimits {
     }
 }
 
-/// Spooling policy for one route: bodies too large for the in-memory
-/// cap are streamed to a temp file instead of refused, up to a larger
-/// cap. Used by `POST /v1/fit` for out-of-core CSV ingestion.
+/// Spooling policy for one route: `text/csv` bodies too large for the
+/// in-memory cap are streamed to a temp file instead of refused, up to a
+/// larger cap. Used by `POST /v1/fit` for out-of-core CSV ingestion.
 #[derive(Debug, Clone)]
 pub struct SpoolPolicy {
-    /// The only request path eligible for spooling.
+    /// The only request path eligible for spooling (and only for
+    /// `Content-Type: text/csv` bodies).
     pub path: String,
     /// Hard cap on a spooled body (bytes on disk, not in memory).
     pub max_body: usize,
@@ -77,11 +78,25 @@ pub struct SpooledBody {
 static SPOOL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl SpooledBody {
+    /// Creates a new spool file in `dir`, readable by this user only:
+    /// it holds raw training rows. The names are predictable, so the
+    /// file is opened with `create_new`, which never truncates or
+    /// follows a file or symlink planted at the name; a taken name
+    /// moves on to the next sequence number.
     fn create(dir: &Path) -> std::io::Result<(std::fs::File, Self)> {
-        let seq = SPOOL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("dpcopula-spool-{}-{seq}.csv", std::process::id()));
-        let file = std::fs::File::create(&path)?;
-        Ok((file, Self { path }))
+        let mut options = std::fs::OpenOptions::new();
+        options.write(true).create_new(true);
+        #[cfg(unix)]
+        std::os::unix::fs::OpenOptionsExt::mode(&mut options, 0o600);
+        loop {
+            let seq = SPOOL_SEQ.fetch_add(1, Ordering::Relaxed);
+            let path = dir.join(format!("dpcopula-spool-{}-{seq}.csv", std::process::id()));
+            match options.open(&path) {
+                Ok(file) => return Ok((file, Self { path })),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Where the body bytes landed.
@@ -131,6 +146,19 @@ impl Request {
         !self
             .header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    }
+
+    /// Whether the body is declared `Content-Type: text/csv` (parameters
+    /// after `;` ignored): the raw-CSV fit shape, and the only body that
+    /// may spool.
+    pub(crate) fn is_csv(&self) -> bool {
+        self.header("content-type").is_some_and(|v| {
+            v.split(';')
+                .next()
+                .unwrap_or("")
+                .trim()
+                .eq_ignore_ascii_case("text/csv")
+        })
     }
 }
 
@@ -236,20 +264,19 @@ pub fn read_request<R: BufRead, W: Write>(
     read_request_spooled(stream, reply, limits, None)
 }
 
-/// [`read_request`] with an optional [`SpoolPolicy`]: a body that
-/// exceeds `limits.max_body` on the policy's path is streamed to a
+/// [`read_request`] with an optional [`SpoolPolicy`]: a `text/csv` body
+/// that exceeds `limits.max_body` on the policy's path is streamed to a
 /// temp file (never held in memory) up to the policy's own cap, and
 /// surfaced via [`Request::spooled`]. Everything else is unchanged —
-/// in particular, oversized bodies on other paths (or past the spool
-/// cap) are still refused with [`HttpError::PayloadTooLarge`] before
-/// any byte of the body is read.
+/// in particular, oversized bodies of any other path or type (or past
+/// the spool cap) are still refused with [`HttpError::PayloadTooLarge`]
+/// before any byte of the body is read.
 pub fn read_request_spooled<R: BufRead, W: Write>(
     stream: &mut R,
     reply: &mut W,
     limits: ReadLimits,
     spool: Option<&SpoolPolicy>,
 ) -> Result<Request, HttpError> {
-    let max_body = limits.max_body;
     let watch = Stopwatch::start();
     let request_line = read_head_line(stream, 0, &watch, limits.head_deadline, true)?;
     if request_line.is_empty() {
@@ -314,30 +341,28 @@ pub fn read_request_spooled<R: BufRead, W: Write>(
             })
         }
     };
-    // A body past the in-memory cap either spools (eligible path, under
-    // the spool cap) or is refused before any byte of it is read.
-    let spool_to = if declared <= max_body {
-        None
-    } else {
-        match spool {
-            Some(p) if path == p.path && declared <= p.max_body => Some(p),
-            _ => {
-                let limit = match spool {
-                    Some(p) if path == p.path => p.max_body.max(max_body),
-                    _ => max_body,
-                };
-                return Err(HttpError::PayloadTooLarge { declared, limit });
-            }
-        }
-    };
-
-    let request = Request {
+    let mut request = Request {
         method: method.to_string(),
         path,
         query,
         headers,
         body: Vec::new(),
         spooled: None,
+    };
+    // A body past the in-memory cap either spools (a CSV body on the
+    // policy's path, under the spool cap) or is refused before any byte
+    // of it is read.
+    let spool_to = if declared <= limits.max_body {
+        None
+    } else {
+        let spool = spool.filter(|p| request.path == p.path && request.is_csv());
+        match spool {
+            Some(p) if declared <= p.max_body => Some(p),
+            _ => {
+                let limit = spool.map_or(limits.max_body, |p| p.max_body.max(limits.max_body));
+                return Err(HttpError::PayloadTooLarge { declared, limit });
+            }
+        }
     };
     if declared == 0 {
         return Ok(request);
@@ -351,77 +376,57 @@ pub fn read_request_spooled<R: BufRead, W: Write>(
             .and_then(|()| reply.flush())
             .map_err(HttpError::Io)?;
     }
-    let body_watch = Stopwatch::start();
-    match spool_to {
+
+    // One copy loop for both destinations. A spooled body goes to disk
+    // one read at a time, so peak memory is the reader's buffer whatever
+    // the declared size; the SpooledBody guard deletes the file on
+    // every exit path.
+    let mut spooled = match spool_to {
+        Some(policy) => Some(SpooledBody::create(&policy.dir).map_err(HttpError::Io)?),
+        None => None,
+    };
+    let dest: &mut dyn Write = match &mut spooled {
+        Some((file, _)) => file,
         None => {
-            let mut body = vec![0u8; declared];
-            let mut got = 0;
-            while got < declared {
-                match stream.read(&mut body[got..]) {
-                    Ok(0) => return Err(HttpError::TruncatedBody { declared, got }),
-                    Ok(n) => {
-                        got += n;
-                        // A body that keeps trickling still has to finish
-                        // within the body deadline.
-                        if let Some(d) = limits.body_deadline {
-                            if got < declared && body_watch.elapsed() >= d {
-                                return Err(HttpError::BodyTimeout { declared, got });
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    // A read timeout mid-body: the declared bytes stopped
-                    // arriving — the peer is stalled, not idle.
-                    Err(e) if is_timeout(&e) => {
-                        return Err(HttpError::BodyTimeout { declared, got })
-                    }
-                    Err(e) => return Err(HttpError::Io(e)),
-                }
-            }
-            Ok(Request { body, ..request })
+            request.body.reserve_exact(declared);
+            &mut request.body
         }
-        Some(policy) => {
-            // Stream to disk chunk by chunk: peak memory is one scratch
-            // buffer regardless of the declared size. The SpooledBody
-            // guard deletes the file on every exit path.
-            let (mut file, spooled) = SpooledBody::create(&policy.dir).map_err(HttpError::Io)?;
-            let mut scratch = [0u8; 64 * 1024];
-            let mut got = 0;
-            while got < declared {
-                let want = scratch.len().min(declared - got);
-                match stream.read(&mut scratch[..want]) {
-                    Ok(0) => return Err(HttpError::TruncatedBody { declared, got }),
-                    Ok(n) => {
-                        file.write_all(&scratch[..n]).map_err(HttpError::Io)?;
-                        got += n;
-                        if let Some(d) = limits.body_deadline {
-                            if got < declared && body_watch.elapsed() >= d {
-                                return Err(HttpError::BodyTimeout { declared, got });
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) if is_timeout(&e) => {
-                        return Err(HttpError::BodyTimeout { declared, got })
-                    }
-                    Err(e) => return Err(HttpError::Io(e)),
-                }
+    };
+    let body_watch = Stopwatch::start();
+    let mut got = 0;
+    while got < declared {
+        let n = match stream.fill_buf() {
+            Ok([]) => return Err(HttpError::TruncatedBody { declared, got }),
+            Ok(buf) => {
+                let n = buf.len().min(declared - got);
+                dest.write_all(&buf[..n]).map_err(HttpError::Io)?;
+                n
             }
-            file.flush().map_err(HttpError::Io)?;
-            drop(file);
-            Ok(Request {
-                spooled: Some(Arc::new(spooled)),
-                ..request
-            })
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            // A read timeout mid-body: the declared bytes stopped
+            // arriving — the peer is stalled, not idle.
+            Err(e) if is_timeout(&e) => return Err(HttpError::BodyTimeout { declared, got }),
+            Err(e) => return Err(HttpError::Io(e)),
+        };
+        stream.consume(n);
+        got += n;
+        // A body that keeps trickling still has to finish within the
+        // body deadline.
+        if let Some(d) = limits.body_deadline {
+            if got < declared && body_watch.elapsed() >= d {
+                return Err(HttpError::BodyTimeout { declared, got });
+            }
         }
     }
+    request.spooled = spooled.map(|(_, body)| Arc::new(body));
+    Ok(request)
 }
 
 /// Reads one CRLF-terminated head line (request line or header),
 /// rejecting heads that exceed [`MAX_HEAD_BYTES`] in total or stall
 /// past `deadline` on `watch`. `first` marks the request line: a
-/// socket timeout before any byte of it is an idle keep-alive
-/// connection ([`HttpError::Closed`]), not a stalled head.
+/// socket timeout or EOF before any byte of it is an idle or closed
+/// keep-alive connection ([`HttpError::Closed`]), not a broken head.
 fn read_head_line<R: BufRead>(
     stream: &mut R,
     already: usize,
@@ -471,12 +476,14 @@ fn read_head_line<R: BufRead>(
             }
         }
     }
-    if line.is_empty() {
+    if first && line.is_empty() {
         // EOF between requests: clean close, signalled as empty line.
         Ok(String::new())
     } else {
+        // EOF anywhere else in the head, even between two header lines,
+        // leaves the request incomplete: it never reached its blank line.
         Err(HttpError::BadRequest {
-            reason: "connection closed mid-line".into(),
+            reason: "connection closed mid-head".into(),
         })
     }
 }
@@ -656,6 +663,7 @@ mod tests {
             b"POST /x HTTP/1.1\r\nContent-Length: many\r\n\r\n".to_vec(),
             b"POST /x HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab".to_vec(),
             b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+            b"POST /x HTTP/1.1\r\nHost: a\r\n".to_vec(),
         ] {
             assert!(
                 matches!(parse(&raw), Err(HttpError::BadRequest { .. })),
@@ -677,6 +685,52 @@ mod tests {
         .unwrap();
         assert_eq!(r.body, b"ok");
         assert_eq!(ack, b"HTTP/1.1 100 Continue\r\n\r\n");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn spool_files_are_private_and_never_reuse_a_planted_name() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!("dpcopula-spool-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Another user plants the next spool names: a file, and a
+        // symlink to a file of theirs.
+        let next = SPOOL_SEQ.load(Ordering::Relaxed);
+        let name = |seq: u64| dir.join(format!("dpcopula-spool-{}-{seq}.csv", std::process::id()));
+        let victim = dir.join("victim");
+        std::fs::write(&victim, b"victim").unwrap();
+        std::fs::write(name(next), b"planted").unwrap();
+        std::os::unix::fs::symlink(&victim, name(next + 1)).unwrap();
+
+        let body = "a:2\n1\n0\n1\n";
+        let raw = format!(
+            "POST /v1/fit HTTP/1.1\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let policy = SpoolPolicy {
+            path: "/v1/fit".into(),
+            max_body: 1024,
+            dir: dir.clone(),
+        };
+        let request = read_request_spooled(
+            &mut BufReader::new(raw.as_bytes()),
+            &mut Vec::new(),
+            ReadLimits::size_only(4),
+            Some(&policy),
+        )
+        .unwrap();
+        let spooled = request.spooled.as_ref().expect("body past the cap spools");
+        assert_eq!(std::fs::read(spooled.path()).unwrap(), body.as_bytes());
+        let mode = std::fs::metadata(spooled.path())
+            .unwrap()
+            .permissions()
+            .mode();
+        assert_eq!(mode & 0o777, 0o600, "spool file mode {mode:o}");
+        assert_eq!(std::fs::read(name(next)).unwrap(), b"planted");
+        assert_eq!(std::fs::read(&victim).unwrap(), b"victim");
+        drop(request);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! dependency-free HTTP/1.1 daemon that keeps `.dpcm` model artifacts
 //! hot in an LRU registry, meters fit requests against per-tenant
 //! privacy budgets, and streams deterministic synthetic row windows.
+//! The crate is a library: `dpcopula-cli serve` is the daemon's one
+//! command-line front door, and [`Server::bind`] runs it in-process.
 //!
 //! The crate is layered bottom-up:
 //!
@@ -11,14 +13,16 @@
 //!   (the workspace takes no dependencies, so the wire format is
 //!   handled in-repo like modelstore's codec);
 //! * [`http`] — request/response framing over `std::net` with hard
-//!   head/body limits and `Expect: 100-continue` support;
+//!   head/body limits, `Expect: 100-continue` support, and spooling of
+//!   oversized `text/csv` fit bodies to a private temp file;
 //! * [`registry`] — checksum-keyed LRU cache of decoded
 //!   [`FittedModel`]s over a watched artifact directory;
 //! * [`budget`] — per-tenant ε admission control on dpmech's integer
 //!   nano-ε ledger (fits are metered; sampling is ε-free
 //!   post-processing and never gated);
-//! * [`server`] — the routing daemon tying it together, with every
-//!   request counted and timed through obskit.
+//! * [`server`] — the routing daemon tying it together, one route per
+//!   endpoint (a single fit route for the JSON and raw-CSV shapes), with
+//!   every request counted and timed through obskit.
 //!
 //! Wire protocol and concurrency model are documented in DESIGN.md §13.
 //!

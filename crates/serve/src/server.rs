@@ -80,12 +80,13 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Hard cap on request body size.
     pub max_body_bytes: usize,
-    /// When larger than `max_body_bytes`, a `POST /v1/fit` CSV body up
-    /// to this size is spooled to a temp file and fed through the
-    /// out-of-core streaming fit instead of being refused with `413` —
-    /// peak memory stays bounded by the ingestion block size, not the
-    /// body. `0` (the default) disables spooling; every other route
-    /// keeps the `max_body_bytes` cap either way.
+    /// When larger than `max_body_bytes`, a `POST /v1/fit` body sent as
+    /// `Content-Type: text/csv` up to this size is spooled to a temp
+    /// file and fed through the out-of-core streaming fit instead of
+    /// being refused with `413` — peak memory stays bounded by the
+    /// ingestion block size, not the body. `0` (the default) disables
+    /// spooling; every other route and body type keeps the
+    /// `max_body_bytes` cap either way.
     pub max_fit_body_bytes: usize,
     /// Connection-handling threads.
     pub pool_workers: usize,
@@ -111,9 +112,6 @@ pub struct ServeConfig {
     pub head_timeout: Duration,
     /// Wall-clock deadline for receiving a complete declared body.
     pub body_timeout: Duration,
-    /// How long shutdown waits for in-flight connections to finish
-    /// before abandoning them.
-    pub drain_deadline: Duration,
 }
 
 impl Default for ServeConfig {
@@ -135,7 +133,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(10),
             head_timeout: Duration::from_secs(10),
             body_timeout: Duration::from_secs(60),
-            drain_deadline: Duration::from_secs(5),
         }
     }
 }
@@ -191,19 +188,18 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// How long shutdown waits for in-flight connections to finish before
+/// abandoning them.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
 struct ServerState {
+    /// The config the server was bound with, worker and connection
+    /// counts clamped to at least 1.
+    config: ServeConfig,
     registry: ModelRegistry,
     gate: BudgetGate,
     metrics: Arc<MetricsRegistry>,
     sink: MetricsSink,
-    max_body_bytes: usize,
-    max_fit_body_bytes: usize,
-    sample_workers: usize,
-    max_rows: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    head_timeout: Duration,
-    body_timeout: Duration,
     sample_gate: InflightGate,
     fit_gate: InflightGate,
     stop: Arc<AtomicBool>,
@@ -256,9 +252,6 @@ impl Drop for InflightPermit<'_> {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    pool_workers: usize,
-    max_connections: usize,
-    drain_deadline: Duration,
 }
 
 /// Stops a running [`Server`] from another thread.
@@ -284,7 +277,7 @@ impl Server {
     /// Validates the config, binds the socket, builds the registry and
     /// gate, and pre-registers the full metric taxonomy (so `/metrics`
     /// always carries every series name).
-    pub fn bind(config: ServeConfig) -> Result<Self, ServeError> {
+    pub fn bind(mut config: ServeConfig) -> Result<Self, ServeError> {
         let addr: SocketAddr = config.addr.parse().map_err(|_| ServeError::BadAddr {
             addr: config.addr.clone(),
         })?;
@@ -310,6 +303,9 @@ impl Server {
         names::register_taxonomy(&metrics);
         let sink = MetricsSink::to_registry(Arc::clone(&metrics));
         let listener = TcpListener::bind(addr).map_err(ServeError::Io)?;
+        config.sample_workers = config.sample_workers.max(1);
+        config.pool_workers = config.pool_workers.max(1);
+        config.max_connections = config.max_connections.max(1);
         let state = Arc::new(ServerState {
             registry: ModelRegistry::new(
                 config.model_dir.clone(),
@@ -319,25 +315,12 @@ impl Server {
             gate,
             metrics,
             sink,
-            max_body_bytes: config.max_body_bytes,
-            max_fit_body_bytes: config.max_fit_body_bytes,
-            sample_workers: config.sample_workers.max(1),
-            max_rows: config.max_rows,
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
-            head_timeout: config.head_timeout,
-            body_timeout: config.body_timeout,
             sample_gate: InflightGate::new(config.max_inflight),
             fit_gate: InflightGate::new(config.max_inflight),
             stop: Arc::new(AtomicBool::new(false)),
+            config,
         });
-        Ok(Self {
-            listener,
-            state,
-            pool_workers: config.pool_workers.max(1),
-            max_connections: config.max_connections.max(1),
-            drain_deadline: config.drain_deadline,
-        })
+        Ok(Self { listener, state })
     }
 
     /// The bound address (resolves port 0).
@@ -358,7 +341,7 @@ impl Server {
     /// `max_connections` in flight, new connections get a direct `503`
     /// from the accept thread instead of a pool slot.
     pub fn run(self) -> Result<(), ServeError> {
-        let pool = parkit::TaskPool::new(self.pool_workers);
+        let pool = parkit::TaskPool::new(self.state.config.pool_workers);
         for conn in self.listener.incoming() {
             if self.state.stop.load(Ordering::SeqCst) {
                 break;
@@ -369,7 +352,7 @@ impl Server {
                 // it) must not take the daemon down.
                 Err(_) => continue,
             };
-            match pool.try_reserve(self.max_connections) {
+            match pool.try_reserve(self.state.config.max_connections) {
                 Ok(permit) => {
                     let state = Arc::clone(&self.state);
                     permit.submit(move || handle_connection(stream, &state));
@@ -382,7 +365,7 @@ impl Server {
         // deadline the pool is abandoned rather than joined — a pinned
         // worker must not wedge shutdown.
         let watch = Stopwatch::start();
-        let deadline_ns = self.drain_deadline.as_nanos() as u64;
+        let deadline_ns = DRAIN_DEADLINE.as_nanos() as u64;
         while pool.pending() > 0 && watch.elapsed_ns() < deadline_ns {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -402,7 +385,7 @@ fn shed_connection(mut stream: TcpStream, state: &ServerState) {
         Unit::Count,
         1,
     );
-    let _ = stream.set_write_timeout(Some(state.write_timeout));
+    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
     let _ = stream.set_nodelay(true);
     let _ = Response::error(503, "server at connection capacity", &[])
         .with_header("Retry-After", "1")
@@ -410,8 +393,9 @@ fn shed_connection(mut stream: TcpStream, state: &ServerState) {
 }
 
 fn handle_connection(stream: TcpStream, state: &ServerState) {
-    let _ = stream.set_read_timeout(Some(state.read_timeout));
-    let _ = stream.set_write_timeout(Some(state.write_timeout));
+    let config = &state.config;
+    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let _ = stream.set_write_timeout(Some(config.write_timeout));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -419,15 +403,15 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let limits = ReadLimits {
-        max_body: state.max_body_bytes,
-        head_deadline: Some(state.head_timeout),
-        body_deadline: Some(state.body_timeout),
+        max_body: config.max_body_bytes,
+        head_deadline: Some(config.head_timeout),
+        body_deadline: Some(config.body_timeout),
     };
-    // Fit bodies past the in-memory cap spool to a temp file when the
-    // operator opted in with a larger `max_fit_body_bytes`.
-    let spool = (state.max_fit_body_bytes > state.max_body_bytes).then(|| SpoolPolicy {
+    // CSV fit bodies past the in-memory cap spool to a temp file when
+    // the operator opted in with a larger `max_fit_body_bytes`.
+    let spool = (config.max_fit_body_bytes > config.max_body_bytes).then(|| SpoolPolicy {
         path: "/v1/fit".to_string(),
-        max_body: state.max_fit_body_bytes,
+        max_body: config.max_fit_body_bytes,
         dir: std::env::temp_dir(),
     });
     loop {
@@ -526,62 +510,45 @@ fn record_request(state: &ServerState, endpoint: &str, status: u16, watch: &Stop
 
 /// Dispatches one request; returns the endpoint label (for metrics),
 /// the response, and — for gated routes — the in-flight permit, which
-/// the caller holds until the response bytes are written.
+/// the caller holds until the response bytes are written. Each path
+/// names its endpoint once; a known endpoint with the wrong method is
+/// `405`, an unknown path `404`.
 fn route<'a>(
     req: &Request,
     state: &'a ServerState,
 ) -> (&'static str, Response, Option<InflightPermit<'a>>) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => ("healthz", Response::text(200, "ok\n".into()), None),
-        ("GET", "/metrics") => (
-            "metrics",
+    let endpoint = match req.path.as_str() {
+        "/healthz" => "healthz",
+        "/metrics" => "metrics",
+        "/v1/models" => "models",
+        "/v1/sample" => "sample",
+        "/v1/fit" => "fit",
+        path if path.starts_with("/v1/models/") => "delete",
+        path => {
+            let response = Response::error(404, &format!("no route for {path}"), &[]);
+            return ("other", response, None);
+        }
+    };
+    let (response, permit) = match (req.method.as_str(), endpoint) {
+        ("GET", "healthz") => (Response::text(200, "ok\n".into()), None),
+        ("GET", "metrics") => (
             Response::text(200, state.metrics.snapshot().to_prometheus()),
             None,
         ),
-        ("GET", "/v1/models") => ("models", handle_models(state), None),
-        ("POST", "/v1/sample") => {
-            let (response, permit) = gated(state, "sample", &state.sample_gate, || {
-                handle_sample(req, state)
-            });
-            ("sample", response, permit)
-        }
-        ("POST", "/v1/fit") => {
-            let (response, permit) =
-                gated(state, "fit", &state.fit_gate, || handle_fit(req, state));
-            ("fit", response, permit)
-        }
-        (method, path) if path.starts_with("/v1/models/") => {
-            let id = &path["/v1/models/".len()..];
-            if method == "DELETE" {
-                ("delete", handle_delete(id, state), None)
-            } else {
-                (
-                    "delete",
-                    Response::error(405, &format!("method {method} not allowed"), &[]),
-                    None,
-                )
-            }
-        }
-        (_, "/healthz" | "/metrics" | "/v1/models" | "/v1/sample" | "/v1/fit") => {
-            let endpoint = match req.path.as_str() {
-                "/healthz" => "healthz",
-                "/metrics" => "metrics",
-                "/v1/models" => "models",
-                "/v1/sample" => "sample",
-                _ => "fit",
-            };
-            (
-                endpoint,
-                Response::error(405, &format!("method {} not allowed", req.method), &[]),
-                None,
-            )
-        }
-        _ => (
-            "other",
-            Response::error(404, &format!("no route for {}", req.path), &[]),
+        ("GET", "models") => (handle_models(state), None),
+        ("POST", "sample") => gated(state, endpoint, &state.sample_gate, || {
+            handle_sample(req, state)
+        }),
+        ("POST", "fit") => gated(state, endpoint, &state.fit_gate, || {
+            handle_fit(req, state).unwrap_or_else(|refusal| refusal)
+        }),
+        ("DELETE", "delete") => (handle_delete(&req.path["/v1/models/".len()..], state), None),
+        (method, _) => (
+            Response::error(405, &format!("method {method} not allowed"), &[]),
             None,
         ),
-    }
+    };
+    (endpoint, response, permit)
 }
 
 /// Runs `f` under a route's in-flight gate, or sheds with `503` +
@@ -696,12 +663,12 @@ fn handle_sample(req: &Request, state: &ServerState) -> Response {
             None => return Response::error(400, "`offset` must be a non-negative integer", &[]),
         },
     };
-    if rows as usize > state.max_rows {
+    if rows as usize > state.config.max_rows {
         return Response::error(
             400,
             &format!(
                 "`rows` {} exceeds the per-request cap {}",
-                rows, state.max_rows
+                rows, state.config.max_rows
             ),
             &[],
         );
@@ -744,7 +711,7 @@ fn handle_sample(req: &Request, state: &ServerState) -> Response {
         profile,
         offset as usize,
         rows as usize,
-        state.sample_workers,
+        state.config.sample_workers,
     ) {
         Ok(c) => c,
         Err(e @ DpCopulaError::RowWindowOverflow { .. }) => {
@@ -795,75 +762,184 @@ fn handle_sample(req: &Request, state: &ServerState) -> Response {
     }
 }
 
-fn handle_fit(req: &Request, state: &ServerState) -> Response {
-    // Two request shapes: the JSON envelope (CSV embedded as a string
-    // field), and a raw CSV body — spooled to disk past the in-memory
-    // cap, or sent directly with `Content-Type: text/csv` — with the
-    // fit parameters in the query string.
-    let raw_csv = req.spooled.is_some()
-        || req.header("content-type").is_some_and(|v| {
-            v.split(';')
-                .next()
-                .unwrap_or("")
-                .trim()
-                .eq_ignore_ascii_case("text/csv")
-        });
-    if raw_csv {
-        return handle_fit_csv(req, state);
-    }
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
-    let Some(id) = doc.get("id").and_then(Json::as_str) else {
-        return Response::error(400, "missing required string field `id`", &[]);
-    };
-    if !valid_model_id(id) {
-        return Response::error(
-            400,
-            &format!("invalid model id `{id}`: expected [A-Za-z0-9_-]+"),
-            &[],
-        );
-    }
-    let Some(csv) = doc.get("csv").and_then(Json::as_str) else {
-        return Response::error(400, "missing required string field `csv`", &[]);
-    };
-    let Some(eps_value) = doc.get("epsilon").and_then(Json::as_f64) else {
-        return Response::error(400, "missing required number field `epsilon`", &[]);
-    };
-    let tenant = match doc.get("tenant") {
-        None => DEFAULT_TENANT,
-        Some(t) => match t.as_str() {
-            Some(t) => t,
-            None => return Response::error(400, "`tenant` must be a string", &[]),
-        },
-    };
-    let seed = match doc.get("seed") {
-        None => 0,
-        Some(s) => match s.as_u64() {
-            Some(s) => s,
-            None => return Response::error(400, "`seed` must be a non-negative integer", &[]),
-        },
-    };
-    let k_ratio = match doc.get("k") {
-        None => None,
-        Some(k) => match k.as_f64() {
-            Some(k) if k.is_finite() && k > 0.0 => Some(k),
-            _ => return Response::error(400, "`k` must be a positive number", &[]),
-        },
-    };
-    let epsilon = match Epsilon::new(eps_value) {
-        Ok(e) => e,
-        Err(e) => return Response::error(400, &e.to_string(), &[]),
+/// The fit route, for both request shapes: the JSON envelope (CSV
+/// embedded as a string field), and a raw `text/csv` body — in memory
+/// under the cap, spooled to disk above it — with the fit parameters in
+/// the query string. Every parameter and CSV check runs before the
+/// tenant is debited, so a malformed request costs no ε.
+fn handle_fit(req: &Request, state: &ServerState) -> Result<Response, Response> {
+    let envelope;
+    let (params, input) = if req.is_csv() {
+        let params = fit_params("query parameter", |name| {
+            query_param(&req.query, name).map(Param::Text)
+        })?;
+        let input = match &req.spooled {
+            None => FitInput::Resident(datagen::io::read_csv(&req.body[..]).map_err(invalid_csv)?),
+            Some(spooled) => spooled_source(spooled.path())?,
+        };
+        (params, input)
+    } else {
+        envelope = parse_body(req)?;
+        let params = fit_params("field", |name| envelope.get(name).map(Param::Json))?;
+        let Some(csv) = envelope.get("csv").and_then(Json::as_str) else {
+            return Err(bad_request("missing required string field `csv`".into()));
+        };
+        let dataset = datagen::io::read_csv(csv.as_bytes()).map_err(invalid_csv)?;
+        (params, FitInput::Resident(dataset))
     };
 
-    // Pure input validation first: parsing the CSV touches no ledger
-    // and releases nothing, so a malformed body costs the tenant no ε.
-    let dataset = match datagen::io::read_csv(csv.as_bytes()) {
-        Ok(d) => d,
-        Err(e) => return Response::error(400, &format!("invalid csv body: {e}"), &[]),
+    admit_tenant(state, params.tenant, params.epsilon)?;
+    let mut config = DpCopulaConfig::kendall(params.epsilon);
+    if let Some(k) = params.k_ratio {
+        config = config.with_k_ratio(k);
+    }
+    let domains;
+    let (request, rows, names) = match input {
+        FitInput::Resident(ref dataset) => {
+            domains = dataset.domains();
+            let names: Vec<&str> = dataset
+                .attributes()
+                .iter()
+                .map(|a| a.name.as_str())
+                .collect();
+            let request = SynthesisRequest::from_config(dataset.columns(), &domains, config);
+            (request, dataset.len(), Some(names))
+        }
+        // The streaming fit names the schema from the CSV header itself.
+        FitInput::Spooled { source, rows } => (
+            SynthesisRequest::from_source_config(source, config),
+            rows,
+            None,
+        ),
     };
-    fit_dataset(state, id, tenant, epsilon, seed, k_ratio, dataset)
+    let (mut model, _report) = request
+        .seed(params.seed)
+        .metrics(state.sink.clone())
+        .fit()
+        .map_err(|e| bad_request(format!("fit failed: {e}")))?;
+    if let Some(names) = names {
+        model.set_attribute_names(&names);
+    }
+    Ok(respond_fitted(state, params.id, params.tenant, model, rows))
+}
+
+fn bad_request(reason: String) -> Response {
+    Response::error(400, &reason, &[])
+}
+
+fn invalid_csv(e: impl std::fmt::Display) -> Response {
+    bad_request(format!("invalid csv body: {e}"))
+}
+
+/// The training rows of one fit.
+enum FitInput {
+    /// Parsed into memory, fitted eagerly.
+    Resident(datagen::Dataset),
+    /// A spooled body, validated and counted, rewound for the streaming
+    /// fit.
+    Spooled {
+        source: datagen::CsvFileSource,
+        rows: usize,
+    },
+}
+
+/// Streams a spooled body once to validate it and count rows — a
+/// malformed body must cost the tenant no ε, same as a resident one —
+/// then rewinds it for the out-of-core fit.
+fn spooled_source(path: &std::path::Path) -> Result<FitInput, Response> {
+    let mut source = datagen::CsvFileSource::open(path).map_err(invalid_csv)?;
+    let mut rows = 0usize;
+    while let Some(block) = source.next_block().map_err(invalid_csv)? {
+        rows += block.rows();
+    }
+    source
+        .rewind()
+        .map_err(|e| Response::error(500, &format!("rewinding spooled body: {e}"), &[]))?;
+    Ok(FitInput::Spooled { source, rows })
+}
+
+/// One fit parameter as sent: a JSON envelope field or a query-string
+/// value.
+#[derive(Clone, Copy)]
+enum Param<'a> {
+    Json(&'a Json),
+    Text(&'a str),
+}
+
+impl<'a> Param<'a> {
+    fn as_str(self) -> Option<&'a str> {
+        match self {
+            Param::Json(v) => v.as_str(),
+            Param::Text(t) => Some(t),
+        }
+    }
+
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Param::Json(v) => v.as_f64(),
+            Param::Text(t) => t.parse().ok(),
+        }
+    }
+
+    fn as_u64(self) -> Option<u64> {
+        match self {
+            Param::Json(v) => v.as_u64(),
+            Param::Text(t) => t.parse().ok(),
+        }
+    }
+}
+
+/// The validated parameters of one fit.
+struct FitParams<'a> {
+    id: &'a str,
+    epsilon: Epsilon,
+    tenant: &'a str,
+    seed: u64,
+    k_ratio: Option<f64>,
+}
+
+/// Reads and validates the fit parameters through `get`, for either
+/// request shape; `noun` ("field" or "query parameter") is the only
+/// word in which the two shapes' refusals differ.
+fn fit_params<'a>(
+    noun: &str,
+    get: impl Fn(&str) -> Option<Param<'a>>,
+) -> Result<FitParams<'a>, Response> {
+    let missing = |name: &str| bad_request(format!("missing required {noun} `{name}`"));
+    let id = param(&get, "id", "a string", Param::as_str)?.ok_or_else(|| missing("id"))?;
+    if !valid_model_id(id) {
+        return Err(bad_request(format!(
+            "invalid model id `{id}`: expected [A-Za-z0-9_-]+"
+        )));
+    }
+    let eps_value =
+        param(&get, "epsilon", "a number", Param::as_f64)?.ok_or_else(|| missing("epsilon"))?;
+    let tenant = param(&get, "tenant", "a string", Param::as_str)?.unwrap_or(DEFAULT_TENANT);
+    let seed = param(&get, "seed", "a non-negative integer", Param::as_u64)?.unwrap_or(0);
+    let k_ratio = param(&get, "k", "a positive number", |k| {
+        k.as_f64().filter(|k| k.is_finite() && *k > 0.0)
+    })?;
+    let epsilon = Epsilon::new(eps_value).map_err(|e| bad_request(e.to_string()))?;
+    Ok(FitParams {
+        id,
+        epsilon,
+        tenant,
+        seed,
+        k_ratio,
+    })
+}
+
+/// One fit parameter through `get`: `Ok(None)` when absent, a 400
+/// naming the expected form when sent but malformed.
+fn param<'a, T>(
+    get: &impl Fn(&str) -> Option<Param<'a>>,
+    name: &str,
+    must_be: &str,
+    value: impl FnOnce(Param<'a>) -> Option<T>,
+) -> Result<Option<T>, Response> {
+    get(name)
+        .map(|v| value(v).ok_or_else(|| bad_request(format!("`{name}` must be {must_be}"))))
+        .transpose()
 }
 
 /// One `key=value` out of a query string. Fit parameters are plain
@@ -873,96 +949,6 @@ fn query_param<'a>(query: &'a str, name: &str) -> Option<&'a str> {
         let (k, v) = pair.split_once('=')?;
         (k == name).then_some(v)
     })
-}
-
-/// The raw-CSV fit: parameters from the query string, training data as
-/// the body — in memory under the cap, spooled to disk above it.
-fn handle_fit_csv(req: &Request, state: &ServerState) -> Response {
-    let q = req.query.as_str();
-    let Some(id) = query_param(q, "id") else {
-        return Response::error(400, "missing required query parameter `id`", &[]);
-    };
-    if !valid_model_id(id) {
-        return Response::error(
-            400,
-            &format!("invalid model id `{id}`: expected [A-Za-z0-9_-]+"),
-            &[],
-        );
-    }
-    let Some(eps_str) = query_param(q, "epsilon") else {
-        return Response::error(400, "missing required query parameter `epsilon`", &[]);
-    };
-    let Ok(eps_value) = eps_str.parse::<f64>() else {
-        return Response::error(400, "`epsilon` must be a number", &[]);
-    };
-    let tenant = query_param(q, "tenant").unwrap_or(DEFAULT_TENANT);
-    let seed = match query_param(q, "seed") {
-        None => 0,
-        Some(s) => match s.parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => return Response::error(400, "`seed` must be a non-negative integer", &[]),
-        },
-    };
-    let k_ratio = match query_param(q, "k") {
-        None => None,
-        Some(k) => match k.parse::<f64>() {
-            Ok(k) if k.is_finite() && k > 0.0 => Some(k),
-            _ => return Response::error(400, "`k` must be a positive number", &[]),
-        },
-    };
-    let epsilon = match Epsilon::new(eps_value) {
-        Ok(e) => e,
-        Err(e) => return Response::error(400, &e.to_string(), &[]),
-    };
-
-    let Some(spooled) = &req.spooled else {
-        // Small enough for memory: parse eagerly, exactly like the JSON
-        // envelope's embedded CSV.
-        let dataset = match datagen::io::read_csv(&req.body[..]) {
-            Ok(d) => d,
-            Err(e) => return Response::error(400, &format!("invalid csv body: {e}"), &[]),
-        };
-        return fit_dataset(state, id, tenant, epsilon, seed, k_ratio, dataset);
-    };
-
-    // Spooled: stream the file once to validate it and count rows — a
-    // malformed body must cost the tenant no ε, same as the eager path —
-    // then rewind and fit out-of-core.
-    let mut source = match datagen::CsvFileSource::open(spooled.path()) {
-        Ok(s) => s,
-        Err(e) => return Response::error(400, &format!("invalid csv body: {e}"), &[]),
-    };
-    let mut rows = 0usize;
-    loop {
-        match source.next_block() {
-            Ok(Some(block)) => rows += block.rows(),
-            Ok(None) => break,
-            Err(e) => return Response::error(400, &format!("invalid csv body: {e}"), &[]),
-        }
-    }
-    if let Err(e) = source.rewind() {
-        return Response::error(500, &format!("rewinding spooled body: {e}"), &[]);
-    }
-
-    if let Err(r) = admit_tenant(state, tenant, epsilon) {
-        return r;
-    }
-    let mut config = DpCopulaConfig::kendall(epsilon);
-    if let Some(k) = k_ratio {
-        config = config.with_k_ratio(k);
-    }
-    let fitted = SynthesisRequest::from_source_config(source, config)
-        .seed(seed)
-        .metrics(state.sink.clone())
-        .fit();
-    let (model, _report) = match fitted {
-        Ok(f) => f,
-        Err(e) => return Response::error(400, &format!("fit failed: {e}"), &[]),
-    };
-    // The streaming fit names the schema from the source's CSV header;
-    // no rename needed.
-    let attributes = model.dims();
-    respond_fitted(state, id, tenant, model, rows, attributes)
 }
 
 /// Debits `tenant` before fitting, or renders the refusal. The debit is
@@ -987,43 +973,6 @@ fn admit_tenant(state: &ServerState, tenant: &str, epsilon: Epsilon) -> Result<(
     })
 }
 
-/// The eager fit path shared by the JSON envelope and small raw-CSV
-/// bodies: admit, fit the resident columns, name the schema, respond.
-fn fit_dataset(
-    state: &ServerState,
-    id: &str,
-    tenant: &str,
-    epsilon: Epsilon,
-    seed: u64,
-    k_ratio: Option<f64>,
-    dataset: datagen::Dataset,
-) -> Response {
-    if let Err(r) = admit_tenant(state, tenant, epsilon) {
-        return r;
-    }
-    let domains = dataset.domains();
-    let mut config = DpCopulaConfig::kendall(epsilon);
-    if let Some(k) = k_ratio {
-        config = config.with_k_ratio(k);
-    }
-    let fitted = SynthesisRequest::from_config(dataset.columns(), &domains, config)
-        .seed(seed)
-        .metrics(state.sink.clone())
-        .fit();
-    let (mut model, _report) = match fitted {
-        Ok(f) => f,
-        Err(e) => return Response::error(400, &format!("fit failed: {e}"), &[]),
-    };
-    let attr_names: Vec<&str> = dataset
-        .attributes()
-        .iter()
-        .map(|a| a.name.as_str())
-        .collect();
-    model.set_attribute_names(&attr_names);
-    let attributes = attr_names.len();
-    respond_fitted(state, id, tenant, model, dataset.len(), attributes)
-}
-
 /// Persists the fitted model, registers it, and renders the fit
 /// response.
 fn respond_fitted(
@@ -1032,7 +981,6 @@ fn respond_fitted(
     tenant: &str,
     model: dpcopula::FittedModel,
     rows: usize,
-    attributes: usize,
 ) -> Response {
     // One encode serves the file, the response checksum and the cache
     // key (`FittedModel::save` plus `checksum()` would encode twice).
@@ -1043,6 +991,7 @@ fn respond_fitted(
     }
     let checksum = fnv1a64(&bytes);
     let spent = model.artifact().ledger.spent();
+    let attributes = model.dims();
     state.registry.insert_keyed(id, checksum, Arc::new(model));
 
     let remaining = state

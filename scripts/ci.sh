@@ -201,9 +201,10 @@ echo "==> faults tier: overload shed + lifecycle smoke against the live daemon"
 # A daemon with a deliberately tiny sample gate, hit by 12 concurrent
 # samples big enough to overlap: some must be admitted, the rest must
 # shed as 503s that show up in server_shed_total. Then the model is
-# DELETEd and must 404 afterwards.
+# DELETEd and must 404 afterwards. Its in-memory body cap is below the
+# training CSV, so a raw-CSV fit of it spools to disk.
 "$CLI" serve --model-dir "$SMOKE/models" --addr 127.0.0.1:0 --max-inflight 2 \
-    > "$SMOKE/faults.log" 2>&1 &
+    --max-body-bytes 16384 --max-fit-body 1048576 > "$SMOKE/faults.log" 2>&1 &
 SERVE_PID=$!
 ADDR=""
 for _ in $(seq 1 100); do
@@ -249,6 +250,13 @@ if [ "$GONE_STATUS" != "404" ]; then
     exit 1
 fi
 echo "    DELETE invalidates the model and later samples 404"
+# The spooled raw-CSV fit must release the artifact the serve tier's
+# JSON fit of the same rows, epsilon and seed did.
+curl -sf -X POST "http://$ADDR/v1/fit?id=spooled&epsilon=1.0&seed=99" \
+    -H 'Content-Type: text/csv' --data-binary "@$SMOKE/census.csv" \
+    | grep -q '"id":"spooled"'
+cmp "$SMOKE/models/spooled.dpcm" "$SMOKE/models/httpfit.dpcm"
+echo "    spooled raw-CSV fit is byte-identical to the JSON fit"
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""

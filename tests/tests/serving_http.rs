@@ -512,6 +512,15 @@ fn oversized_fit_body_spools_to_disk_and_matches_the_eager_fit() {
     let (status, _) = http(spooling.addr, "POST", "/v1/sample", &vec![b' '; 8192]);
     assert_eq!(status, 413);
 
+    // ...and CSV-only: a JSON envelope past the in-memory cap is refused
+    // before reading, naming the in-memory limit, not spooled and then
+    // misread as a raw CSV body.
+    let (status, body) = http(spooling.addr, "POST", "/v1/fit", json.as_bytes());
+    let text = String::from_utf8(body).unwrap();
+    assert_eq!(status, 413, "{text}");
+    assert!(text.contains("4096-byte limit"), "{text}");
+    assert!(!spooling.model_dir.join("ref.dpcm").exists());
+
     // A malformed spooled body is a 400 that costs the tenant no ε:
     // gamma's whole 1.0 budget is still there for the real fit.
     let garbage = vec![b'#'; 6000];
@@ -553,6 +562,101 @@ fn oversized_fit_body_spools_to_disk_and_matches_the_eager_fit() {
     let (status, body) = http_csv(spooling.addr, "/v1/fit?epsilon=1.0", small.as_bytes());
     assert_eq!(status, 400);
     assert!(String::from_utf8_lossy(&body).contains("query parameter `id`"));
+}
+
+/// The `error` reason out of a JSON error body.
+fn error_reason(body: &[u8]) -> String {
+    let doc = dpcopula_serve::json::Json::parse(std::str::from_utf8(body).unwrap()).unwrap();
+    doc.get("error")
+        .and_then(|e| e.as_str())
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn both_fit_shapes_refuse_bad_parameters_alike_and_debit_nothing() {
+    // The budget covers exactly one fit: any 400 that debited would
+    // make the final fit a 429.
+    let server = TestServer::start("params", |c| {
+        c.tenant_file = Some(write_tenants(&c.model_dir, "default = 1.0\n"));
+    });
+    let csv = training_csv();
+    // (JSON envelope fields, the same parameters as a query string,
+    // the JSON shape's reason); `None` for JSON-only cases.
+    let cases = [
+        (
+            r#""epsilon":1.0"#,
+            Some("epsilon=1.0"),
+            "missing required field `id`",
+        ),
+        (
+            r#""id":"../x","epsilon":1.0"#,
+            Some("id=../x&epsilon=1.0"),
+            "invalid model id `../x`",
+        ),
+        (
+            r#""id":"m""#,
+            Some("id=m"),
+            "missing required field `epsilon`",
+        ),
+        (
+            r#""id":"m","epsilon":"abc""#,
+            Some("id=m&epsilon=abc"),
+            "`epsilon` must be a number",
+        ),
+        (
+            r#""id":"m","epsilon":-1"#,
+            Some("id=m&epsilon=-1"),
+            "invalid epsilon -1: must be finite and > 0",
+        ),
+        (
+            r#""id":"m","epsilon":1.0,"seed":-1"#,
+            Some("id=m&epsilon=1.0&seed=-1"),
+            "`seed` must be a non-negative integer",
+        ),
+        (
+            r#""id":"m","epsilon":1.0,"k":0"#,
+            Some("id=m&epsilon=1.0&k=0"),
+            "`k` must be a positive number",
+        ),
+        (
+            r#""id":"m","epsilon":1.0,"tenant":7"#,
+            None,
+            "`tenant` must be a string",
+        ),
+    ];
+    for (fields, query, expected) in cases {
+        let envelope = format!("{{{fields},\"csv\":{}}}", json_str(&csv));
+        let (status, body) = http(server.addr, "POST", "/v1/fit", envelope.as_bytes());
+        assert_eq!(status, 400, "{fields}");
+        let json_reason = error_reason(&body);
+        assert!(json_reason.contains(expected), "{fields}: {json_reason}");
+        if let Some(query) = query {
+            let (status, body) = http_csv(server.addr, &format!("/v1/fit?{query}"), csv.as_bytes());
+            assert_eq!(status, 400, "{query}");
+            assert_eq!(
+                error_reason(&body),
+                json_reason.replace("field", "query parameter"),
+                "{query}"
+            );
+        }
+    }
+    assert!(!server.model_dir.join("m.dpcm").exists());
+
+    let (status, body) = http(
+        server.addr,
+        "POST",
+        "/v1/fit",
+        &fit_body("m", "default", 1.0, 5),
+    );
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let (status, _) = http(
+        server.addr,
+        "POST",
+        "/v1/fit",
+        &fit_body("m2", "default", 1.0, 6),
+    );
+    assert_eq!(status, 429, "the budget covered exactly one fit");
 }
 
 #[test]
