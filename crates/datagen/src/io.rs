@@ -4,6 +4,17 @@
 //! Format: a header row `name:domain,name:domain,...` followed by one
 //! comma-separated row of `u32` values per record.
 //!
+//! Writing is one table-driven pass. [`write_csv`] renders each value
+//! from a `static` table of the zero-padded decimal digits of 0‥9,999:
+//! one copy below 10⁴, two or three above. Rows fill one reused block
+//! buffer of at most 64 KiB, and each full block goes to the writer in
+//! one `write_all`; nothing is allocated per row or per value. The
+//! bytes are the values' `u32::to_string` renderings joined by `,`,
+//! each record ending in `\n`, after the `name:domain` header line.
+//! [`csv_len`] is that length, computed without encoding, so an
+//! in-memory body is allocated once at its final size, and
+//! [`push_u32`] is the same digit writer for other formats.
+//!
 //! Reading is one byte-level pass: lines stream through one reused
 //! buffer, and each field is parsed and domain-checked straight from its
 //! bytes. [`read_csv`] and [`crate::CsvFileSource`] share the header and
@@ -11,7 +22,7 @@
 //! the same 1-based line numbers and reasons.
 
 use crate::dataset::{Attribute, Dataset};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 /// Errors arising while reading a dataset.
@@ -47,28 +58,132 @@ impl From<io::Error> for CsvError {
     }
 }
 
-/// Writes the dataset to a writer.
-pub fn write_csv<W: Write>(dataset: &Dataset, w: W) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    let header: Vec<String> = dataset
-        .attributes()
-        .iter()
-        .map(|a| format!("{}:{}", a.name, a.domain))
-        .collect();
-    writeln!(w, "{}", header.join(","))?;
-    let n = dataset.len();
-    let cols = dataset.columns();
-    let mut line = String::new();
-    for row in 0..n {
-        line.clear();
-        for (j, col) in cols.iter().enumerate() {
-            if j > 0 {
-                line.push(',');
-            }
-            line.push_str(&col[row].to_string());
-        }
-        writeln!(w, "{line}")?;
+/// Encoded rows held before they go to the writer.
+const BLOCK_BYTES: usize = 64 * 1024;
+
+/// Room one value takes in a block: the ten digits of `u32::MAX`, then
+/// its `,` or `\n`.
+const MAX_FIELD_BYTES: usize = 11;
+
+/// `DIGITS[v]` is `v < 10⁴` as four zero-padded decimal digits.
+static DIGITS: [[u8; 4]; 10_000] = {
+    let mut table = [[0u8; 4]; 10_000];
+    let mut v = 0;
+    while v < 10_000 {
+        table[v] = [
+            b'0' + (v / 1000) as u8,
+            b'0' + (v / 100 % 10) as u8,
+            b'0' + (v / 10 % 10) as u8,
+            b'0' + (v % 10) as u8,
+        ];
+        v += 1;
     }
+    table
+};
+
+/// Writes `v` in decimal at the start of `out` and returns its digit
+/// count. The stores are four bytes wide, so `out` must hold ten bytes
+/// whatever `v` is; the bytes past the digits are left unspecified.
+#[inline]
+fn put_u32(out: &mut [u8], v: u32) -> usize {
+    if v < 10_000 {
+        return put_head(out, v);
+    }
+    if v < 100_000_000 {
+        let n = put_head(out, v / 10_000);
+        out[n..n + 4].copy_from_slice(&DIGITS[(v % 10_000) as usize]);
+        return n + 4;
+    }
+    let n = put_head(out, v / 100_000_000);
+    let low = v % 100_000_000;
+    out[n..n + 4].copy_from_slice(&DIGITS[(low / 10_000) as usize]);
+    out[n + 4..n + 8].copy_from_slice(&DIGITS[(low % 10_000) as usize]);
+    n + 8
+}
+
+/// Writes `v < 10⁴` without leading zeros in one four-byte store: its
+/// table entry shifted down past the zeros.
+#[inline]
+fn put_head(out: &mut [u8], v: u32) -> usize {
+    let len = 1 + usize::from(v >= 10) + usize::from(v >= 100) + usize::from(v >= 1000);
+    let padded = u32::from_le_bytes(DIGITS[v as usize]);
+    out[..4].copy_from_slice(&(padded >> (8 * (4 - len))).to_le_bytes());
+    len
+}
+
+/// Appends `v` in decimal: the digits [`write_csv`] writes for it.
+pub fn push_u32(out: &mut String, v: u32) {
+    let mut digits = [0u8; 10];
+    let n = put_u32(&mut digits, v);
+    out.push_str(std::str::from_utf8(&digits[..n]).expect("decimal digits are ASCII"));
+}
+
+/// The header line, `name:domain,...` and its `\n`.
+fn header(dataset: &Dataset) -> Vec<u8> {
+    let mut line = Vec::new();
+    for (j, a) in dataset.attributes().iter().enumerate() {
+        if j > 0 {
+            line.push(b',');
+        }
+        write!(line, "{}:{}", a.name, a.domain).expect("writing to a Vec cannot fail");
+    }
+    line.push(b'\n');
+    line
+}
+
+/// The exact number of bytes [`write_csv`] writes for `dataset`.
+pub fn csv_len(dataset: &Dataset) -> usize {
+    const POWERS: [u32; 9] = [
+        10,
+        100,
+        1_000,
+        10_000,
+        100_000,
+        1_000_000,
+        10_000_000,
+        100_000_000,
+        1_000_000_000,
+    ];
+    // Each value takes one byte for its `,` or `\n`, one for its first
+    // digit, and one more for every power of ten it reaches; powers past
+    // a column's maximum add nothing to it.
+    let mut len = header(dataset).len();
+    for col in dataset.columns() {
+        len += 2 * col.len();
+        let max = col.iter().copied().max().unwrap_or(0);
+        for &p in POWERS.iter().take_while(|&&p| p <= max) {
+            len += col.iter().filter(|&&v| v >= p).count();
+        }
+    }
+    len
+}
+
+/// Writes the dataset to a writer: the header, then one line per
+/// record, encoded into one block buffer that is handed to `w` with one
+/// `write_all` each time it fills (see the module docs for the bytes).
+pub fn write_csv<W: Write>(dataset: &Dataset, mut w: W) -> io::Result<()> {
+    let mut block = header(dataset);
+    let mut at = block.len();
+    // Room for every row, up to the block size; a header longer than
+    // that is written out before the first value.
+    let rows_bound = (dataset.len() * dataset.dims()).saturating_mul(MAX_FIELD_BYTES);
+    block.resize(at.saturating_add(rows_bound).min(BLOCK_BYTES).max(at), 0);
+    let cols = dataset.columns();
+    for row in 0..dataset.len() {
+        for col in cols {
+            if at + MAX_FIELD_BYTES > block.len() {
+                w.write_all(&block[..at])?;
+                at = 0;
+            }
+            let field = &mut block[at..at + MAX_FIELD_BYTES];
+            let n = put_u32(field, col[row]);
+            field[n] = b',';
+            at += n + 1;
+        }
+        // Every row has a value, so its last `,` is in this block.
+        block[at - 1] = b'\n';
+    }
+    w.write_all(&block[..at])?;
     w.flush()
 }
 
@@ -484,5 +599,207 @@ mod tests {
                 testkit::prop_assert_eq!(streamed_outcome(&path, block_rows), want);
             }
         }
+    }
+
+    /// The `to_string`/`join` writer the table-driven encoder replaced,
+    /// kept as the reference the encoder properties compare against.
+    fn reference_write_csv(dataset: &Dataset) -> Vec<u8> {
+        let header: Vec<String> = dataset
+            .attributes()
+            .iter()
+            .map(|a| format!("{}:{}", a.name, a.domain))
+            .collect();
+        let mut out = header.join(",");
+        out.push('\n');
+        for row in 0..dataset.len() {
+            let fields: Vec<String> = dataset
+                .columns()
+                .iter()
+                .map(|col| col[row].to_string())
+                .collect();
+            out.push_str(&fields.join(","));
+            out.push('\n');
+        }
+        out.into_bytes()
+    }
+
+    /// Digit-length boundaries, among them both edges of the encoder's
+    /// one-, two- and three-copy ranges (10⁴, 10⁸) and `u32::MAX`.
+    const BOUNDARIES: [u32; 10] = [
+        0,
+        9,
+        10,
+        99,
+        100,
+        9_999,
+        10_000,
+        99_999_999,
+        100_000_000,
+        u32::MAX,
+    ];
+
+    /// A dataset to encode, and where a failing writer gives up (as a
+    /// fraction of the encoded length). Printed as its shape and first
+    /// rows, not every row.
+    #[derive(Clone)]
+    struct EncodeCase {
+        dataset: Dataset,
+        fail_at: f64,
+    }
+
+    impl std::fmt::Debug for EncodeCase {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let head = self.dataset.truncated(3);
+            write!(
+                f,
+                "{} rows over domains {:?} (fail at {}), first rows {:?}",
+                self.dataset.len(),
+                self.dataset.domains(),
+                self.fail_at,
+                head.columns()
+            )
+        }
+    }
+
+    /// 1–6 attributes with domains up to 2³², values drawn mostly at
+    /// the digit-length boundaries under each domain, and 0 rows, 1 row,
+    /// a few, or enough that the encoding spans two or more blocks.
+    fn encode_case(rng: &mut StdRng) -> EncodeCase {
+        let m = rng.gen_range(1..=6usize);
+        let attributes: Vec<Attribute> = (0..m)
+            .map(|j| {
+                let domain = match rng.gen_range(0..4u32) {
+                    0 => 1 << 32,
+                    1 => rng.gen_range(1..=1usize << 32),
+                    2 => rng.gen_range(1..=100_000usize),
+                    _ => rng.gen_range(1..=20usize),
+                };
+                Attribute::new(format!("a{j}"), domain)
+            })
+            .collect();
+        let rows = match rng.gen_range(0..4u32) {
+            0 => 0,
+            1 => 1,
+            2 => rng.gen_range(2..64usize),
+            // A value takes at least 2 bytes, so these fill more than
+            // one block.
+            _ => rng.gen_range(BLOCK_BYTES / (2 * m) + 1..2 * BLOCK_BYTES / m),
+        };
+        let columns = attributes
+            .iter()
+            .map(|a| {
+                let top = (a.domain - 1) as u32;
+                (0..rows)
+                    .map(|_| match rng.gen_range(0..3u32) {
+                        0 => rng.gen_range(0..=top),
+                        _ => BOUNDARIES[rng.gen_range(0..BOUNDARIES.len())].min(top),
+                    })
+                    .collect()
+            })
+            .collect();
+        EncodeCase {
+            dataset: Dataset::new(attributes, columns),
+            fail_at: rng.gen_range(0.0..1.0),
+        }
+    }
+
+    /// Accepts at most `chunk` bytes per `write`, then, once `left`
+    /// bytes are in, fails every write; records the largest request.
+    struct Sink {
+        got: Vec<u8>,
+        chunk: usize,
+        left: usize,
+        largest: usize,
+    }
+
+    impl Sink {
+        fn new(chunk: usize, left: usize) -> Self {
+            Self {
+                got: Vec::new(),
+                chunk,
+                left,
+                largest: 0,
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            if self.left == 0 {
+                return Err(io::Error::other("sink is full"));
+            }
+            let n = buf.len().min(self.chunk).min(self.left);
+            self.got.extend_from_slice(&buf[..n]);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    testkit::property_tests! {
+        fn encoder_matches_the_to_string_reference(
+            case in testkit::prop::Gen::new(encode_case, |_| Vec::new()),
+        ) {
+            let d = &case.dataset;
+            let want = reference_write_csv(d);
+            let mut got = Vec::new();
+            write_csv(d, &mut got).map_err(|e| e.to_string())?;
+            testkit::prop_assert!(got == want, "encoded bytes differ from the reference");
+            testkit::prop_assert_eq!(csv_len(d), want.len());
+            testkit::prop_assert!(
+                read_csv(&got[..]).map_err(|e| e.to_string())? == *d,
+                "read_csv(write_csv(d)) != d"
+            );
+
+            // Short writes reassemble to the same bytes, and no write
+            // asks for more than one block.
+            let mut trickle = Sink::new(7, usize::MAX);
+            write_csv(d, &mut trickle).map_err(|e| e.to_string())?;
+            testkit::prop_assert!(trickle.got == want, "7-byte writes changed the bytes");
+            testkit::prop_assert!(trickle.largest <= BLOCK_BYTES, "{} > {BLOCK_BYTES}", trickle.largest);
+
+            // A writer that fails after k bytes: the error comes back,
+            // after exactly the first k bytes.
+            let k = (case.fail_at * want.len() as f64) as usize;
+            let mut failing = Sink::new(usize::MAX, k);
+            let err = write_csv(d, &mut failing).expect_err("the sink fails before the end");
+            testkit::prop_assert_eq!(err.to_string(), "sink is full");
+            testkit::prop_assert!(failing.got == want[..k], "bytes before the failure differ");
+        }
+    }
+
+    #[test]
+    fn digit_writer_matches_to_string_around_every_digit_length_boundary() {
+        let mut values: Vec<u32> = (0..=100_000).collect();
+        for p in (0..10).map(|k| 10u32.pow(k)) {
+            values.extend([p - 1, p, p + 1]);
+        }
+        values.extend([u32::MAX - 1, u32::MAX]);
+        let mut out = String::new();
+        for v in values {
+            out.clear();
+            push_u32(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+    }
+
+    #[test]
+    fn a_header_past_one_block_is_written_before_the_rows() {
+        let name = "n".repeat(BLOCK_BYTES + 5);
+        let d = Dataset::new(
+            vec![
+                Attribute::new(name.clone(), 1 << 32),
+                Attribute::new("b", 3),
+            ],
+            vec![vec![u32::MAX, 0, 7], vec![2, 1, 0]],
+        );
+        let mut got = Vec::new();
+        write_csv(&d, &mut got).unwrap();
+        assert_eq!(got, reference_write_csv(&d));
+        assert_eq!(csv_len(&d), got.len());
     }
 }

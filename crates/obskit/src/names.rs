@@ -80,7 +80,8 @@ pub const SERVE_WINDOWS_TOTAL: &str = "serve_windows_total";
 /// `status` (the response code as a string).
 pub const SERVE_REQUESTS_TOTAL: &str = "serve_requests_total";
 /// End-to-end request latency histogram of the serving daemon, by
-/// `endpoint` (parse → handle → response bytes written).
+/// `endpoint`: from the request's first byte to its response bytes
+/// written (an idle keep-alive wait before it is not counted).
 pub const SERVE_REQUEST_NS: &str = "serve_request_ns";
 /// Decoded models currently resident in the registry's LRU cache.
 pub const REGISTRY_MODELS_LOADED: &str = "registry_models_loaded";

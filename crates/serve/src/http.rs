@@ -250,12 +250,14 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// half, used only to acknowledge `Expect: 100-continue` before the
 /// body is read.
 ///
-/// The head deadline is measured from the start of the read, but only
-/// enforced once head bytes have arrived — an idle keep-alive
-/// connection that sends nothing is closed by the socket read timeout
-/// (surfaced as [`HttpError::Closed`]), not blamed with a timeout.
-/// Configure the socket read timeout at or below the head deadline so
-/// idle and stalled connections are told apart correctly.
+/// The head deadline runs from this call and is enforced once head
+/// bytes have arrived; a connection that sends nothing is closed by the
+/// socket read timeout (surfaced as [`HttpError::Closed`]), not blamed
+/// with a timeout. A caller that waits on an idle keep-alive connection
+/// should wait for the first byte (`fill_buf`) before calling, so that
+/// the deadline counts from that byte and not the idle wait, as the
+/// daemon does. Configure the socket read timeout at or below the head
+/// deadline so idle and stalled connections are told apart correctly.
 pub fn read_request<R: BufRead, W: Write>(
     stream: &mut R,
     reply: &mut W,

@@ -55,7 +55,7 @@ use dpcopula::{DpCopulaConfig, DpCopulaError, SamplingProfile, SynthesisRequest}
 use dpmech::Epsilon;
 use modelstore::crc32::fnv1a64;
 use obskit::{names, MetricsRegistry, MetricsSink, Stopwatch, Unit};
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -415,6 +415,16 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
         dir: std::env::temp_dir(),
     });
     loop {
+        // Wait for the next request's first byte before starting the
+        // clocks: an idle keep-alive wait is neither head time (the
+        // head deadline runs from the first byte) nor request time.
+        // EOF or a read timeout here is an idle close.
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
         let watch = Stopwatch::start();
         let request = read_request_spooled(&mut reader, &mut writer, limits, spool.as_ref());
         let (endpoint, response, permit, keep_alive) = match &request {
@@ -728,9 +738,10 @@ fn handle_sample(req: &Request, state: &ServerState) -> Response {
         .collect();
     if format == "csv" {
         // The exact bytes `datagen::io::write_csv` emits in-process —
-        // the byte-identity contract the integration tests pin.
+        // the byte-identity contract the integration tests pin — into a
+        // body allocated once at its final length.
         let dataset = datagen::Dataset::new(attributes, columns);
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(datagen::io::csv_len(&dataset));
         if let Err(e) = datagen::io::write_csv(&dataset, &mut bytes) {
             return Response::error(500, &format!("encoding csv: {e}"), &[]);
         }
@@ -753,7 +764,7 @@ fn handle_sample(req: &Request, state: &ServerState) -> Response {
                 if j > 0 {
                     body.push(',');
                 }
-                body.push_str(&col[r].to_string());
+                datagen::io::push_u32(&mut body, col[r]);
             }
             body.push(']');
         }

@@ -39,6 +39,20 @@ trap 'kill "${SERVE_PID:-}" 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 # Serving a saved artifact must reproduce in-process synthesis exactly.
 diff "$SMOKE/served.csv" "$SMOKE/synthed.csv"
 echo "    served rows are byte-identical to in-process synthesis"
+# Every diff in this script compares the CSV encoder with itself (CLI
+# vs HTTP vs synth); these checksums pin its bytes from outside, for a
+# generated table and a reference-profile sample written to files.
+pin_cksum() {
+    local got
+    got="$(cksum < "$1")"
+    if [ "$got" != "$2" ]; then
+        echo "    $1: cksum $got, pinned $2" >&2
+        exit 1
+    fi
+}
+pin_cksum "$SMOKE/census.csv" "2986137986 23493"
+pin_cksum "$SMOKE/served.csv" "4140187095 12522"
+echo "    census.csv and served.csv match their pinned checksums"
 
 echo "==> dpcopula-cli smoke: fast sampling profile"
 # Fast is deterministic with itself (any worker count), draws a stream

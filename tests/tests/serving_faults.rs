@@ -170,6 +170,63 @@ fn slowloris_head_gets_408_and_does_not_pin_the_worker() {
 }
 
 #[test]
+fn an_idle_keep_alive_wait_does_not_count_against_the_head_deadline() {
+    let server = TestServer::start("idlehead", |c| {
+        c.read_timeout = Duration::from_millis(700);
+        c.head_timeout = Duration::from_millis(800);
+    });
+    // Idle on the open connection, then send the head in two parts.
+    // Each gap is under the read timeout and the head itself takes
+    // 450 ms of its 800 ms deadline; only the idle wait and the head
+    // together would exceed it.
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    std::thread::sleep(Duration::from_millis(450));
+    stream.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(450));
+    stream
+        .write_all(b"Host: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let reply = HttpReply::read_from(&mut BufReader::new(stream)).unwrap();
+    assert_eq!(
+        reply.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&reply.body)
+    );
+    assert_eq!(server.metric("serve_timeouts_total{phase=\"head\"}"), 0);
+}
+
+#[test]
+fn the_request_clock_skips_the_idle_wait_between_keep_alive_requests() {
+    let server = TestServer::start("idleclock", |_| {});
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for pause in [0, 200] {
+        std::thread::sleep(Duration::from_millis(pause));
+        stream
+            .write_all(b"GET /v1/models HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        assert_eq!(HttpReply::read_from(&mut reader).unwrap().status, 200);
+    }
+    // The daemon records a request after writing its response, so the
+    // second one may reach /metrics a moment after its reply.
+    let count = "serve_request_ns_count{endpoint=\"models\"}";
+    for _ in 0..400 {
+        if server.metric(count) == 2 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.metric(count), 2);
+    // Both answers take microseconds: a sum near 200 ms would be the
+    // client's pause, not the daemon's work.
+    let sum_ns = server.metric("serve_request_ns_sum{endpoint=\"models\"}");
+    assert!(sum_ns < 50_000_000, "serve_request_ns_sum = {sum_ns} ns");
+}
+
+#[test]
 fn stalled_body_gets_408_in_the_body_phase() {
     let server = TestServer::start("bodystall", |c| {
         c.pool_workers = 1;

@@ -176,18 +176,46 @@ fn http_sample_window_is_byte_identical_to_in_process_sampling() {
     // The fitted attribute names round-tripped into the CSV header.
     assert!(in_process.starts_with(b"age:5,income:4,region:3\n"));
 
-    // JSON format serves the same rows.
+    // JSON format serves the same rows: the exact body, rendered here
+    // from the in-process columns.
     let (status, json_rows) = http(
         server.addr,
         "POST",
         "/v1/sample",
-        br#"{"model":"census","offset":1000,"rows":1,"format":"json"}"#,
+        br#"{"model":"census","offset":1000,"rows":200,"format":"json"}"#,
     );
     assert_eq!(status, 200);
-    let text = String::from_utf8(json_rows).unwrap();
-    assert!(
-        text.starts_with("{\"columns\":[\"age\",\"income\",\"region\"],\"rows\":[["),
-        "{text}"
+    let rows: Vec<String> = (0..200)
+        .map(|r| {
+            let fields: Vec<String> = dataset.columns().iter().map(|c| c[r].to_string()).collect();
+            format!("[{}]", fields.join(","))
+        })
+        .collect();
+    let want = format!(
+        "{{\"columns\":[\"age\",\"income\",\"region\"],\"rows\":[{}]}}\n",
+        rows.join(",")
+    );
+    assert_eq!(String::from_utf8(json_rows).unwrap(), want);
+
+    // An empty window is the CSV header alone, or an empty row list.
+    let (status, empty_csv) = http(
+        server.addr,
+        "POST",
+        "/v1/sample",
+        br#"{"model":"census","offset":1000,"rows":0}"#,
+    );
+    assert_eq!(status, 200);
+    assert_eq!(empty_csv, b"age:5,income:4,region:3\n");
+    let (status, empty_json) = http(
+        server.addr,
+        "POST",
+        "/v1/sample",
+        br#"{"model":"census","offset":1000,"rows":0,"format":"json"}"#,
+    );
+    assert_eq!(status, 200);
+    assert_eq!(
+        String::from_utf8(empty_json).unwrap(),
+        "{\"columns\":[\"age\",\"income\",\"region\"],\"rows\":[]}\n"
     );
 }
 
