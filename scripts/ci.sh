@@ -103,6 +103,15 @@ echo "    fit-shard x4 + merge reproduces fit --shards 4 byte-for-byte"
 "$CLI" merge "$SMOKE/whole.dpcs" --out "$SMOKE/merged1.dpcm"
 cmp "$SMOKE/merged1.dpcm" "$SMOKE/model.dpcm"
 echo "    fit-shard x1 + merge reproduces the plain fit byte-for-byte"
+# Both cmps compare two paths through the same merge code; these
+# checksums pin the fitted and merged bytes from outside it.
+pin_cksum "$SMOKE/model.dpcm" "3643897734 13525"
+pin_cksum "$SMOKE/sharded.dpcm" "66445458 13721"
+pin_cksum "$SMOKE/part0.dpcs" "3043601001 21530"
+pin_cksum "$SMOKE/part1.dpcs" "145627026 21530"
+pin_cksum "$SMOKE/part2.dpcs" "1730728156 21530"
+pin_cksum "$SMOKE/part3.dpcs" "2829601313 21530"
+echo "    model, sharded and shard artifacts match their pinned checksums"
 
 echo "==> observability: CLI metrics smoke vs golden manifest"
 # synth with a JSON snapshot; the emitted metric *names* must match the
