@@ -422,9 +422,10 @@ fn main() {
         legacy_stats.median / correlation_medians[worker_counts.len() - 1]
     );
 
-    // Gates. Merge overhead: combining per-shard summaries (histogram
-    // sums, cross-shard concordance, ledger max) must cost a small
-    // fraction of the fit it parallelises.
+    // Gates. Merge overhead: folding per-shard summaries (histogram
+    // sums, budget accountant, ledger max) must cost a small fraction of
+    // the fit it parallelises. The Kendall pass over the pooled τ sample
+    // counts as summary building, not merge.
     println!(
         "shard merge overhead: {:.1}% of the single-shard fit (ceiling {:.0}%)",
         merge_overhead * 100.0,

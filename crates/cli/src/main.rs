@@ -72,8 +72,9 @@ metrics, which only observe and never perturb a release.
 `fit --shards N` partitions the input rows into N disjoint shards,
 builds each shard's noisy summaries in parallel, and merges them into
 one artifact: margin cost composes in parallel (per-label max across
-shards), Kendall concordance merges exactly before its single noise
-draw, so the guarantee and the spent budget match the unsharded fit.
+shards), and Kendall's tau is scored once over the union of the
+shards' record samples before its single noise draw, so the guarantee
+and the spent budget match the unsharded fit.
 Repeating --input supplies explicit shards — the files must agree on
 the schema and --shards defaults to the file count. Sharded fits need
 --method kendall (mle/spearman have no mergeable summary).
@@ -86,7 +87,8 @@ single-process `fit --shards N` on the concatenated input at the same
 seed and options. Every worker must be given the same --epsilon, --seed,
 --method, --margin, --k, --chunk, --shards, and --total-rows (the row
 count of the whole dataset, not the part); `merge` refuses mismatched or
-duplicate parts by file name.
+duplicate parts, and a part whose tau sample is not its share of the
+plan, by file name.
 
 `--profile fast` samples with the vectorized hot path: same fitted DP
 model, same privacy guarantee, much higher rows/s. Fast output is

@@ -10,8 +10,9 @@
 //!   exact counts and the τ subsample, one task per attribute over a
 //!   large resident input;
 //! * **margins** — one task per (shard, attribute);
-//! * **correlation** — one task per attribute pair (`C(m,2)` tasks),
-//!   over cached per-column rank structures;
+//! * **correlation** — one task per column of the pooled τ sample to
+//!   rank it, then one task per attribute pair (`C(m,2)` tasks) to score
+//!   it;
 //! * **sampling** — one task per row chunk of
 //!   [`EngineOptions::sample_chunk`] records.
 //!
@@ -30,6 +31,7 @@
 use crate::distfit::CountedSource;
 use crate::empirical::MarginalDistribution;
 use crate::error::{validate_shape, DpCopulaError};
+use crate::kendall::dp_tau_matrix;
 use crate::mle::dp_mle_matrix_par;
 use crate::sampler::CopulaSampler;
 use crate::shard::{self, RowReducer};
@@ -49,7 +51,7 @@ use std::time::Duration;
 
 /// RNG stream for margin publication (index = attribute id).
 pub const STREAM_MARGINS: u64 = 1;
-/// RNG stream for the Kendall row subsample (index = 0).
+/// RNG stream for the Kendall row subsample (index = shard id).
 pub const STREAM_KENDALL_SAMPLE: u64 = 2;
 /// RNG stream for per-pair Kendall noise (index = pair id).
 pub const STREAM_KENDALL_NOISE: u64 = 3;
@@ -139,11 +141,12 @@ pub struct StageTimings {
     pub budget_plan: Duration,
     /// DP marginal histogram publication (parallel over attributes).
     pub margins: Duration,
-    /// DP correlation estimation: within-shard τ layers (parallel over
-    /// pairs), or the MLE/Spearman matrix.
+    /// DP correlation estimation: the Kendall τ matrix of the pooled
+    /// sample (parallel over columns, then pairs), or the MLE/Spearman
+    /// matrix.
     pub correlation: Duration,
-    /// The summary fold (margin sums, cross-shard τ terms and the pooled
-    /// τ noise), then clamping + eigenvalue positive-definite repair.
+    /// The summary fold (margin sums and the budget accountant), then
+    /// clamping + eigenvalue positive-definite repair.
     pub pd_repair: Duration,
     /// Copula sampling (parallel over row chunks).
     pub sampling: Duration,
@@ -261,22 +264,19 @@ pub(crate) struct Fit {
 /// Folds per-shard summaries into the released fit — the merge half of
 /// every fit, shared by the in-process fit and
 /// [`crate::distfit::merge_shards`]: the per-bin margin sums, the budget
-/// accountant, the pooled τ matrix (cross-shard concordances, then one
-/// noise draw per pair), clamping and positive-definite repair, the
-/// shard spans and per-shard ε counters, and the shard provenance.
+/// accountant, clamping and positive-definite repair of `raw`, the shard
+/// spans and per-shard ε counters, and the shard provenance.
 ///
-/// `raw` replaces the τ terms with a correlation estimate that has no
-/// mergeable summary (MLE, Spearman; single-shard only). Only the budget
-/// fields of `config` are read. `build_ns` is the caller's summary
-/// building time: it and the cross-shard concordances are reported as
-/// `pipeline/shard_fit`, the serial fold alone as `pipeline/shard_merge`.
+/// `raw` is the released correlation estimate before repair (Kendall's
+/// pooled τ matrix, or MLE's or Spearman's; the identity for one
+/// attribute). Only the budget fields of `config` are read. `build_ns`
+/// is the caller's time building the summaries and `raw`, reported as
+/// `pipeline/shard_fit`; the serial fold alone is `pipeline/shard_merge`.
 pub(crate) fn fold_summaries(
     summaries: &[shard::ShardSummary],
-    raw: Option<Matrix>,
+    raw: Matrix,
     config: &DpCopulaConfig,
-    base_seed: u64,
     build_ns: u64,
-    workers: usize,
     sink: &MetricsSink,
 ) -> Result<FitParts, DpCopulaError> {
     let m = summaries[0].noisy_margins.len();
@@ -290,23 +290,11 @@ pub(crate) fn fold_summaries(
     for _ in 0..m {
         accountant.spend_tracked(eps_margin, "margins", sink)?;
     }
-    let mut merge_ns = watch.elapsed_ns();
-    let mut fit_ns = build_ns;
+    let merge_ns = watch.elapsed_ns();
     let correlation = if m == 1 {
-        Matrix::identity(1)
+        raw
     } else {
-        let mut p = match raw {
-            Some(p) => p,
-            None => {
-                let watch = Stopwatch::start();
-                let cross = shard::cross_concordances(summaries, workers, sink);
-                fit_ns += watch.elapsed_ns();
-                let watch = Stopwatch::start();
-                let p = shard::combine_tau(summaries, &cross, eps2, base_seed, sink);
-                merge_ns += watch.elapsed_ns();
-                p
-            }
-        };
+        let mut p = raw;
         accountant.spend_tracked(eps2, "correlation", sink)?;
         clamp_to_correlation(&mut p);
         repair_positive_definite(&p)
@@ -317,7 +305,7 @@ pub(crate) fn fold_summaries(
             SPAN_NS,
             &[("span", "pipeline/shard_fit")],
             Unit::Nanos,
-            fit_ns,
+            build_ns,
         );
         sink.observe_labeled(
             SPAN_NS,
@@ -511,7 +499,7 @@ impl DpCopula {
         // the combined per-attribute cost at eps1/m (the per-shard max).
         let span = sink.span("margins");
         let watch = Stopwatch::start();
-        let mut summaries = shard::build_margin_summaries_from_counts(
+        let summaries = shard::build_margin_summaries_from_counts(
             &exact,
             &specs,
             cfg.margin.registry_name(),
@@ -523,31 +511,31 @@ impl DpCopula {
         build_ns += watch.elapsed_ns();
         timings.margins = span.finish();
 
-        // Stage 3: DP correlation — each shard's within-shard τ layer, or
-        // the raw matrix of an estimator without a mergeable summary
-        // (stage 1 guarantees a single shard for those).
+        // Stage 3: DP correlation — the one Kendall pass over the pooled
+        // τ sample, or the raw matrix of an estimator without a sharded
+        // form (stage 1 guarantees a single shard for those).
         let span = sink.span("correlation");
         let raw = match cfg.method {
-            _ if m == 1 => None,
+            _ if m == 1 => Matrix::identity(1),
             CorrelationMethod::Kendall(_) => {
                 let watch = Stopwatch::start();
-                shard::fill_tau_from_sampled(&mut summaries, sampled, workers, sink);
+                let p = dp_tau_matrix(sampled, eps2, base_seed, workers, sink);
                 build_ns += watch.elapsed_ns();
-                None
+                p
             }
-            CorrelationMethod::Mle(strategy) => Some(dp_mle_matrix_par(
-                resident, eps2, strategy, base_seed, workers, sink,
-            )?),
-            CorrelationMethod::Spearman => Some(dp_spearman_matrix_par(
-                resident, eps2, base_seed, workers, sink,
-            )?),
+            CorrelationMethod::Mle(strategy) => {
+                dp_mle_matrix_par(resident, eps2, strategy, base_seed, workers, sink)?
+            }
+            CorrelationMethod::Spearman => {
+                dp_spearman_matrix_par(resident, eps2, base_seed, workers, sink)?
+            }
         };
         timings.correlation = span.finish();
 
-        // Stage 4: the summary fold — margin sums, the pooled τ matrix
-        // and its noise — then clamp + positive-definite repair.
+        // Stage 4: the summary fold — margin sums and the accountant —
+        // then clamp + positive-definite repair.
         let span = sink.span("pd_repair");
-        let parts = fold_summaries(&summaries, raw, cfg, base_seed, build_ns, workers, sink)?;
+        let parts = fold_summaries(&summaries, raw, cfg, build_ns, sink)?;
         timings.pd_repair = span.finish();
 
         Ok(Fit {

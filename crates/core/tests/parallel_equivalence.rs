@@ -8,8 +8,9 @@
 //! one below, at, and above the task counts involved.
 
 use dpcopula::engine::EngineOptions;
-use dpcopula::kendall::{dp_tau_matrix_par, SamplingStrategy};
+use dpcopula::kendall::SamplingStrategy;
 use dpcopula::mle::{dp_mle_matrix_par, PartitionStrategy};
+use dpcopula::shard::{dp_tau_matrix_sharded, shard_specs};
 use dpcopula::spearman::dp_spearman_matrix_par;
 use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod, Synthesis};
 use dpcopula::{FittedModel, PipelineReport, SamplingProfile, SynthesisRequest};
@@ -131,15 +132,25 @@ fn margins_are_bitwise_equal_across_worker_counts() {
 fn kendall_matrix_is_bitwise_equal_across_worker_counts() {
     let (columns, _) = dataset(5, 4_000, 2);
     let eps = Epsilon::new(0.5).unwrap();
-    for strategy in [
-        SamplingStrategy::Full,
-        SamplingStrategy::Auto,
-        SamplingStrategy::Fixed(700),
-    ] {
-        let serial = dp_tau_matrix_par(&columns, eps, strategy, 202, 1, &off()).unwrap();
-        for workers in WORKER_COUNTS {
-            let par = dp_tau_matrix_par(&columns, eps, strategy, 202, workers, &off()).unwrap();
-            assert_eq!(par, serial, "strategy={strategy:?} workers={workers}");
+    for shards in [1, 3] {
+        let specs = shard_specs(columns[0].len(), shards);
+        for strategy in [
+            SamplingStrategy::Full,
+            SamplingStrategy::Auto,
+            SamplingStrategy::Fixed(700),
+        ] {
+            let tau = |workers| {
+                dp_tau_matrix_sharded(&columns, &specs, eps, strategy, 202, workers, &off())
+                    .unwrap()
+            };
+            let serial = tau(1);
+            for workers in WORKER_COUNTS {
+                assert_eq!(
+                    tau(workers),
+                    serial,
+                    "shards={shards} strategy={strategy:?} workers={workers}"
+                );
+            }
         }
     }
 }

@@ -8,8 +8,6 @@
 //!   [`special`], backing the fast sampling profile;
 //! * [`matrix`] — a small dense row-major matrix type;
 //! * [`cholesky`] — Cholesky factorisation of symmetric positive-definite matrices;
-//! * [`concord`] — mergeable integer concordance summaries and the
-//!   cross-shard correction behind the sharded Kendall-τ fit;
 //! * [`eigen`] — cyclic-Jacobi symmetric eigendecomposition;
 //! * [`correlation`] — correlation matrices and the Rousseeuw–Molenberghs
 //!   positive-definite repair used by Algorithm 5 of the paper;
@@ -28,7 +26,6 @@
 
 pub mod batch;
 pub mod cholesky;
-pub mod concord;
 pub mod correlation;
 pub mod dct;
 pub mod dist;

@@ -27,11 +27,11 @@
 //! | `BDGT` | budget   | the shard's sub-ledger in exact nano-ε            |
 //!
 //! The τ layer stores the shard's **sampled records** (in subsample
-//! order) and its within-shard concordance per attribute pair: exactly
-//! what the exact cross-shard merge needs — the coordinator recomputes
-//! rank structures from the samples, scores cross-shard concordance,
-//! pools `S / C(n, 2)`, and draws the Laplace noise at merge time
-//! against the pooled sensitivity (DESIGN.md §14).
+//! order) and its within-shard concordance per attribute pair. The
+//! coordinator pools the shards' samples, scores τ over the pooled
+//! sample in one pass, and draws the Laplace noise at merge time
+//! against the pooled sensitivity (DESIGN.md §14); it never reads the
+//! within-shard concordances, which stay in the format unchanged.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::format::{
@@ -130,7 +130,8 @@ pub struct ShardSpend {
 
 /// Within-shard concordance summary of one attribute pair: the integer
 /// concordant-minus-discordant sum over the shard's sampled rows and
-/// the number of comparable pairs.
+/// the number of comparable pairs. Written by every shard fit; the
+/// merge recomputes τ from the pooled samples instead of reading it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConcordance {
     /// Concordant minus discordant pair count.

@@ -128,9 +128,9 @@ pub const SAMPLING_PROFILES: [&str; 2] = ["reference", "fast"];
 
 /// Span paths the instrumented pipeline and serving layer produce.
 /// `pipeline/shard_fit` and `pipeline/shard_merge` cut across the fit
-/// stages: summary building (ingest, per-shard work and the cross-shard
-/// concordance fan-out) vs. the serial fold of the summaries into one
-/// model, the sharded fit's two cost centres.
+/// stages: summary building (ingest, per-shard work and the Kendall pass
+/// over the pooled τ sample) vs. the serial fold of the summaries into
+/// one model, the sharded fit's two cost centres.
 pub const SPAN_PATHS: [&str; 12] = [
     "pipeline",
     "pipeline/budget_plan",

@@ -196,10 +196,10 @@ fn sharded_margins_track_single_shard_error_on_every_method() {
 
 #[test]
 fn merged_tau_stays_close_to_exact_pooled_tau() {
-    // The sharded Kendall path merges within-shard concordance summaries
-    // with cross-shard corrections; at a generous budget the remaining
-    // error is the record subsample, so the released τ must sit within
-    // MAE 0.05 of the exact pooled τ over ALL records, at pinned seeds.
+    // The sharded Kendall path scores τ over the pooled record sample of
+    // all shards; at a generous budget the remaining error is the record
+    // subsample, so the released τ must sit within MAE 0.05 of the exact
+    // pooled τ over ALL records, at pinned seeds.
     let spec = SyntheticSpec {
         records: 4_000,
         dims: 3,
