@@ -1,6 +1,8 @@
-//! Microbenchmark: Kendall's tau — the O(n log n) Knight algorithm vs the
-//! quadratic reference, plus the DP release. Backs the paper's
-//! "fast Kendall's tau computation" complexity claim (§4.2).
+//! Microbenchmark: Kendall's tau — the rank-and-score kernel (bench id
+//! `knight`: a Fenwick tree scored once per `(x, y)` value cell,
+//! O(n + c·log g) for `c` distinct cells, O(n log n) at worst) vs the
+//! quadratic reference, plus the DP release. Backs the paper's "fast
+//! Kendall's tau computation" complexity claim (§4.2).
 
 use dpcopula::kendall::{dp_kendall_tau, kendall_tau, kendall_tau_naive};
 use dpmech::Epsilon;
