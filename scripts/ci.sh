@@ -280,6 +280,12 @@ curl -sf -X POST "http://$ADDR/v1/fit?id=spooled&epsilon=1.0&seed=99" \
     | grep -q '"id":"spooled"'
 cmp "$SMOKE/models/spooled.dpcm" "$SMOKE/models/httpfit.dpcm"
 echo "    spooled raw-CSV fit is byte-identical to the JSON fit"
+# A tiny but valid epsilon must fit, not panic: below ~3e-16 the Kendall
+# sample-size rule exceeds usize, and its target saturates to every row.
+curl -sf -X POST "http://$ADDR/v1/fit?id=tiny&epsilon=1e-20&seed=99" \
+    -H 'Content-Type: text/csv' --data-binary "@$SMOKE/census.csv" \
+    | grep -q '"id":"tiny"'
+echo "    a fit at epsilon 1e-20 answers 200"
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""

@@ -6,8 +6,10 @@
 use dpcopula::empirical::MarginalDistribution;
 use dpcopula::error::DpCopulaError;
 use dpcopula::hybrid::{HybridConfig, HybridSynthesizer};
+use dpcopula::kendall::SamplingStrategy;
 use dpcopula::sampler::CopulaSampler;
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use mathkit::Matrix;
 use rngkit::rngs::StdRng;
@@ -83,6 +85,36 @@ fn extreme_budgets_do_not_break_structure() {
         assert_eq!(out.columns[0].len(), 300, "eps={eps}");
         assert!(out.columns.iter().flatten().all(|&v| v < 40));
         assert!(mathkit::cholesky::is_positive_definite(&out.correlation));
+    }
+}
+
+#[test]
+fn tiny_epsilon_kendall_fit_takes_every_record() {
+    // Below ε ≈ 3e-16, 50·m(m−1)/ε₂ overflows usize: the Auto τ target
+    // saturates to every record (no shuffle), so Auto releases the
+    // `Full` matrix instead of scoring an empty sample.
+    let data = datagen::census::us_census(2_000, 3);
+    let domains = data.domains();
+    for eps in [1e-20, 1e-60, 1e-100] {
+        let tau_bits = |strategy| {
+            let (model, _) =
+                SynthesisRequest::new(data.columns(), &domains, Epsilon::new(eps).unwrap())
+                    .estimator(CorrelationMethod::Kendall(strategy))
+                    .seed(5)
+                    .fit()
+                    .unwrap_or_else(|e| panic!("eps={eps}: {e}"));
+            let correlation = &model.artifact().correlation;
+            correlation
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            tau_bits(SamplingStrategy::Auto),
+            tau_bits(SamplingStrategy::Full),
+            "eps={eps}"
+        );
     }
 }
 

@@ -730,3 +730,26 @@ fn content_length_mismatch_with_early_close_is_recorded_and_survivable() {
     assert_eq!(status, 200);
     assert_eq!(body, b"ok\n");
 }
+
+#[test]
+fn tiny_epsilon_fit_answers_200_and_serves_a_window() {
+    // At ε = 1e-20, 50·m(m−1)/ε₂ overflows usize: the Kendall sample
+    // target saturates to every row instead of wrapping to zero.
+    let server = TestServer::start("tiny-eps", |_| {});
+    let (status, body) = http_csv(
+        server.addr,
+        "/v1/fit?id=tiny&epsilon=1e-20&seed=99",
+        training_csv().as_bytes(),
+    );
+    let reply = String::from_utf8(body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"id\":\"tiny\""), "{reply}");
+    let (status, rows) = http(
+        server.addr,
+        "POST",
+        "/v1/sample",
+        br#"{"model":"tiny","rows":10}"#,
+    );
+    assert_eq!(status, 200);
+    assert_eq!(rows.iter().filter(|&&b| b == b'\n').count(), 11);
+}
