@@ -1,16 +1,18 @@
 //! Emits `BENCH_pipeline.json`: machine-readable per-stage wall-clock
 //! statistics (min/median/p95 seconds) of the staged synthesis engine at
 //! worker counts {1, 2, 4} on fig11-sized census data, plus the legacy
-//! serial correlation estimator (`dp_correlation_matrix`, per-pair sorts,
-//! single-threaded) as the reference the correlation-stage speedup is
-//! measured against, and the sampling stage timed under both sampling
-//! profiles (`reference` vs the ziggurat/table `fast` hot path).
+//! serial correlation estimator (`dp_correlation_matrix`, single-threaded)
+//! as the reference the correlation-stage speedup is measured against,
+//! the sampling stage timed under both sampling profiles (`reference` vs
+//! the ziggurat/table `fast` hot path), and the correlation stage of an
+//! 8-attribute sharded fit (`correlation_wide`, no gate).
 //!
 //! `QUICK=1` shrinks the input and sample count for smoke runs.
 
-use datagen::census::us_census;
+use datagen::census::{brazil_census, us_census};
 use datagen::RowSource;
 use dpcopula::kendall::{dp_correlation_matrix, SamplingStrategy};
+use dpcopula::shard::kendall_sample_target;
 use dpcopula::{DpCopulaConfig, EngineOptions, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
 use obskit::{MetricsRegistry, MetricsSink, Stopwatch};
@@ -198,6 +200,48 @@ fn main() {
         let _ = writeln!(out, "    }}{comma}");
     }
     let _ = writeln!(out, "  ],");
+
+    // The correlation stage at the shape of dpbench's `fit-sharded`: a
+    // 4-shard fit of the 8-attribute Brazil census, whose categorical
+    // columns put many τ-sample records in each (x, y) value cell.
+    let wide_n = if quick { 40_000 } else { 400_000 };
+    let wide = brazil_census(wide_n, 0xb2a2);
+    let wide_m = wide.domains().len();
+    let wide_shards = 4usize;
+    let tau_sample = kendall_sample_target(wide_m, wide_n, SamplingStrategy::Auto, eps2);
+    let _ = writeln!(
+        out,
+        "  \"correlation_wide\": {{\"records\": {wide_n}, \"attributes\": {wide_m}, \
+         \"shards\": {wide_shards}, \"tau_sample\": {tau_sample}, \"workers\": ["
+    );
+    let wide_workers = [1usize, 2];
+    for (wi, &workers) in wide_workers.iter().enumerate() {
+        let mut correlation = Vec::with_capacity(samples);
+        for s in 0..samples {
+            let mut opts = EngineOptions::with_workers(workers);
+            opts.shards = wide_shards;
+            let (_, report) =
+                SynthesisRequest::from_config(wide.columns(), &wide.domains(), config)
+                    .engine(opts)
+                    .seed(0xc0de + s as u64)
+                    .fit()
+                    .expect("census fit succeeds");
+            correlation.push(report.timings.correlation.as_secs_f64());
+        }
+        let corr = stats(&correlation);
+        println!(
+            "wide correlation ({wide_n} x {wide_m}, {wide_shards} shards, \
+             tau sample {tau_sample}) workers={workers}: median {:.4}s",
+            corr.median
+        );
+        let comma = if wi + 1 < wide_workers.len() { "," } else { "" };
+        let _ = writeln!(
+            out,
+            "    {{\"workers\": {workers}, \"correlation\": {}}}{comma}",
+            json_stats(corr)
+        );
+    }
+    let _ = writeln!(out, "  ]}},");
 
     // The sampling stage under each profile, full engine at 4 workers:
     // same fitted model shape, different hot path.
