@@ -223,13 +223,17 @@ fn assert_digests_pinned(streams: &[(String, Vec<u8>)]) {
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         return;
     }
-    for (name, got) in rendered {
-        let want = pinned
-            .lines()
-            .find(|l| stream_name(l) == name)
-            .unwrap_or_else(|| panic!("{name} has no line in sharded_pins.txt"));
-        assert_eq!(got, want, "{name} drifted from its pinned digest");
-    }
+    // Every drifted stream is named, not only the first.
+    let drifted: Vec<String> = rendered
+        .filter_map(|(name, got)| {
+            let want = pinned
+                .lines()
+                .find(|l| stream_name(l) == name)
+                .unwrap_or_else(|| panic!("{name} has no line in sharded_pins.txt"));
+            (got != want).then(|| format!("{name} drifted: got `{got}`, pinned `{want}`"))
+        })
+        .collect();
+    assert!(drifted.is_empty(), "{}", drifted.join("\n"));
 }
 
 fn stream_name(line: &str) -> &str {
@@ -249,6 +253,7 @@ fn sharded_streams_match_their_pinned_digests() {
         .iter()
         .map(|(name, _)| name.as_str())
         .chain(KERNEL_PINS)
+        .chain(RELEASE_PINS)
         .collect();
     assert_eq!(
         listed, known,
@@ -320,4 +325,122 @@ fn kernel_streams() -> Vec<(String, Vec<u8>)> {
 #[test]
 fn kendall_kernel_streams_match_their_pinned_digests() {
     assert_digests_pinned(&kernel_streams());
+}
+
+/// The releases of the estimators and samplers the sharded fit does not
+/// run, pinned in the same file after the kernel's streams.
+const RELEASE_PINS: [&str; 7] = [
+    "fit_mle_fixed40.dpcm",
+    "adaptive_t3_votes.f64le",
+    "adaptive_t3_release.bin",
+    "t5_window_off0_w1.u32le",
+    "t5_window_off0_w3.u32le",
+    "t5_window_off511_w1.u32le",
+    "t5_window_off511_w3.u32le",
+];
+
+/// One release per estimator or sampler outside the sharded fit:
+///
+/// * the `.dpcm` bytes of an MLE fit (`Mle(Fixed(40))`, 100-row blocks)
+///   over the 3 × 4,000 dataset at seed 77;
+/// * `selection::synthesize_adaptive` over a 3 × 3,000 t(3)-copula
+///   dataset with `StdRng::seed_from_u64(5)`: the winning family and
+///   every candidate's family and `noisy_votes` (a family is its degrees
+///   of freedom, 0 for the Gaussian; `f64` bits little-endian), then the
+///   release — the correlation matrix and the noisy margins as `f64`
+///   bits, the columns as `u32`, all little-endian;
+/// * reference windows of a `StudentT { dof: 5 }` model (the Kendall
+///   `Auto` fit of the dataset with a 512-row sampling chunk, its family
+///   set to t) at offset 0 (1,100 rows, three chunks) and offset 511
+///   (600 rows across the first chunk edge), at workers {1, 3}; each
+///   window is its columns as `u32` little-endian.
+fn release_streams() -> Vec<(String, Vec<u8>)> {
+    use dpcopula::empirical::MarginalDistribution;
+    use dpcopula::mle::PartitionStrategy;
+    use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig, CopulaFamily};
+    use dpcopula::tcopula::TCopulaSampler;
+    use dpcopula::{FittedModel, SamplingProfile};
+    use mathkit::correlation::equicorrelation;
+
+    let f64s =
+        |values: &[f64]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    let u32s = |columns: &[Vec<u32>]| -> Vec<u8> {
+        columns
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_le_bytes())
+            .collect()
+    };
+    let (columns, domains) = dataset(3, 4_000, 20240601);
+
+    let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+    config.method = CorrelationMethod::Mle(PartitionStrategy::Fixed(40));
+    let (mle, _) = SynthesisRequest::from_config(&columns, &domains, config)
+        .seed(77)
+        .fit()
+        .unwrap();
+
+    let margins = vec![MarginalDistribution::from_noisy_histogram(&[1.0; 64]); 3];
+    let t3 = TCopulaSampler::new(&equicorrelation(3, 0.6), 3.0, margins).unwrap();
+    let t3_columns = t3.sample_columns(3_000, &mut StdRng::seed_from_u64(4));
+    let adaptive = synthesize_adaptive(
+        &AdaptiveConfig::new(DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap())),
+        &t3_columns,
+        &[64; 3],
+        &mut StdRng::seed_from_u64(5),
+    )
+    .unwrap();
+    let dof = |family: CopulaFamily| match family {
+        CopulaFamily::Gaussian => 0.0,
+        CopulaFamily::StudentT { df } => df,
+    };
+    let mut votes = vec![dof(adaptive.family)];
+    for score in &adaptive.scores {
+        votes.extend([dof(score.family), score.noisy_votes]);
+    }
+    let synthesis = &adaptive.synthesis;
+    let mut release = f64s(synthesis.correlation.as_slice());
+    for margin in &synthesis.noisy_margins {
+        release.extend(f64s(margin));
+    }
+    release.extend(u32s(&synthesis.columns));
+
+    let (kendall, _) = SynthesisRequest::from_config(
+        &columns,
+        &domains,
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+    )
+    .seed(77)
+    .sample_chunk(512)
+    .fit()
+    .unwrap();
+    let mut artifact = kendall.artifact().clone();
+    artifact.family = modelstore::CopulaFamily::StudentT { dof: 5.0 };
+    let t5 = FittedModel::from_artifact(artifact).unwrap();
+    let window = |offset, rows, workers| {
+        let columns = t5
+            .try_sample_range_profiled(SamplingProfile::Reference, offset, rows, workers)
+            .unwrap();
+        u32s(&columns)
+    };
+
+    let streams = vec![
+        mle.artifact().encode(),
+        f64s(&votes),
+        release,
+        window(0, 1_100, 1),
+        window(0, 1_100, 3),
+        window(511, 600, 1),
+        window(511, 600, 3),
+    ];
+    RELEASE_PINS
+        .iter()
+        .map(|name| name.to_string())
+        .zip(streams)
+        .collect()
+}
+
+#[test]
+fn release_streams_match_their_pinned_digests() {
+    assert_digests_pinned(&release_streams());
 }
