@@ -1,7 +1,7 @@
 //! The Gaussian copula density (Definition 3.4, Equation 1) and its
 //! log-likelihood — the objective of DPCopula-MLE.
 
-use mathkit::cholesky::{log_det_spd, solve_spd, CholeskyError};
+use mathkit::cholesky::{inverse_spd, log_det_spd, CholeskyError};
 use mathkit::special::norm_quantile;
 use mathkit::Matrix;
 
@@ -17,18 +17,7 @@ impl GaussianCopula {
     /// Builds the copula; fails if `p` is not symmetric positive definite.
     pub fn new(p: Matrix) -> Result<Self, CholeskyError> {
         let log_det = log_det_spd(&p)?;
-        let m = p.rows();
-        // Invert column by column through the Cholesky solver.
-        let mut p_inv = Matrix::zeros(m, m);
-        let mut e = vec![0.0; m];
-        for j in 0..m {
-            e[j] = 1.0;
-            let col = solve_spd(&p, &e)?;
-            for i in 0..m {
-                p_inv[(i, j)] = col[i];
-            }
-            e[j] = 0.0;
-        }
+        let p_inv = inverse_spd(&p)?;
         Ok(Self { p, p_inv, log_det })
     }
 

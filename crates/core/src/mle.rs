@@ -8,16 +8,17 @@
 //! `Lambda = 2` being the diameter of a correlation coefficient. One
 //! record lives in exactly one block, so it moves each average by at most
 //! `Lambda / l` — which is exactly what the noise is calibrated to.
+//!
+//! [`dp_mle_matrix_par`] is the one implementation: the fit's correlation
+//! stage calls it and clamps and repairs the raw matrix it returns.
 
 use crate::empirical::pseudo_copula_column;
 use crate::engine::STREAM_MLE_NOISE;
 use crate::error::DpCopulaError;
 use dpmech::{laplace_noise, Epsilon};
-use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
 use mathkit::special::norm_quantile;
 use mathkit::stats::pearson;
 use mathkit::Matrix;
-use rngkit::Rng;
 
 /// Diameter of the correlation-coefficient parameter space `[-1, 1]`.
 pub const COEFFICIENT_DIAMETER: f64 = 2.0;
@@ -112,90 +113,14 @@ pub enum PartitionStrategy {
 /// Minimum records per block for the rank transform to be meaningful.
 pub const MIN_BLOCK_SIZE: usize = 4;
 
-/// Computes the DP correlation-matrix estimator of Algorithm 2.
-///
-/// `eps2_total` is the budget for all `C(m,2)` coefficients together.
-pub fn dp_correlation_matrix_mle<R: Rng + ?Sized>(
-    columns: &[Vec<u32>],
-    eps2_total: Epsilon,
-    strategy: PartitionStrategy,
-    rng: &mut R,
-) -> Result<Matrix, DpCopulaError> {
-    let m = columns.len();
-    if m == 0 {
-        return Err(DpCopulaError::EmptyInput);
-    }
-    if m == 1 {
-        return Ok(Matrix::identity(1));
-    }
-    let n = columns[0].len();
-    let pairs = m * (m - 1) / 2;
-
-    let l = match strategy {
-        PartitionStrategy::Auto => {
-            let req = required_partitions(m, eps2_total.value());
-            if req * MIN_BLOCK_SIZE > n {
-                return Err(DpCopulaError::InsufficientDataForMle {
-                    required_partitions: req,
-                    records: n,
-                });
-            }
-            req
-        }
-        PartitionStrategy::Fixed(l) => l.max(1),
-    };
-    let block = n / l;
-    if block < MIN_BLOCK_SIZE {
-        return Err(DpCopulaError::InsufficientDataForMle {
-            required_partitions: l,
-            records: n,
-        });
-    }
-
-    // Per-pair sums of block estimates.
-    let mut sums = vec![0.0; pairs];
-    let mut scores: Vec<Vec<f64>> = vec![Vec::with_capacity(block); m];
-    for t in 0..l {
-        let lo = t * block;
-        let hi = lo + block; // the remainder tail (< block) is dropped
-        for (j, col) in columns.iter().enumerate() {
-            // Pseudo-copula transform *within the block* so each block's
-            // estimate depends only on its own records.
-            let u = pseudo_copula_column(&col[lo..hi]);
-            scores[j] = u.iter().map(|&ui| norm_quantile(ui)).collect();
-        }
-        let mut k = 0;
-        for i in 0..m {
-            for j in (i + 1)..m {
-                sums[k] += pairwise_mle(&scores[i], &scores[j]);
-                k += 1;
-            }
-        }
-    }
-
-    // Average + Laplace noise per coefficient.
-    let noise_scale = (pairs as f64) * COEFFICIENT_DIAMETER / ((l as f64) * eps2_total.value());
-    let mut p = Matrix::identity(m);
-    let mut k = 0;
-    for i in 0..m {
-        for j in (i + 1)..m {
-            let avg = sums[k] / l as f64;
-            let noisy = avg + laplace_noise(rng, noise_scale);
-            p[(i, j)] = noisy;
-            p[(j, i)] = noisy;
-            k += 1;
-        }
-    }
-    clamp_to_correlation(&mut p);
-    Ok(repair_positive_definite(&p))
-}
-
-/// The staged-engine version of Algorithm 2: block MLEs fanned out
-/// across `workers` threads (one task per block — pure, no randomness),
-/// summed in block order so the floating-point reduction is fixed, then
-/// released with per-pair Laplace noise from index-keyed streams.
-/// Returns the **raw** noisy matrix; clamping and the positive-definite
-/// repair are a separate pipeline stage (see [`crate::engine`]).
+/// The DP correlation-matrix estimator of Algorithm 2: block MLEs fanned
+/// out across `workers` threads (one task per block — pure, no
+/// randomness), summed in block order so the floating-point reduction is
+/// fixed, then released with per-pair Laplace noise from index-keyed
+/// streams. `eps2_total` is the budget for all `C(m,2)` coefficients
+/// together. Returns the **raw** noisy matrix; clamping and the
+/// positive-definite repair are a separate pipeline stage (see
+/// [`crate::engine`]).
 ///
 /// Bit-identical at any worker count: block results are keyed by block
 /// id, pair `k`'s noise comes from
@@ -299,7 +224,7 @@ pub fn dp_mle_matrix_par(
 mod tests {
     use super::*;
     use mathkit::cholesky::is_positive_definite;
-    use mathkit::correlation::equicorrelation;
+    use mathkit::correlation::{clamp_to_correlation, equicorrelation, repair_positive_definite};
     use mathkit::dist::MultivariateNormal;
     use rngkit::rngs::StdRng;
     use rngkit::SeedableRng;
@@ -347,12 +272,13 @@ mod tests {
     #[test]
     fn auto_errors_on_small_data() {
         let cols = correlated_columns(0.5, 4, 500, 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let err = dp_correlation_matrix_mle(
+        let err = dp_mle_matrix_par(
             &cols,
             Epsilon::new(0.1).unwrap(),
             PartitionStrategy::Auto,
-            &mut rng,
+            3,
+            1,
+            &obskit::MetricsSink::off(),
         )
         .unwrap_err();
         assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
@@ -361,14 +287,18 @@ mod tests {
     #[test]
     fn fixed_partitions_recover_correlation() {
         let cols = correlated_columns(0.7, 3, 30_000, 4);
-        let mut rng = StdRng::seed_from_u64(5);
-        let p = dp_correlation_matrix_mle(
+        let mut p = dp_mle_matrix_par(
             &cols,
             Epsilon::new(5.0).unwrap(),
             PartitionStrategy::Fixed(100),
-            &mut rng,
+            5,
+            2,
+            &obskit::MetricsSink::off(),
         )
         .unwrap();
+        // The engine's pd_repair stage.
+        clamp_to_correlation(&mut p);
+        let p = repair_positive_definite(&p);
         assert!(is_positive_definite(&p));
         for i in 0..3 {
             for j in (i + 1)..3 {
@@ -438,12 +368,13 @@ mod tests {
 
     #[test]
     fn single_column_is_identity() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let p = dp_correlation_matrix_mle(
+        let p = dp_mle_matrix_par(
             &[vec![1u32, 2, 3, 4]],
             Epsilon::new(1.0).unwrap(),
             PartitionStrategy::Auto,
-            &mut rng,
+            6,
+            1,
+            &obskit::MetricsSink::off(),
         )
         .unwrap();
         assert_eq!(p, Matrix::identity(1));

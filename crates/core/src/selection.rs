@@ -17,9 +17,10 @@
 //! matter are O(block) while a DP mean-log-likelihood release must be
 //! calibrated to a worst-case rank rearrangement and drowns the signal.
 //!
-//! [`dp_mean_log_likelihood`] (the direct clamped-mean release) is kept
-//! for diagnostics and for callers who need a numeric likelihood rather
-//! than a winner.
+//! [`dp_select_family`] is the one selection release. Over Student-t
+//! candidates alone it selects the degrees of freedom: every candidate
+//! pays the same AIC penalty, so each block votes for its highest
+//! (clamped) t-copula log-likelihood.
 
 use crate::empirical::{pseudo_copula_column, MarginalDistribution};
 use crate::error::{validate_columns, DpCopulaError};
@@ -80,78 +81,6 @@ pub struct FamilyScore {
     /// Noisy count of blocks whose AIC preferred this candidate
     /// (higher is better).
     pub noisy_votes: f64,
-}
-
-/// DP mean per-record pseudo log-likelihood of `family` on the data, by
-/// subsample-and-aggregate over `partitions` blocks, spending `epsilon`.
-pub fn dp_mean_log_likelihood<R: Rng + ?Sized>(
-    columns: &[Vec<u32>],
-    family: CopulaFamily,
-    partitions: usize,
-    epsilon: Epsilon,
-    rng: &mut R,
-) -> Result<f64, DpCopulaError> {
-    let m = columns.len();
-    assert!(m >= 2, "log-likelihood needs at least two attributes");
-    let n = columns[0].len();
-    let l = partitions.max(1);
-    let block = n / l;
-    if block < 8 {
-        return Err(DpCopulaError::InsufficientDataForMle {
-            required_partitions: l,
-            records: n,
-        });
-    }
-
-    let mut total = 0.0;
-    let mut u_cols: Vec<Vec<f64>> = vec![Vec::new(); m];
-    for t in 0..l {
-        let lo = t * block;
-        let hi = lo + block;
-        for (j, col) in columns.iter().enumerate() {
-            u_cols[j] = pseudo_copula_column(&col[lo..hi]);
-        }
-        // Block-local correlation from normal scores.
-        let scores: Vec<Vec<f64>> = u_cols
-            .iter()
-            .map(|u| u.iter().map(|&v| norm_quantile(v)).collect())
-            .collect();
-        let mut p = Matrix::identity(m);
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let r = pearson(&scores[i], &scores[j]).clamp(-0.95, 0.95);
-                p[(i, j)] = r;
-                p[(j, i)] = r;
-            }
-        }
-        let p = mathkit::correlation::repair_positive_definite(&p);
-
-        let mut block_ll = 0.0;
-        match family {
-            CopulaFamily::Gaussian => {
-                let c = GaussianCopula::new(p).expect("repaired matrix is PD");
-                for row in 0..block {
-                    let z: Vec<f64> = scores.iter().map(|s| s[row]).collect();
-                    block_ll += c.log_density_scores(&z).clamp(-LL_CLAMP, LL_CLAMP);
-                }
-            }
-            CopulaFamily::StudentT { df } => {
-                let c = TCopula::new(p, df).expect("repaired matrix is PD");
-                let t = mathkit::dist::StudentT::new(df).expect("positive df");
-                for row in 0..block {
-                    let x: Vec<f64> = u_cols.iter().map(|u| t.quantile(u[row])).collect();
-                    block_ll += c.log_density_scores(&x).clamp(-LL_CLAMP, LL_CLAMP);
-                }
-            }
-        }
-        total += block_ll / block as f64;
-    }
-    let mean = total / l as f64;
-    // One record lives in one block and can move that block's clamped mean
-    // by at most 2*LL_CLAMP/block, hence the average by 2*LL_CLAMP/(l*block).
-    // Being conservative (the rank transform couples records within a
-    // block), we calibrate to 2*LL_CLAMP/l.
-    Ok(mean + laplace_noise(rng, 2.0 * LL_CLAMP / (l as f64 * epsilon.value())))
 }
 
 /// Selects the best copula family by per-block AIC voting, spending
@@ -448,14 +377,43 @@ mod tests {
     fn tiny_blocks_error() {
         let cols = vec![vec![1u32; 20], vec![2u32; 20]];
         let mut rng = StdRng::seed_from_u64(7);
-        let err = dp_mean_log_likelihood(
+        let err = dp_select_family(
             &cols,
-            CopulaFamily::Gaussian,
+            &[CopulaFamily::Gaussian, CopulaFamily::StudentT { df: 3.0 }],
             10,
             Epsilon::new(1.0).unwrap(),
             &mut rng,
         )
         .unwrap_err();
         assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
+    }
+
+    #[test]
+    fn t_candidates_select_degrees_of_freedom() {
+        // Over t candidates alone the vote picks the degrees of freedom:
+        // small nu for t(3) data, the near-Gaussian nu for Gaussian data.
+        let select = |cols: &[Vec<u32>], dfs: &[f64], rng: &mut StdRng| {
+            let candidates: Vec<CopulaFamily> = dfs
+                .iter()
+                .map(|&df| CopulaFamily::StudentT { df })
+                .collect();
+            dp_select_family(cols, &candidates, 60, Epsilon::new(5.0).unwrap(), rng)
+                .unwrap()
+                .0
+        };
+        let p = equicorrelation(2, 0.6);
+        let margins = || vec![uniform_margin(500), uniform_margin(500)];
+
+        let mut rng = StdRng::seed_from_u64(2);
+        let t3 = TCopulaSampler::new(&p, 3.0, margins()).unwrap();
+        let cols = t3.sample_columns(12_000, &mut rng);
+        let best = select(&cols, &[3.0, 10.0, 1e5], &mut rng);
+        assert_eq!(best, CopulaFamily::StudentT { df: 3.0 });
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let gaussian = CopulaSampler::new(&p, margins()).unwrap();
+        let cols = gaussian.sample_columns(12_000, &mut rng);
+        let best = select(&cols, &[3.0, 1e5], &mut rng);
+        assert_eq!(best, CopulaFamily::StudentT { df: 1e5 });
     }
 }

@@ -28,9 +28,16 @@
 //!   Under `Full` sampling that union is every row, so any shard count
 //!   releases the unsharded matrix; under `Auto`/`Fixed` it is a
 //!   different row set from the unsharded subsample.
-//! * **Budget** — each shard keeps a [`ShardLedger`];
-//!   [`ShardLedger::merge_parallel`] folds them with the per-label-max
-//!   rule into the combined ledger the artifact reports.
+//! * **Budget** — each shard keeps a [`ShardLedger`] of what its own
+//!   mechanisms spent. A sharded artifact (format v2) lists every
+//!   shard's entries, and `shard_eps_spent_neps` counts them. The
+//!   combined entries the artifact reports are written from `ε₁` and
+//!   `ε₂` when it is assembled: shards hold disjoint rows, so by parallel
+//!   composition the combined cost per label is the per-shard maximum,
+//!   which for the identical sub-ledgers of one fit is any one shard's.
+//!   The fold's `BudgetAccountant` only checks the total and publishes
+//!   the spend series. [`ShardLedger::merge_parallel`] computes the
+//!   per-label maximum; the tests hold the sub-ledgers to it.
 
 use crate::engine::{harvest_draws, STREAM_KENDALL_SAMPLE, STREAM_MARGINS};
 use crate::error::DpCopulaError;
@@ -419,13 +426,6 @@ pub fn shard_locals(spec: ShardSpec, target: usize, base_seed: u64) -> Vec<usize
     }
 }
 
-/// Folds the per-shard sub-ledgers into the combined ledger with the
-/// parallel-composition per-label-max rule (shards hold disjoint rows).
-pub fn merge_ledgers(summaries: &[ShardSummary]) -> ShardLedger {
-    let ledgers: Vec<ShardLedger> = summaries.iter().map(|s| s.ledger.clone()).collect();
-    ShardLedger::merge_parallel(&ledgers)
-}
-
 /// The sharded DP Kendall-τ estimator end to end: pools every shard's
 /// share of the record sample ([`shard_locals`], shard-major) and
 /// releases the **raw** (pre-repair) matrix through the one Kendall
@@ -806,7 +806,8 @@ mod tests {
         // Parallel composition: each shard spent m * eps_margin on the
         // margins label; the combined ledger carries the max, which for
         // identical sub-ledgers equals any one of them — NOT 4x.
-        let combined = merge_ledgers(&summaries);
+        let ledgers: Vec<ShardLedger> = summaries.iter().map(|s| s.ledger.clone()).collect();
+        let combined = ShardLedger::merge_parallel(&ledgers);
         let per_shard = 2 * nano_eps(eps_margin);
         assert_eq!(combined.spent_neps("margins"), per_shard);
         for s in &summaries {

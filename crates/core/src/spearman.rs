@@ -23,14 +23,15 @@
 //! `n >= 3`. We release with `Delta = 30/(n-1)` — about 7.5x Kendall's
 //! `4/(n+1)`, which is exactly why the paper prefers Kendall. The bound
 //! is verified empirically by a property test.
+//!
+//! [`dp_spearman_matrix_par`] is the one release: the fit's correlation
+//! stage calls it under `CorrelationMethod::Spearman`.
 
 use crate::engine::STREAM_SPEARMAN_NOISE;
 use crate::error::DpCopulaError;
 use dpmech::{laplace_noise, Epsilon};
-use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
 use mathkit::stats::ranks;
 use mathkit::Matrix;
-use rngkit::Rng;
 
 /// Sample Spearman rank correlation (mid-ranks for ties).
 ///
@@ -56,51 +57,13 @@ pub fn spearman_sensitivity(n: usize) -> f64 {
     30.0 / (n as f64 - 1.0)
 }
 
-/// Releases one pairwise Spearman coefficient under `epsilon`-DP.
-pub fn dp_spearman_rho<R: Rng + ?Sized>(
-    x: &[u32],
-    y: &[u32],
-    epsilon: Epsilon,
-    rng: &mut R,
-) -> f64 {
-    spearman_rho(x, y) + laplace_noise(rng, spearman_sensitivity(x.len()) / epsilon.value())
-}
-
-/// The Spearman analogue of Algorithm 5: noisy pairwise `rho_s`, mapped
-/// through `2 sin(pi/6 rho_s)`, clamped and repaired to a positive
-/// definite correlation matrix. `eps2_total` is split over the `C(m,2)`
-/// pairs.
-pub fn dp_correlation_matrix_spearman<R: Rng + ?Sized>(
-    columns: &[Vec<u32>],
-    eps2_total: Epsilon,
-    rng: &mut R,
-) -> Matrix {
-    let m = columns.len();
-    assert!(m >= 1, "need at least one column");
-    if m == 1 {
-        return Matrix::identity(1);
-    }
-    let pairs = m * (m - 1) / 2;
-    let eps_pair = eps2_total.divide(pairs);
-    let mut p = Matrix::identity(m);
-    for i in 0..m {
-        for j in (i + 1)..m {
-            let rho_s = dp_spearman_rho(&columns[i], &columns[j], eps_pair, rng);
-            let r = 2.0 * (std::f64::consts::PI / 6.0 * rho_s.clamp(-1.0, 1.0)).sin();
-            p[(i, j)] = r;
-            p[(j, i)] = r;
-        }
-    }
-    clamp_to_correlation(&mut p);
-    repair_positive_definite(&p)
-}
-
-/// The staged-engine version of the Spearman estimator: per-column rank
-/// vectors are computed once (one pure task per attribute) instead of
-/// per pair, then the `C(m,2)` coefficients fan out across `workers`
-/// threads with per-pair noise streams. Returns the **raw**
-/// `2 sin(pi/6 rho_s)` matrix; clamping and the positive-definite repair
-/// are a separate pipeline stage (see [`crate::engine`]).
+/// The Spearman analogue of Algorithm 5: noisy pairwise `rho_s` at
+/// `eps2_total / C(m,2)` each, mapped through `2 sin(pi/6 rho_s)`.
+/// Per-column rank vectors are computed once (one pure task per
+/// attribute), then the `C(m,2)` coefficients fan out across `workers`
+/// threads with per-pair noise streams. Returns the **raw** matrix;
+/// clamping and the positive-definite repair are a separate pipeline
+/// stage (see [`crate::engine`]).
 ///
 /// Bit-identical at any worker count: pair `k`'s noise comes from
 /// `stream_rng(base_seed, STREAM_SPEARMAN_NOISE, k)`.
@@ -165,6 +128,7 @@ mod tests {
     use super::*;
     use crate::kendall::kendall_sensitivity;
     use mathkit::cholesky::is_positive_definite;
+    use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
     use rngkit::rngs::StdRng;
     use rngkit::SeedableRng;
 
@@ -230,11 +194,14 @@ mod tests {
         let n = 20_000u32;
         let x: Vec<u32> = (0..n).collect();
         let y: Vec<u32> = x.iter().map(|&v| v / 3).collect();
-        let exact = spearman_rho(&x, &y);
-        let mut rng = StdRng::seed_from_u64(2);
+        let exact = 2.0 * (std::f64::consts::PI / 6.0 * spearman_rho(&x, &y)).sin();
+        let cols = [x, y];
         let eps = Epsilon::new(1.0).unwrap();
         let avg: f64 = (0..30)
-            .map(|_| dp_spearman_rho(&x, &y, eps, &mut rng))
+            .map(|seed| {
+                dp_spearman_matrix_par(&cols, eps, seed, 1, &obskit::MetricsSink::off()).unwrap()
+                    [(0, 1)]
+            })
             .sum::<f64>()
             / 30.0;
         assert!((avg - exact).abs() < 0.01, "avg {avg} vs exact {exact}");
@@ -252,7 +219,17 @@ mod tests {
                     .collect()
             })
             .collect();
-        let p = dp_correlation_matrix_spearman(&cols, Epsilon::new(1.0).unwrap(), &mut rng);
+        let mut p = dp_spearman_matrix_par(
+            &cols,
+            Epsilon::new(1.0).unwrap(),
+            3,
+            2,
+            &obskit::MetricsSink::off(),
+        )
+        .unwrap();
+        // The engine's pd_repair stage.
+        clamp_to_correlation(&mut p);
+        let p = repair_positive_definite(&p);
         assert!(is_positive_definite(&p));
         assert!(mathkit::correlation::is_correlation_shaped(&p, 1e-9));
         assert!(p[(0, 1)] > 0.3, "p01 {}", p[(0, 1)]);

@@ -10,20 +10,18 @@
 //! DP estimation reuses the machinery of Algorithm 5 unchanged for `P`:
 //! the identity `rho = sin(pi/2 * tau)` holds for **every** elliptical
 //! copula, so the noisy-Kendall estimator and its privacy proof carry
-//! over verbatim. The degrees of freedom are selected from a candidate
-//! grid by subsample-and-aggregate pseudo-likelihood (each disjoint block
-//! votes for its maximising `nu`; the histogram of votes is released
-//! through the Laplace mechanism — parallel composition across blocks,
-//! sensitivity 1 per bin).
+//! over verbatim. The degrees of freedom are chosen by
+//! [`crate::selection::dp_select_family`] over `StudentT { df }`
+//! candidates: each disjoint block votes for its maximising `nu`, and the
+//! vote histogram is released through the Laplace mechanism. This module
+//! holds the density and the sampler; it releases nothing itself.
 //!
 //! Sampling follows the classic construction: `x = z / sqrt(w / nu)` with
 //! `z ~ N(0, P)` and `w ~ chi^2(nu)`, then `u_j = T_nu(x_j)` and the
 //! inverse DP margins as in Algorithm 3.
 
-use crate::empirical::{pseudo_copula_column, MarginalDistribution};
-use crate::error::DpCopulaError;
-use dpmech::{laplace_noise, Epsilon};
-use mathkit::cholesky::{log_det_spd, solve_spd, CholeskyError};
+use crate::empirical::MarginalDistribution;
+use mathkit::cholesky::{inverse_spd, log_det_spd, CholeskyError};
 use mathkit::dist::{Continuous, Gamma, MultivariateNormal, StudentT};
 use mathkit::special::ln_gamma;
 use mathkit::Matrix;
@@ -50,17 +48,7 @@ impl TCopula {
             "degrees of freedom must be positive"
         );
         let log_det = log_det_spd(&p)?;
-        let m = p.rows();
-        let mut p_inv = Matrix::zeros(m, m);
-        let mut e = vec![0.0; m];
-        for j in 0..m {
-            e[j] = 1.0;
-            let col = solve_spd(&p, &e)?;
-            for i in 0..m {
-                p_inv[(i, j)] = col[i];
-            }
-            e[j] = 0.0;
-        }
+        let p_inv = inverse_spd(&p)?;
         Ok(Self {
             p,
             p_inv,
@@ -193,99 +181,6 @@ impl TCopulaSampler {
     }
 }
 
-/// Differentially private selection of the degrees of freedom from a
-/// candidate grid by subsample-and-aggregate voting.
-///
-/// Each of `l` disjoint blocks computes its pseudo-copula scores and votes
-/// for the candidate `nu` maximising the block's t-copula pseudo
-/// log-likelihood (with the block's own sample correlation — computed on
-/// block data only). The vote histogram is released with `Lap(1/eps)`
-/// per bin (one record changes one block's single vote: histogram
-/// sensitivity is 2, we calibrate to 2), and the arg-max candidate wins.
-pub fn dp_select_degrees_of_freedom<R: Rng + ?Sized>(
-    columns: &[Vec<u32>],
-    candidates: &[f64],
-    partitions: usize,
-    epsilon: Epsilon,
-    rng: &mut R,
-) -> Result<f64, DpCopulaError> {
-    assert!(!candidates.is_empty(), "need candidate degrees of freedom");
-    assert!(
-        candidates.iter().all(|&v| v.is_finite() && v > 0.0),
-        "candidates must be positive"
-    );
-    let m = columns.len();
-    if m < 2 {
-        // Degrees of freedom are irrelevant without dependence.
-        return Ok(*candidates.last().expect("non-empty"));
-    }
-    let n = columns[0].len();
-    let l = partitions.max(1);
-    let block = n / l;
-    if block < 8 {
-        return Err(DpCopulaError::InsufficientDataForMle {
-            required_partitions: l,
-            records: n,
-        });
-    }
-
-    let mut votes = vec![0.0; candidates.len()];
-    let mut u_cols: Vec<Vec<f64>> = vec![Vec::new(); m];
-    for t in 0..l {
-        let lo = t * block;
-        let hi = lo + block;
-        for (j, col) in columns.iter().enumerate() {
-            u_cols[j] = pseudo_copula_column(&col[lo..hi]);
-        }
-        // Block correlation from normal scores (cheap, block-local).
-        let scores: Vec<Vec<f64>> = u_cols
-            .iter()
-            .map(|u| {
-                u.iter()
-                    .map(|&v| mathkit::special::norm_quantile(v))
-                    .collect()
-            })
-            .collect();
-        let mut p = Matrix::identity(m);
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let r = mathkit::stats::pearson(&scores[i], &scores[j]).clamp(-0.95, 0.95);
-                p[(i, j)] = r;
-                p[(j, i)] = r;
-            }
-        }
-        let p = mathkit::correlation::repair_positive_definite(&p);
-
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for (ci, &nu) in candidates.iter().enumerate() {
-            let copula = TCopula::new(p.clone(), nu)?;
-            let tdist = StudentT::new(nu).expect("positive df");
-            let mut ll = 0.0;
-            for row in 0..block {
-                let x: Vec<f64> = u_cols.iter().map(|u| tdist.quantile(u[row])).collect();
-                ll += copula.log_density_scores(&x);
-            }
-            if ll > best.1 {
-                best = (ci, ll);
-            }
-        }
-        votes[best.0] += 1.0;
-    }
-
-    // One record flips at most one block's vote: +-1 in two bins.
-    let noisy: Vec<f64> = votes
-        .iter()
-        .map(|&v| v + laplace_noise(rng, 2.0 / epsilon.value()))
-        .collect();
-    let winner = noisy
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite votes"))
-        .map(|(i, _)| i)
-        .expect("non-empty candidates");
-    Ok(candidates[winner])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,58 +242,5 @@ mod tests {
         let p = equicorrelation(3, -0.9);
         let margins = vec![uniform_margin(4); 3];
         assert!(TCopulaSampler::new(&p, 4.0, margins).is_err());
-    }
-
-    #[test]
-    fn df_selection_prefers_small_nu_for_t_data() {
-        // Data from a t copula with nu = 3 should vote for small nu.
-        let p = equicorrelation(2, 0.6);
-        let margins = vec![uniform_margin(500), uniform_margin(500)];
-        let gen = TCopulaSampler::new(&p, 3.0, margins).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let cols = gen.sample_columns(12_000, &mut rng);
-        let nu = dp_select_degrees_of_freedom(
-            &cols,
-            &[3.0, 10.0, 1e5],
-            60,
-            Epsilon::new(5.0).unwrap(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(nu, 3.0, "selected nu {nu}");
-    }
-
-    #[test]
-    fn df_selection_prefers_large_nu_for_gaussian_data() {
-        use crate::sampler::CopulaSampler;
-        let p = equicorrelation(2, 0.6);
-        let margins = vec![uniform_margin(500), uniform_margin(500)];
-        let gen = CopulaSampler::new(&p, margins).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let cols = gen.sample_columns(12_000, &mut rng);
-        let nu = dp_select_degrees_of_freedom(
-            &cols,
-            &[3.0, 1e5],
-            60,
-            Epsilon::new(5.0).unwrap(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(nu, 1e5, "selected nu {nu}");
-    }
-
-    #[test]
-    fn df_selection_errors_on_tiny_blocks() {
-        let cols = vec![vec![1u32, 2, 3], vec![3u32, 2, 1]];
-        let mut rng = StdRng::seed_from_u64(4);
-        let err = dp_select_degrees_of_freedom(
-            &cols,
-            &[3.0, 10.0],
-            10,
-            Epsilon::new(1.0).unwrap(),
-            &mut rng,
-        )
-        .unwrap_err();
-        assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
     }
 }

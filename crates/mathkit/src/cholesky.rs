@@ -96,6 +96,23 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, CholeskyError> {
     Ok(x)
 }
 
+/// Inverts a symmetric positive-definite matrix column by column:
+/// column `j` of the inverse is [`solve_spd`] of `A x = e_j`.
+pub fn inverse_spd(a: &Matrix) -> Result<Matrix, CholeskyError> {
+    let m = a.rows();
+    let mut inv = Matrix::zeros(m, m);
+    let mut e = vec![0.0; m];
+    for j in 0..m {
+        e[j] = 1.0;
+        let col = solve_spd(a, &e)?;
+        for i in 0..m {
+            inv[(i, j)] = col[i];
+        }
+        e[j] = 0.0;
+    }
+    Ok(inv)
+}
+
 /// Log-determinant of a symmetric positive-definite matrix via Cholesky:
 /// `log det A = 2 * sum_i log L_ii`.
 pub fn log_det_spd(a: &Matrix) -> Result<f64, CholeskyError> {
@@ -143,6 +160,15 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn inverse_times_matrix_is_identity() {
+        let a = Matrix::from_rows(&[&[4.0, 2.0, 0.5], &[2.0, 3.0, 0.2], &[0.5, 0.2, 1.0]]);
+        let inv = inverse_spd(&a).unwrap();
+        assert!(a.matmul(&inv).max_abs_diff(&Matrix::identity(3)) < 1e-12);
+        let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
+        assert!(inverse_spd(&indefinite).is_err());
     }
 
     #[test]
