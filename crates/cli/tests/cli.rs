@@ -746,6 +746,28 @@ fn fit_shard_misuse_and_merge_misuse_are_named_errors() {
 }
 
 #[test]
+fn tiny_per_mechanism_budget_is_a_named_error_not_a_panic() {
+    // ε₁/m or ε₂/C(m,2) below the floor would overflow a mechanism's
+    // arithmetic; the fit refuses it and writes no model.
+    let dir = Scratch::new("tiny_budget");
+    let csv = gen_small(&dir, "census.csv");
+    let model = dir.path("model.dpcm");
+    for budget in [
+        ["--epsilon", "1e-150", "--k", "8"],
+        ["--epsilon", "1e-310", "--k", "8"],
+        ["--epsilon", "1", "--k", "1e-150"],
+    ] {
+        let mut args = vec!["fit", "--input", &csv, "--out", &model];
+        args.extend(budget);
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{budget:?}: {stderr}");
+        assert!(stderr.contains("below the floor"), "{budget:?}: {stderr}");
+        assert!(!Path::new(&model).exists(), "{budget:?} wrote {model}");
+    }
+}
+
+#[test]
 fn overflowing_sample_window_is_a_clean_error() {
     let dir = Scratch::new("overflow");
     let csv = gen_small(&dir, "census.csv");

@@ -31,7 +31,7 @@
 //! drawn once at merge time against the pooled sample's sensitivity.
 
 use crate::engine::{fold_summaries, EngineOptions};
-use crate::error::DpCopulaError;
+use crate::error::{validate_budget, DpCopulaError};
 use crate::kendall::{self, Concordance, RankedColumn, SamplingStrategy};
 use crate::model::{assemble_artifact, ArtifactMeta, FittedModel, STREAM_SCHEME};
 use crate::shard::{self, RowReducer, ShardSummary};
@@ -218,6 +218,7 @@ pub fn fit_shard(
             return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "spearman" })
         }
     };
+    validate_budget(config.epsilon, config.k_ratio, m)?;
     let domains: Vec<usize> = attrs.iter().map(|a| a.domain).collect();
     let (eps1, eps2) = config.epsilon.split_ratio(config.k_ratio);
     let specs = shard::shard_specs(total_rows, shards);
@@ -452,9 +453,10 @@ pub fn merge_shards(
     // drew: anything else pools into a different statistic.
     let conf = &first.config;
     let epsilon = Epsilon::new(conf.epsilon)?;
+    let m = first.schema.len();
+    validate_budget(epsilon, conf.k_ratio, m)?;
     let budget = DpCopulaConfig::kendall(epsilon).with_k_ratio(conf.k_ratio);
     let (_, eps2) = epsilon.split_ratio(conf.k_ratio);
-    let m = first.schema.len();
     if m > 1 {
         if total_rows < 2 {
             return Err(DpCopulaError::TooFewRecords {

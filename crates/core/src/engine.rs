@@ -30,7 +30,7 @@
 
 use crate::distfit::CountedSource;
 use crate::empirical::MarginalDistribution;
-use crate::error::{validate_shape, DpCopulaError};
+use crate::error::{validate_budget, validate_shape, DpCopulaError};
 use crate::kendall::dp_tau_matrix;
 use crate::mle::dp_mle_matrix_par;
 use crate::sampler::CopulaSampler;
@@ -428,6 +428,7 @@ impl DpCopula {
         };
         let domains: Vec<usize> = schema.iter().map(|a| a.domain).collect();
         let m = domains.len();
+        validate_budget(cfg.epsilon, cfg.k_ratio, m)?;
         let n = match &input {
             Rows::Resident(columns) => columns[0].len(),
             Rows::Streamed(counted) => counted.rows,

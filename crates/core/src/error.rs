@@ -1,7 +1,15 @@
 //! Error type for the DPCopula pipeline.
 
-use dpmech::BudgetError;
+use dpmech::{BudgetError, Epsilon};
 use mathkit::cholesky::CholeskyError;
+
+/// The smallest ε one mechanism of a fit may spend. Below it a
+/// mechanism's arithmetic leaves the finite `f64`s: EFPA's
+/// exponential-mechanism score `16k²/ε²` overflows below about 6e-145
+/// for a `u32` domain, and a Laplace scale `Δ/ε` near 1e-308. The floor
+/// sits well above both and still admits ε = 1e-100 at m = 4, whose
+/// smallest budget is about 1.9e-102.
+pub const MIN_MECHANISM_EPSILON: f64 = 1e-120;
 
 /// Everything that can go wrong while fitting or sampling a DP copula.
 ///
@@ -172,6 +180,12 @@ pub enum DpCopulaError {
         /// Artifacts actually provided.
         provided: usize,
     },
+    /// The budget plan gives some mechanism less than
+    /// [`MIN_MECHANISM_EPSILON`] (see [`validate_budget`]).
+    BudgetBelowFloor {
+        /// The smallest per-mechanism budget of the plan.
+        smallest: f64,
+    },
 }
 
 impl std::fmt::Display for DpCopulaError {
@@ -269,6 +283,11 @@ impl std::fmt::Display for DpCopulaError {
                 "{provided} shard artifacts provided but the fit was declared \
                  as {declared} shards"
             ),
+            DpCopulaError::BudgetBelowFloor { smallest } => write!(
+                f,
+                "per-mechanism budget {smallest:e} (epsilon_1/m per margin, \
+                 epsilon_2/C(m,2) per pair) is below the floor {MIN_MECHANISM_EPSILON:e}"
+            ),
         }
     }
 }
@@ -322,6 +341,29 @@ pub fn validate_columns(columns: &[Vec<u32>], domains: &[usize]) -> Result<(), D
         }
     }
     Ok(())
+}
+
+/// Refuses a budget plan over `attributes` columns whose smallest
+/// per-mechanism budget — `ε₁/m` for a margin, `ε₂/C(m,2)` for a pair,
+/// from `epsilon.split_ratio(k_ratio)` — is below
+/// [`MIN_MECHANISM_EPSILON`]. One attribute releases no pair.
+pub fn validate_budget(
+    epsilon: Epsilon,
+    k_ratio: f64,
+    attributes: usize,
+) -> Result<(), DpCopulaError> {
+    let (eps1, eps2) = epsilon.split_ratio(k_ratio);
+    let m = attributes.max(1);
+    let pairs = m * (m - 1) / 2;
+    let mut smallest = eps1.divide(m).value();
+    if pairs > 0 {
+        smallest = smallest.min(eps2.divide(pairs).value());
+    }
+    if smallest >= MIN_MECHANISM_EPSILON {
+        Ok(())
+    } else {
+        Err(DpCopulaError::BudgetBelowFloor { smallest })
+    }
 }
 
 /// The shape half of [`validate_columns`]: at least one attribute and

@@ -25,10 +25,11 @@ pub const COEFFICIENT_DIAMETER: f64 = 2.0;
 
 /// The paper's partition-count requirement:
 /// `l > C(m,2) / (0.025 * eps2)` so the aggregate noise stays below
-/// 0.025 of the coefficient scale.
+/// 0.025 of the coefficient scale. Saturates at `usize::MAX` for a tiny
+/// `eps2`, which no dataset can split into.
 pub fn required_partitions(m: usize, eps2_total: f64) -> usize {
     let pairs = (m * (m - 1) / 2) as f64;
-    (pairs / (0.025 * eps2_total)).ceil() as usize + 1
+    ((pairs / (0.025 * eps2_total)).ceil() as usize).saturating_add(1)
 }
 
 /// Maximum-likelihood estimate of the bivariate Gaussian-copula
@@ -149,16 +150,7 @@ pub fn dp_mle_matrix_par(
     let pairs = m * (m - 1) / 2;
 
     let l = match strategy {
-        PartitionStrategy::Auto => {
-            let req = required_partitions(m, eps2_total.value());
-            if req * MIN_BLOCK_SIZE > n {
-                return Err(DpCopulaError::InsufficientDataForMle {
-                    required_partitions: req,
-                    records: n,
-                });
-            }
-            req
-        }
+        PartitionStrategy::Auto => required_partitions(m, eps2_total.value()),
         PartitionStrategy::Fixed(l) => l.max(1),
     };
     let block = n / l;
@@ -267,6 +259,23 @@ mod tests {
         // m=8, eps2 = 1/9: C(8,2)=28; 28/(0.025/9) = 10080.
         let req = required_partitions(8, 1.0 / 9.0);
         assert!((10_080..=10_082).contains(&req), "req {req}");
+    }
+
+    #[test]
+    fn required_partitions_saturates_at_tiny_epsilon() {
+        // C(4,2)/(0.025·1e-100) overflows usize: no dataset is that big.
+        assert_eq!(required_partitions(4, 1e-100), usize::MAX);
+        let cols = correlated_columns(0.5, 2, 500, 2);
+        let err = dp_mle_matrix_par(
+            &cols,
+            Epsilon::new(1e-100).unwrap(),
+            PartitionStrategy::Auto,
+            3,
+            1,
+            &obskit::MetricsSink::off(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! (clamped) t-copula log-likelihood.
 
 use crate::empirical::{pseudo_copula_column, MarginalDistribution};
-use crate::error::{validate_columns, DpCopulaError};
+use crate::error::{validate_budget, validate_columns, DpCopulaError};
 use crate::gaussian::GaussianCopula;
 use crate::kendall::{dp_correlation_matrix, SamplingStrategy};
 use crate::sampler::CopulaSampler;
@@ -249,6 +249,7 @@ pub fn synthesize_adaptive<R: Rng + ?Sized>(
     let total = config.base.epsilon;
     let eps_select = total.fraction(config.selection_fraction);
     let eps_rest = Epsilon::new(total.value() - eps_select.value())?;
+    validate_budget(eps_rest, config.base.k_ratio, columns.len())?;
 
     let (family, scores) = dp_select_family(
         columns,

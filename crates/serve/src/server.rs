@@ -51,6 +51,7 @@ use crate::http::{read_request_spooled, HttpError, ReadLimits, Request, Response
 use crate::json::{quote, Json};
 use crate::registry::{valid_model_id, ModelRegistry, RegistryError};
 use datagen::RowSource;
+use dpcopula::error::validate_budget;
 use dpcopula::{DpCopulaConfig, DpCopulaError, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
 use modelstore::crc32::fnv1a64;
@@ -776,8 +777,9 @@ fn handle_sample(req: &Request, state: &ServerState) -> Response {
 /// The fit route, for both request shapes: the JSON envelope (CSV
 /// embedded as a string field), and a raw `text/csv` body — in memory
 /// under the cap, spooled to disk above it — with the fit parameters in
-/// the query string. Every parameter and CSV check runs before the
-/// tenant is debited, so a malformed request costs no ε.
+/// the query string. Every parameter and CSV check, and the
+/// per-mechanism budget floor, runs before the tenant is debited, so a
+/// malformed request costs no ε.
 fn handle_fit(req: &Request, state: &ServerState) -> Result<Response, Response> {
     let envelope;
     let (params, input) = if req.is_csv() {
@@ -799,11 +801,17 @@ fn handle_fit(req: &Request, state: &ServerState) -> Result<Response, Response> 
         (params, FitInput::Resident(dataset))
     };
 
-    admit_tenant(state, params.tenant, params.epsilon)?;
     let mut config = DpCopulaConfig::kendall(params.epsilon);
     if let Some(k) = params.k_ratio {
         config = config.with_k_ratio(k);
     }
+    let attributes = match &input {
+        FitInput::Resident(dataset) => dataset.attributes().len(),
+        FitInput::Spooled { source, .. } => source.attributes().len(),
+    };
+    validate_budget(config.epsilon, config.k_ratio, attributes)
+        .map_err(|e| bad_request(e.to_string()))?;
+    admit_tenant(state, params.tenant, params.epsilon)?;
     let domains;
     let (request, rows, names) = match input {
         FitInput::Resident(ref dataset) => {

@@ -180,6 +180,17 @@ curl -sf -X POST "http://$ADDR/v1/sample" \
     -d '{"model":"model","offset":0,"rows":1000}' > "$SMOKE/http-served.csv"
 diff "$SMOKE/http-served.csv" "$SMOKE/served.csv"
 echo "    HTTP-served rows are byte-identical to CLI-served rows"
+# A per-mechanism budget below the floor (k = 1e-150 leaves the margins
+# epsilon_1 = 0) is a 400 before admission. Had it debited the tenant,
+# the epsilon 1.0 fit below would get 429.
+TINY_STATUS="$(curl -s -o "$SMOKE/tinyk.json" -w '%{http_code}' -X POST \
+    "http://$ADDR/v1/fit?id=tinyk&epsilon=1&k=1e-150&seed=99" \
+    -H 'Content-Type: text/csv' --data-binary "@$SMOKE/census.csv")" || true
+if [ "$TINY_STATUS" != "400" ]; then
+    echo "    expected 400 for a below-floor budget, got $TINY_STATUS" >&2
+    exit 1
+fi
+echo "    a below-floor per-mechanism budget is a 400 that debits nothing"
 # Fit over HTTP: first fit fits in the tenant budget, the second must be
 # refused with 429 (admission control), and sampling must keep serving.
 # sed joins lines with literal \n; tr strips the real trailing newline

@@ -119,6 +119,156 @@ fn tiny_epsilon_kendall_fit_takes_every_record() {
 }
 
 #[test]
+fn tiny_per_mechanism_budgets_are_refused_with_a_typed_error() {
+    // ε₁/m or ε₂/C(m,2) below the floor overflows a mechanism's
+    // arithmetic (EFPA's scores at ε = 1e-150, every Laplace scale at
+    // 1e-310, ε₁ = 0 at k = 1e-150): every fit entry point refuses it
+    // before it draws.
+    use dpcopula::error::MIN_MECHANISM_EPSILON;
+    use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig};
+    use dpcopula::{distfit, EngineOptions};
+    use obskit::MetricsSink;
+    use rngkit::RngCore;
+
+    let data = datagen::census::us_census(2_000, 3);
+    let domains = data.domains();
+    let below = |e: &DpCopulaError| matches!(e, DpCopulaError::BudgetBelowFloor { smallest } if *smallest < MIN_MECHANISM_EPSILON);
+    for (eps, k) in [(1e-150, 8.0), (1e-310, 8.0), (1.0, 1e-150)] {
+        let config = DpCopulaConfig::kendall(Epsilon::new(eps).unwrap()).with_k_ratio(k);
+        let err = SynthesisRequest::from_config(data.columns(), &domains, config)
+            .fit()
+            .unwrap_err();
+        assert!(below(&err), "fit eps={eps} k={k}: {err}");
+
+        let mut source = datagen::DatasetSource::new(data.clone());
+        let opts = EngineOptions::default();
+        let err = distfit::fit_shard(
+            &mut source,
+            &config,
+            0,
+            2,
+            2_000,
+            7,
+            &opts,
+            &MetricsSink::off(),
+        )
+        .unwrap_err();
+        assert!(below(&err), "fit_shard eps={eps} k={k}: {err}");
+
+        // The vote would draw first: a refusal leaves the generator alone.
+        let mut rng = StdRng::seed_from_u64(9);
+        let err = synthesize_adaptive(
+            &AdaptiveConfig::new(config),
+            data.columns(),
+            &domains,
+            &mut rng,
+        )
+        .unwrap_err();
+        assert!(below(&err), "adaptive eps={eps} k={k}: {err}");
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(9).next_u64());
+    }
+
+    // `.dpcs` files carry their own ε and k into the merge.
+    let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+    let shards: Vec<(String, modelstore::ShardArtifact)> = (0..2)
+        .map(|i| {
+            let part: Vec<Vec<u32>> = data
+                .columns()
+                .iter()
+                .map(|col| col[i * 1_000..(i + 1) * 1_000].to_vec())
+                .collect();
+            let mut source = datagen::DatasetSource::new(datagen::Dataset::new(
+                data.attributes().to_vec(),
+                part,
+            ));
+            let mut artifact = distfit::fit_shard(
+                &mut source,
+                &config,
+                i,
+                2,
+                2_000,
+                7,
+                &EngineOptions::default(),
+                &MetricsSink::off(),
+            )
+            .unwrap();
+            artifact.config.epsilon = 1e-310;
+            (format!("part{i}.dpcs"), artifact)
+        })
+        .collect();
+    let err = distfit::merge_shards(&shards, 1, &MetricsSink::off()).unwrap_err();
+    assert!(below(&err), "merge: {err}");
+}
+
+#[test]
+fn the_budget_floor_fits_every_method_and_refuses_just_below_it() {
+    // m = 2 and ε = 4·floor, exact in binary: k = 1 puts each margin
+    // exactly on the floor (ε₁/2 = ε/4), k = 3 the pair (ε₂ = ε/4). One
+    // ulp less ε puts that mechanism just below it.
+    use dpcopula::error::MIN_MECHANISM_EPSILON;
+    use dpcopula::mle::PartitionStrategy;
+
+    let data = datagen::census::us_census(500, 5);
+    let columns = &data.columns()[..2];
+    let domains = &data.domains()[..2];
+    let at = 4.0 * MIN_MECHANISM_EPSILON;
+    let just_below = f64::from_bits(at.to_bits() - 1);
+    let fit = |eps: f64, margin, method, k| {
+        SynthesisRequest::new(columns, domains, Epsilon::new(eps).unwrap())
+            .margin(margin)
+            .estimator(method)
+            .k_ratio(k)
+            .seed(3)
+            .fit()
+    };
+    let kendall = CorrelationMethod::Kendall(SamplingStrategy::Auto);
+    let cases = [
+        MarginMethod::Efpa,
+        MarginMethod::EfpaDct,
+        MarginMethod::Identity,
+        MarginMethod::Privelet,
+        MarginMethod::Php,
+        MarginMethod::Hierarchical,
+        MarginMethod::NoiseFirst,
+        MarginMethod::StructureFirst,
+    ]
+    .map(|margin| (margin, kendall, 1.0))
+    .into_iter()
+    .chain([
+        (MarginMethod::Efpa, kendall, 3.0),
+        (
+            MarginMethod::Efpa,
+            CorrelationMethod::Mle(PartitionStrategy::Fixed(10)),
+            3.0,
+        ),
+        (MarginMethod::Efpa, CorrelationMethod::Spearman, 3.0),
+    ]);
+    for (margin, method, k) in cases {
+        let case = format!("{margin:?} {method:?} k={k}");
+        let (model, _) = fit(at, margin, method, k).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let artifact = model.artifact();
+        assert!(artifact.correlation[(0, 1)].is_finite(), "{case}");
+        assert!(
+            artifact.margins.iter().flatten().all(|c| c.is_finite()),
+            "{case}"
+        );
+        let err = fit(just_below, margin, method, k).unwrap_err();
+        assert!(
+            matches!(err, DpCopulaError::BudgetBelowFloor { .. }),
+            "{case}: {err}"
+        );
+    }
+    // The paper's MLE partition rule asks for more blocks than exist at
+    // this budget: a typed refusal, not an overflow.
+    let auto = CorrelationMethod::Mle(PartitionStrategy::Auto);
+    let err = fit(at, MarginMethod::Efpa, auto, 1.0).unwrap_err();
+    assert!(
+        matches!(err, DpCopulaError::InsufficientDataForMle { .. }),
+        "{err}"
+    );
+}
+
+#[test]
 fn every_margin_method_survives_pathological_histograms() {
     let mut rng = StdRng::seed_from_u64(4);
     let eps = Epsilon::new(0.5).unwrap();

@@ -688,6 +688,41 @@ fn both_fit_shapes_refuse_bad_parameters_alike_and_debit_nothing() {
 }
 
 #[test]
+fn tiny_per_mechanism_budget_is_a_400_that_debits_nothing() {
+    // Below the floor, ε₁/m or ε₂/C(m,2) overflows a mechanism's
+    // arithmetic. The refusal comes before admission, so the budget that
+    // covers exactly one fit still covers it afterwards.
+    let server = TestServer::start("tiny-budget", |c| {
+        c.tenant_file = Some(write_tenants(&c.model_dir, "default = 1.0\n"));
+    });
+    let csv = training_csv();
+    for query in ["epsilon=1e-150", "epsilon=1e-310", "epsilon=1&k=1e-150"] {
+        let path = format!("/v1/fit?id=tiny&seed=99&{query}");
+        let (status, body) = http_csv(server.addr, &path, csv.as_bytes());
+        assert_eq!(status, 400, "{query}: {}", String::from_utf8_lossy(&body));
+        assert!(error_reason(&body).contains("below the floor"), "{query}");
+    }
+    let (status, body) = http(
+        server.addr,
+        "POST",
+        "/v1/fit",
+        &fit_body("tiny", "default", 1e-150, 5),
+    );
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    assert!(!server.model_dir.join("tiny.dpcm").exists());
+
+    let (status, body) = http(
+        server.addr,
+        "POST",
+        "/v1/fit",
+        &fit_body("whole", "default", 1.0, 5),
+    );
+    let reply = String::from_utf8(body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"remaining_eps\":0"), "{reply}");
+}
+
+#[test]
 fn content_length_mismatch_with_early_close_is_recorded_and_survivable() {
     let server = TestServer::start("clmismatch", |_| {});
 
