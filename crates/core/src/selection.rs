@@ -388,33 +388,4 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
     }
-
-    #[test]
-    fn t_candidates_select_degrees_of_freedom() {
-        // Over t candidates alone the vote picks the degrees of freedom:
-        // small nu for t(3) data, the near-Gaussian nu for Gaussian data.
-        let select = |cols: &[Vec<u32>], dfs: &[f64], rng: &mut StdRng| {
-            let candidates: Vec<CopulaFamily> = dfs
-                .iter()
-                .map(|&df| CopulaFamily::StudentT { df })
-                .collect();
-            dp_select_family(cols, &candidates, 60, Epsilon::new(5.0).unwrap(), rng)
-                .unwrap()
-                .0
-        };
-        let p = equicorrelation(2, 0.6);
-        let margins = || vec![uniform_margin(500), uniform_margin(500)];
-
-        let mut rng = StdRng::seed_from_u64(2);
-        let t3 = TCopulaSampler::new(&p, 3.0, margins()).unwrap();
-        let cols = t3.sample_columns(12_000, &mut rng);
-        let best = select(&cols, &[3.0, 10.0, 1e5], &mut rng);
-        assert_eq!(best, CopulaFamily::StudentT { df: 3.0 });
-
-        let mut rng = StdRng::seed_from_u64(3);
-        let gaussian = CopulaSampler::new(&p, margins()).unwrap();
-        let cols = gaussian.sample_columns(12_000, &mut rng);
-        let best = select(&cols, &[3.0, 1e5], &mut rng);
-        assert_eq!(best, CopulaFamily::StudentT { df: 1e5 });
-    }
 }

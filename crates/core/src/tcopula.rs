@@ -184,7 +184,10 @@ impl TCopulaSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DpCopulaError;
     use crate::kendall::kendall_tau;
+    use crate::selection::{dp_select_family, CopulaFamily};
+    use dpmech::Epsilon;
     use mathkit::correlation::equicorrelation;
     use rngkit::rngs::StdRng;
     use rngkit::SeedableRng;
@@ -242,5 +245,63 @@ mod tests {
         let p = equicorrelation(3, -0.9);
         let margins = vec![uniform_margin(4); 3];
         assert!(TCopulaSampler::new(&p, 4.0, margins).is_err());
+    }
+
+    /// Degrees-of-freedom selection is `dp_select_family` over t candidates
+    /// alone: equal AIC penalties leave the vote to the block likelihood.
+    fn select_df(
+        cols: &[Vec<u32>],
+        dfs: &[f64],
+        partitions: usize,
+        epsilon: f64,
+        rng: &mut StdRng,
+    ) -> Result<f64, DpCopulaError> {
+        let candidates: Vec<CopulaFamily> = dfs
+            .iter()
+            .map(|&df| CopulaFamily::StudentT { df })
+            .collect();
+        let (best, _) = dp_select_family(
+            cols,
+            &candidates,
+            partitions,
+            Epsilon::new(epsilon).unwrap(),
+            rng,
+        )?;
+        match best {
+            CopulaFamily::StudentT { df } => Ok(df),
+            other => panic!("t candidates selected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn df_selection_prefers_small_nu_for_t_data() {
+        // Data from a t copula with nu = 3 should vote for small nu.
+        let p = equicorrelation(2, 0.6);
+        let margins = vec![uniform_margin(500), uniform_margin(500)];
+        let gen = TCopulaSampler::new(&p, 3.0, margins).unwrap();
+        let mut rng = StdRng::seed_from_u64(2);
+        let cols = gen.sample_columns(12_000, &mut rng);
+        let nu = select_df(&cols, &[3.0, 10.0, 1e5], 60, 5.0, &mut rng).unwrap();
+        assert_eq!(nu, 3.0, "selected nu {nu}");
+    }
+
+    #[test]
+    fn df_selection_prefers_large_nu_for_gaussian_data() {
+        use crate::sampler::CopulaSampler;
+        let p = equicorrelation(2, 0.6);
+        let margins = vec![uniform_margin(500), uniform_margin(500)];
+        let gen = CopulaSampler::new(&p, margins).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let cols = gen.sample_columns(12_000, &mut rng);
+        let nu = select_df(&cols, &[3.0, 1e5], 60, 5.0, &mut rng).unwrap();
+        assert_eq!(nu, 1e5, "selected nu {nu}");
+    }
+
+    #[test]
+    fn df_selection_errors_on_tiny_blocks() {
+        let cols = vec![vec![1u32, 2, 3], vec![3u32, 2, 1]];
+        let mut rng = StdRng::seed_from_u64(4);
+        let err = select_df(&cols, &[3.0, 10.0], 10, 1.0, &mut rng).unwrap_err();
+        assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
     }
 }
