@@ -42,6 +42,15 @@ fn pin_update() -> bool {
     std::env::var("PIN_UPDATE").is_ok_and(|v| v == "1")
 }
 
+/// A window's columns as `u32` little-endian, column after column.
+fn u32s(columns: &[Vec<u32>]) -> Vec<u8> {
+    columns
+        .iter()
+        .flatten()
+        .flat_map(|v| v.to_le_bytes())
+        .collect()
+}
+
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -249,11 +258,13 @@ fn sharded_streams_match_their_pinned_digests() {
     }
     let pinned = std::fs::read_to_string(fixture_path("sharded_pins.txt")).unwrap();
     let listed: Vec<&str> = pinned.lines().map(stream_name).collect();
+    let windows = window_pins();
     let known: Vec<&str> = streams
         .iter()
         .map(|(name, _)| name.as_str())
         .chain(KERNEL_PINS)
         .chain(RELEASE_PINS)
+        .chain(windows.iter().map(String::as_str))
         .collect();
     assert_eq!(
         listed, known,
@@ -364,13 +375,6 @@ fn release_streams() -> Vec<(String, Vec<u8>)> {
 
     let f64s =
         |values: &[f64]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
-    let u32s = |columns: &[Vec<u32>]| -> Vec<u8> {
-        columns
-            .iter()
-            .flatten()
-            .flat_map(|v| v.to_le_bytes())
-            .collect()
-    };
     let (columns, domains) = dataset(3, 4_000, 20240601);
 
     let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
@@ -443,4 +447,62 @@ fn release_streams() -> Vec<(String, Vec<u8>)> {
 #[test]
 fn release_streams_match_their_pinned_digests() {
     assert_digests_pinned(&release_streams());
+}
+
+/// The absolute offsets of the pinned Gaussian windows, for the default
+/// 8,192-row sampling chunk: no burn, a burn of 8,191 rows that then
+/// crosses the first chunk edge, a burn of 17 rows in chunk 3, and one
+/// row into a chunk past 2^32.
+const WINDOW_OFFSETS: [usize; 4] = [0, 8_191, 3 * 8_192 + 17, (1 << 32) + 1];
+
+/// The names of the Gaussian window pins, in the order they follow the
+/// releases in the file: profile, then offset, then workers {1, 3}.
+fn window_pins() -> Vec<String> {
+    let mut names = Vec::new();
+    for profile in ["reference", "fast"] {
+        for offset in WINDOW_OFFSETS {
+            for workers in [1, 3] {
+                names.push(format!("window_{profile}_off{offset}_w{workers}.u32le"));
+            }
+        }
+    }
+    names
+}
+
+/// 600-row windows of a Gaussian model in both sampling profiles at
+/// [`WINDOW_OFFSETS`] and workers {1, 3}, each as its columns in `u32`
+/// little-endian. The model is the Kendall `Auto` fit of the 3 × 4,000
+/// dataset at seed 77 (the model of `pin_kendall_auto.dpcm`). The burn
+/// of 8,191 rows draws about 24,500 fast normals, so the fast windows
+/// pass through the ziggurat's wedge and tail branches as well as its
+/// core.
+fn window_streams() -> Vec<(String, Vec<u8>)> {
+    use dpcopula::SamplingProfile;
+
+    let (columns, domains) = dataset(3, 4_000, 20240601);
+    let (model, _) = SynthesisRequest::from_config(
+        &columns,
+        &domains,
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+    )
+    .seed(77)
+    .fit()
+    .unwrap();
+    let mut streams = Vec::new();
+    for profile in [SamplingProfile::Reference, SamplingProfile::Fast] {
+        for offset in WINDOW_OFFSETS {
+            for workers in [1, 3] {
+                let window = model
+                    .try_sample_range_profiled(profile, offset, 600, workers)
+                    .unwrap();
+                streams.push(u32s(&window));
+            }
+        }
+    }
+    window_pins().into_iter().zip(streams).collect()
+}
+
+#[test]
+fn gaussian_window_streams_match_their_pinned_digests() {
+    assert_digests_pinned(&window_streams());
 }
