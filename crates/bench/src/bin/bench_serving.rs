@@ -5,6 +5,11 @@
 //! the artifact store in numbers: the budgeted fit happens once, while
 //! each served window costs milliseconds and no epsilon.
 //!
+//! The `windows` rows time one small window per profile at the start of
+//! a chunk and halfway into one, where the rows the chunk draws before
+//! the window (the burn) dominate: the per-request cost of a 256-row
+//! window at a random offset. They are recorded, not gated.
+//!
 //! Doubles as the fast-profile regression gate: the run exits non-zero
 //! when the `fast` profile's best sampling throughput drops below
 //! [`MIN_FAST_SPEEDUP`]x the `reference` profile's — so a change that
@@ -25,6 +30,16 @@ use std::fmt::Write as _;
 /// benchmarked worker counts).
 const MIN_FAST_SPEEDUP: f64 = 4.0;
 
+/// Rows per timed small window.
+const WINDOW_ROWS: usize = 256;
+
+/// In-chunk offsets of the timed small windows: no burn, and the mean
+/// burn of a window at a uniformly random offset (half a chunk).
+const WINDOW_IN_CHUNK: [usize; 2] = [0, 4_096];
+
+/// Worker count of the timed small windows.
+const WINDOW_WORKERS: usize = 2;
+
 fn median(samples: &mut [f64]) -> f64 {
     assert!(!samples.is_empty());
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -36,6 +51,8 @@ fn main() {
     let n = if quick { 10_000 } else { 100_000 };
     let serve_rows = if quick { 20_000 } else { 200_000 };
     let samples = if quick { 3 } else { 7 };
+    let window_samples = if quick { 11 } else { 101 };
+    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let worker_counts = [1usize, 2, 4];
 
     let data = us_census(n, 0xcafe);
@@ -87,9 +104,8 @@ fn main() {
     let _ = writeln!(
         out,
         "  \"config\": {{\"records\": {n}, \"dims\": {}, \"serve_rows\": {serve_rows}, \
-         \"samples\": {samples}, \"quick\": {quick}, \"host_cores\": {}}},",
+         \"samples\": {samples}, \"quick\": {quick}, \"host_cores\": {host_cores}}},",
         model.dims(),
-        std::thread::available_parallelism().map_or(1, |c| c.get())
     );
     let _ = writeln!(out, "  \"fit_s\": {fit_s:.6},");
     let _ = writeln!(out, "  \"artifact_bytes\": {},", bytes.len());
@@ -127,6 +143,43 @@ fn main() {
                 out,
                 "    {{\"profile\": \"{}\", \"workers\": {workers}, \"median_s\": {med:.6}, \
                  \"rows_per_s\": {rows_per_s:.1}}}{comma}",
+                profile.name()
+            );
+        }
+    }
+    let _ = writeln!(out, "  ],");
+
+    // Small windows, starting one chunk further along per sample so no
+    // two share a chunk.
+    let chunk = model.artifact().provenance.sample_chunk as usize;
+    let _ = writeln!(out, "  \"windows\": [");
+    for (pi, &profile) in profiles.iter().enumerate() {
+        for (oi, &in_chunk) in WINDOW_IN_CHUNK.iter().enumerate() {
+            let mut times = Vec::with_capacity(window_samples);
+            for s in 0..window_samples {
+                let offset = (s + 1) * chunk + in_chunk;
+                let t = Stopwatch::start();
+                let cols = model
+                    .try_sample_range_profiled(profile, offset, WINDOW_ROWS, WINDOW_WORKERS)
+                    .expect("in-range window");
+                times.push(t.elapsed().as_secs_f64());
+                assert_eq!(cols[0].len(), WINDOW_ROWS);
+            }
+            let med_us = median(&mut times) * 1e6;
+            println!(
+                "window profile={} rows={WINDOW_ROWS} in_chunk_offset={in_chunk}: \
+                 median {med_us:.1}us",
+                profile.name()
+            );
+            let comma = if pi + 1 < profiles.len() || oi + 1 < WINDOW_IN_CHUNK.len() {
+                ","
+            } else {
+                ""
+            };
+            let _ = writeln!(
+                out,
+                "    {{\"profile\": \"{}\", \"rows\": {WINDOW_ROWS}, \"in_chunk_offset\": {in_chunk}, \
+                 \"workers\": {WINDOW_WORKERS}, \"median_us\": {med_us:.1}, \"host_cores\": {host_cores}}}{comma}",
                 profile.name()
             );
         }

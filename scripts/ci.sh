@@ -72,6 +72,12 @@ echo "    fast profile draws a stream distinct from reference"
     --workers 2 --profile fast
 diff "$SMOKE/fast-served.csv" "$SMOKE/fast-a.csv"
 echo "    fast served rows are byte-identical to in-process fast synthesis"
+# The diffs above compare fast with itself; this window, which burns
+# 4,153 rows of chunk 1 first, pins fast bytes from outside.
+"$CLI" sample --model "$SMOKE/model.dpcm" --out "$SMOKE/fast-offset.csv" --rows 1000 \
+    --offset 12345 --profile fast
+pin_cksum "$SMOKE/fast-offset.csv" "3226830112 12536"
+echo "    fast window at offset 12345 matches its pinned checksum"
 
 echo "==> distfit tier: fit-shard x4 + merge vs fit --shards 4 (byte identity)"
 # Split the census CSV at the global shard boundaries (first rows%N
