@@ -230,8 +230,9 @@ impl CopulaSampler {
     /// a structure-of-arrays batch, one blocked Cholesky apply, then a
     /// z-space table walk per cell — no per-row Φ evaluation at all.
     ///
-    /// Normals are consumed in row order (`d` draws per row, skipped
-    /// rows burn exactly `d` draws each) so any window split of a chunk
+    /// Normals are consumed in row order (`d` draws per row; skipped
+    /// rows advance the generator past exactly `d` draws each, through
+    /// `ziggurat::skip_standard_normals`) so any window split of a chunk
     /// sees the same per-row draws — the property the window-stitching
     /// contract rests on.
     ///
@@ -250,9 +251,7 @@ impl CopulaSampler {
                 const { std::cell::RefCell::new(Vec::new()) };
         }
         let d = self.dims();
-        for _ in 0..skip * d {
-            ziggurat::standard_normal(rng);
-        }
+        ziggurat::skip_standard_normals(rng, skip * d);
         FAST_Z.with(|cell| {
             let mut z = cell.borrow_mut();
             z.resize_with(d, Vec::new);

@@ -3,7 +3,7 @@
 //! seeds so a single lucky stream can't mask a biased table.
 
 use rngkit::rngs::StdRng;
-use rngkit::ziggurat::{fill_standard_normal, standard_normal};
+use rngkit::ziggurat::{fill_standard_normal, skip_standard_normals, standard_normal};
 use rngkit::SeedableRng;
 
 const N: usize = 1_000_000;
@@ -96,5 +96,22 @@ fn single_draws_match_fill() {
     fill_standard_normal(&mut a, &mut buf);
     for &v in &buf {
         assert_eq!(v.to_bits(), standard_normal(&mut b).to_bits());
+    }
+}
+
+#[test]
+fn skip_leaves_the_generator_where_the_draws_leave_it() {
+    // 200,000 draws pass through thousands of wedge draws and dozens of
+    // tail draws.
+    for seed in 0..20u64 {
+        for n in [0usize, 1, 2, 255, 200_000] {
+            let mut drawn = StdRng::seed_from_u64(0x5c1b_0000 + seed);
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                standard_normal(&mut drawn);
+            }
+            skip_standard_normals(&mut skipped, n);
+            assert_eq!(drawn, skipped, "seed {seed}, {n} draws");
+        }
     }
 }
