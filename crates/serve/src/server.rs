@@ -1011,7 +1011,9 @@ fn respond_fitted(
     let checksum = fnv1a64(&bytes);
     let spent = model.artifact().ledger.spent();
     let attributes = model.dims();
-    state.registry.insert_keyed(id, checksum, Arc::new(model));
+    state
+        .registry
+        .insert_keyed(id, checksum, bytes, Arc::new(model));
 
     let remaining = state
         .gate
