@@ -259,12 +259,15 @@ fn sharded_streams_match_their_pinned_digests() {
     let pinned = std::fs::read_to_string(fixture_path("sharded_pins.txt")).unwrap();
     let listed: Vec<&str> = pinned.lines().map(stream_name).collect();
     let windows = window_pins();
+    let margins = margin_pins();
     let known: Vec<&str> = streams
         .iter()
         .map(|(name, _)| name.as_str())
         .chain(KERNEL_PINS)
         .chain(RELEASE_PINS)
         .chain(windows.iter().map(String::as_str))
+        .chain(HYBRID_PINS)
+        .chain(margins.iter().map(String::as_str))
         .collect();
     assert_eq!(
         listed, known,
@@ -505,4 +508,84 @@ fn window_streams() -> Vec<(String, Vec<u8>)> {
 #[test]
 fn gaussian_window_streams_match_their_pinned_digests() {
     assert_digests_pinned(&window_streams());
+}
+
+/// The hybrid's releases, pinned in the same file after the Gaussian
+/// windows.
+const HYBRID_PINS: [&str; 2] = ["hybrid_brazil6000.u32le", "hybrid_small2x3.u32le"];
+
+/// Every margin method, in the order its fit follows the hybrid's
+/// releases in the file.
+const MARGIN_METHODS: [MarginMethod; 8] = [
+    MarginMethod::Efpa,
+    MarginMethod::EfpaDct,
+    MarginMethod::Identity,
+    MarginMethod::Privelet,
+    MarginMethod::Php,
+    MarginMethod::Hierarchical,
+    MarginMethod::NoiseFirst,
+    MarginMethod::StructureFirst,
+];
+
+/// The names of the per-margin-method fit pins.
+fn margin_pins() -> Vec<String> {
+    MARGIN_METHODS
+        .iter()
+        .map(|margin| format!("fit_margin_{}.dpcm", margin.registry_name()))
+        .collect()
+}
+
+/// The hybrid's releases and one fit per margin method:
+///
+/// * every column `HybridSynthesizer` releases under its default config
+///   over a Kendall config at ε = 1, as `u32` little-endian: over
+///   `brazil_census(6_000, 7)` (three binary attributes, 8 partitions)
+///   with `StdRng::seed_from_u64(8)`, and over a 2,000-row table of a
+///   binary and a ternary attribute with `StdRng::seed_from_u64(9)`.
+///   Both of the table's attributes are small-domain, so its release is
+///   the 6 noisy partition counts alone;
+/// * the `.dpcm` bytes of the Kendall `Auto` fit of the 3 × 4,000
+///   dataset at seed 77 under each [`MarginMethod`].
+fn hybrid_and_margin_streams() -> Vec<(String, Vec<u8>)> {
+    use datagen::census::brazil_census;
+    use dpcopula::hybrid::{HybridConfig, HybridSynthesizer};
+
+    let hybrid = HybridSynthesizer::new(HybridConfig::new(DpCopulaConfig::kendall(
+        Epsilon::new(1.0).unwrap(),
+    )));
+    let brazil = brazil_census(6_000, 7);
+    let census = hybrid
+        .synthesize(
+            brazil.columns(),
+            &brazil.domains(),
+            &mut StdRng::seed_from_u64(8),
+        )
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(6);
+    let binary: Vec<u32> = (0..2_000).map(|_| rng.gen_range(0..2)).collect();
+    let ternary: Vec<u32> = (0..2_000).map(|_| rng.gen_range(0..3)).collect();
+    let counts = hybrid
+        .synthesize(&[binary, ternary], &[2, 3], &mut StdRng::seed_from_u64(9))
+        .unwrap();
+    let mut streams: Vec<(String, Vec<u8>)> = HYBRID_PINS
+        .iter()
+        .map(|name| name.to_string())
+        .zip([u32s(&census.columns), u32s(&counts.columns)])
+        .collect();
+
+    let (columns, domains) = dataset(3, 4_000, 20240601);
+    for (name, margin) in margin_pins().into_iter().zip(MARGIN_METHODS) {
+        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(margin);
+        let (model, _) = SynthesisRequest::from_config(&columns, &domains, config)
+            .seed(77)
+            .fit()
+            .unwrap();
+        streams.push((name, model.artifact().encode()));
+    }
+    streams
+}
+
+#[test]
+fn hybrid_and_margin_streams_match_their_pinned_digests() {
+    assert_digests_pinned(&hybrid_and_margin_streams());
 }
