@@ -15,7 +15,7 @@
 //! 4. concatenates the partitions' synthetic data, re-attaching the
 //!    small-domain values.
 
-use crate::error::{validate_columns, DpCopulaError};
+use crate::error::{validate_budget, validate_columns, DpCopulaError, MIN_MECHANISM_EPSILON};
 use crate::synthesizer::{DpCopula, DpCopulaConfig};
 use dpmech::{laplace_noise, Epsilon};
 use rngkit::Rng;
@@ -24,21 +24,6 @@ use std::collections::HashMap;
 /// Domain-size threshold below which an attribute is "small" (the paper
 /// uses 10).
 pub const SMALL_DOMAIN_THRESHOLD: usize = 10;
-
-/// How the partition cardinalities of step 2 are released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountMethod {
-    /// Independent `Lap(1/epsilon_1)` per partition (the paper's choice;
-    /// Dwork's method over the disjoint partitions).
-    #[default]
-    Laplace,
-    /// Two-sided geometric noise — integer counts, no rounding step.
-    Geometric,
-    /// Barak et al.'s Fourier contingency table over the small attributes
-    /// (requires them all binary; falls back to Laplace otherwise).
-    /// Marginals of the released counts are mutually consistent.
-    Barak,
-}
 
 /// Configuration of the hybrid synthesizer.
 #[derive(Debug, Clone, Copy)]
@@ -50,22 +35,14 @@ pub struct HybridConfig {
     /// Fraction of the budget spent on noisy partition counts
     /// (`epsilon_1` of Algorithm 6).
     pub count_fraction: f64,
-    /// Attributes with domains strictly smaller than this partition the
-    /// data.
-    pub small_domain_threshold: usize,
-    /// Mechanism releasing the partition cardinalities.
-    pub count_method: CountMethod,
 }
 
 impl HybridConfig {
-    /// Defaults: 10% of the budget on counts, threshold 10, Laplace
-    /// counts.
+    /// Defaults: 10% of the budget on counts.
     pub fn new(base: DpCopulaConfig) -> Self {
         Self {
             base,
             count_fraction: 0.1,
-            small_domain_threshold: SMALL_DOMAIN_THRESHOLD,
-            count_method: CountMethod::default(),
         }
     }
 }
@@ -101,7 +78,10 @@ impl HybridSynthesizer {
     /// Runs Algorithm 6.
     ///
     /// If no attribute is small-domain this degrades to plain DPCopula
-    /// with the full budget (no count noise is spent).
+    /// with the full budget (no count noise is spent). Before any draw,
+    /// a count budget below [`MIN_MECHANISM_EPSILON`], or a per-partition
+    /// plan [`validate_budget`] refuses, is
+    /// [`DpCopulaError::BudgetBelowFloor`].
     pub fn synthesize<R: Rng + ?Sized>(
         &self,
         columns: &[Vec<u32>],
@@ -112,12 +92,8 @@ impl HybridSynthesizer {
         let cfg = &self.config;
         let m = columns.len();
 
-        let small: Vec<usize> = (0..m)
-            .filter(|&j| domains[j] < cfg.small_domain_threshold)
-            .collect();
-        let large: Vec<usize> = (0..m)
-            .filter(|&j| domains[j] >= cfg.small_domain_threshold)
-            .collect();
+        let (small, large): (Vec<usize>, Vec<usize>) =
+            (0..m).partition(|&j| domains[j] < SMALL_DOMAIN_THRESHOLD);
 
         if small.is_empty() {
             let out = DpCopula::new(cfg.base).synthesize(columns, domains, rng)?;
@@ -132,6 +108,16 @@ impl HybridSynthesizer {
         let eps_counts = eps_total.fraction(cfg.count_fraction);
         let eps_copula =
             Epsilon::new(eps_total.value() - eps_counts.value()).map_err(DpCopulaError::from)?;
+        // Below the floor a count's Laplace scale is so wide that its
+        // release saturates `usize`, and the rows cannot be allocated.
+        if eps_counts.value() < MIN_MECHANISM_EPSILON {
+            return Err(DpCopulaError::BudgetBelowFloor {
+                smallest: eps_counts.value(),
+            });
+        }
+        if !large.is_empty() {
+            validate_budget(eps_copula, cfg.base.k_ratio, large.len())?;
+        }
 
         // Group row indices by their small-attribute combination.
         let n = columns[0].len();
@@ -146,21 +132,6 @@ impl HybridSynthesizer {
         let mut all_keys: Vec<Vec<u32>> = Vec::new();
         build_keys(&small, domains, &mut Vec::new(), &mut all_keys);
 
-        // For the Barak count method: one consistent contingency-table
-        // release over the small attributes (all-binary only).
-        let all_binary = small.iter().all(|&j| domains[j] == 2);
-        let barak = if cfg.count_method == CountMethod::Barak && all_binary {
-            let small_cols: Vec<Vec<u32>> = small.iter().map(|&j| columns[j].clone()).collect();
-            Some(dphist::barak::BarakTable::publish(
-                &small_cols,
-                eps_counts,
-                rng,
-            ))
-        } else {
-            None
-        };
-        let geometric = dpmech::GeometricMechanism::new(eps_counts, 1.0);
-
         let mut out_columns: Vec<Vec<u32>> = vec![Vec::new(); m];
         let mut partitions = 0usize;
         for key in all_keys {
@@ -168,23 +139,8 @@ impl HybridSynthesizer {
             let rows = groups.get(&key).map(Vec::as_slice).unwrap_or(&[]);
             // Step 2: noisy cardinality (sensitivity 1; disjoint partitions
             // => parallel composition, each uses the full eps_counts).
-            let n_out = match (&barak, cfg.count_method) {
-                (Some(table), _) => {
-                    let idx: usize = key
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &v)| (v as usize) << slot)
-                        .sum();
-                    table.cell(idx).round().max(0.0) as usize
-                }
-                (None, CountMethod::Geometric) => {
-                    geometric.release(rows.len() as i64, rng).max(0) as usize
-                }
-                (None, _) => {
-                    let noisy = rows.len() as f64 + laplace_noise(rng, 1.0 / eps_counts.value());
-                    noisy.round().max(0.0) as usize
-                }
-            };
+            let noisy = rows.len() as f64 + laplace_noise(rng, 1.0 / eps_counts.value());
+            let n_out = noisy.round().max(0.0) as usize;
             if n_out == 0 {
                 continue;
             }
@@ -255,7 +211,7 @@ mod tests {
     use super::*;
     use dpmech::Epsilon;
     use rngkit::rngs::StdRng;
-    use rngkit::SeedableRng;
+    use rngkit::{RngCore, SeedableRng};
 
     /// Data with one binary attribute and two large attributes whose
     /// distribution depends on the binary one.
@@ -352,19 +308,20 @@ mod tests {
         assert!((n_out as f64 - 2000.0).abs() < 150.0, "n_out {n_out}");
     }
 
+    /// The partition counts keep the total cardinality.
     #[test]
     fn geometric_counts_preserve_cardinality() {
         let (cols, domains) = mixed_data(3_000, 11);
         let mut rng = StdRng::seed_from_u64(12);
-        let mut cfg = HybridConfig::new(base_config(2.0));
-        cfg.count_method = CountMethod::Geometric;
-        let out = HybridSynthesizer::new(cfg)
+        let out = HybridSynthesizer::new(HybridConfig::new(base_config(2.0)))
             .synthesize(&cols, &domains, &mut rng)
             .unwrap();
         let n_out = out.columns[0].len();
         assert!((n_out as f64 - 3_000.0).abs() < 100.0, "n_out {n_out}");
     }
 
+    /// Over two binary attributes the counts keep the total and the
+    /// first attribute's rate.
     #[test]
     fn barak_counts_are_consistent_and_accurate() {
         let mut rng = StdRng::seed_from_u64(13);
@@ -374,9 +331,7 @@ mod tests {
         let b: Vec<u32> = (0..n).map(|_| u32::from(rng.gen_bool(0.6))).collect();
         let big: Vec<u32> = (0..n as u32).map(|i| i % 200).collect();
         let cols = vec![a.clone(), b, big];
-        let mut cfg = HybridConfig::new(base_config(2.0));
-        cfg.count_method = CountMethod::Barak;
-        let out = HybridSynthesizer::new(cfg)
+        let out = HybridSynthesizer::new(HybridConfig::new(base_config(2.0)))
             .synthesize(&cols, &[2, 2, 200], &mut rng)
             .unwrap();
         assert_eq!(out.partitions, 4);
@@ -392,21 +347,50 @@ mod tests {
         );
     }
 
+    /// A ternary small attribute gives three partitions.
     #[test]
     fn barak_falls_back_for_non_binary_small_attributes() {
         let mut rng = StdRng::seed_from_u64(14);
-        // A ternary small attribute: Barak cannot apply, Laplace fallback.
+        // A ternary small attribute.
         let n = 2_000;
         let tri: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
         let big: Vec<u32> = (0..n as u32).map(|i| i % 100).collect();
-        let mut cfg = HybridConfig::new(base_config(2.0));
-        cfg.count_method = CountMethod::Barak;
-        let out = HybridSynthesizer::new(cfg)
+        let out = HybridSynthesizer::new(HybridConfig::new(base_config(2.0)))
             .synthesize(&[tri, big], &[3, 100], &mut rng)
             .unwrap();
         assert_eq!(out.partitions, 3);
         let n_out = out.columns[0].len();
         assert!((n_out as f64 - n as f64).abs() < 100.0, "n_out {n_out}");
+    }
+
+    #[test]
+    fn budgets_below_the_floor_are_refused_before_any_draw() {
+        let binary: Vec<u32> = (0..600).map(|i| i % 2).collect();
+        let ternary: Vec<u32> = (0..600).map(|i| i % 3).collect();
+        let mut wide = vec![binary.clone()];
+        wide.extend((0..4u32).map(|j| (0..600).map(|i| (i * (j + 1)) % 50).collect()));
+        let cases = [
+            // All small: at ε = 1e-150 a count's Laplace scale is 1e151,
+            // and its release would saturate `usize`.
+            (vec![binary, ternary], vec![2, 3], 1e-150),
+            // Four large attributes at ε = 3e-119: the counts' 3e-120
+            // clears the floor, a pair of the per-partition plan does not.
+            (wide, vec![2, 50, 50, 50, 50], 3e-119),
+        ];
+        for (cols, domains, eps) in &cases {
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let err = HybridSynthesizer::new(HybridConfig::new(base_config(*eps)))
+                    .synthesize(cols, domains, &mut rng)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, DpCopulaError::BudgetBelowFloor { .. }),
+                    "eps {eps}: {err}"
+                );
+                let fresh = StdRng::seed_from_u64(seed).next_u64();
+                assert_eq!(rng.next_u64(), fresh, "eps {eps}: drew before refusing");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod barak;
 pub mod efpa;
 pub mod efpa_dct;
 pub mod fp;

@@ -105,8 +105,8 @@ impl std::error::Error for BudgetError {}
 /// Tracks spending against a total budget under sequential composition.
 ///
 /// Mechanisms running on *disjoint* partitions of the data compose in
-/// parallel (Theorem 3.2) and should share a single `spend` — see
-/// [`BudgetAccountant::spend_parallel`].
+/// parallel (Theorem 3.2) and should share a single
+/// [`spend`](BudgetAccountant::spend).
 #[derive(Debug, Clone)]
 pub struct BudgetAccountant {
     total: f64,
@@ -149,13 +149,6 @@ impl BudgetAccountant {
         }
         self.spent += e;
         Ok(())
-    }
-
-    /// Records a parallel-composition spend: `count` mechanisms each using
-    /// `eps` on **disjoint** data cost only `eps` in total (Theorem 3.2).
-    pub fn spend_parallel(&mut self, eps: Epsilon, count: usize) -> Result<(), BudgetError> {
-        let _ = count; // parallel composition: cost independent of count
-        self.spend(eps)
     }
 
     /// [`BudgetAccountant::spend`] that also publishes the debit to the
@@ -332,14 +325,6 @@ mod tests {
             acc.spend(e2.divide(pairs)).unwrap();
         }
         assert!(acc.remaining() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_spend_counts_once() {
-        let mut acc = BudgetAccountant::new(Epsilon::new(1.0).unwrap());
-        acc.spend_parallel(Epsilon::new(0.9).unwrap(), 1000)
-            .unwrap();
-        assert!((acc.spent() - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub struct DrawCounts {
     /// Laplace samples drawn (via [`crate::Laplace::sample`] or
     /// [`crate::laplace_noise`]).
     pub laplace: u64,
-    /// Two-sided geometric noise values drawn.
-    pub geometric: u64,
     /// Exponential-mechanism selections made.
     pub exponential: u64,
 }
@@ -36,14 +34,13 @@ impl DrawCounts {
     pub fn since(&self, earlier: &DrawCounts) -> DrawCounts {
         DrawCounts {
             laplace: self.laplace.saturating_sub(earlier.laplace),
-            geometric: self.geometric.saturating_sub(earlier.geometric),
             exponential: self.exponential.saturating_sub(earlier.exponential),
         }
     }
 
     /// Total draws across all mechanisms.
     pub fn total(&self) -> u64 {
-        self.laplace + self.geometric + self.exponential
+        self.laplace + self.exponential
     }
 
     /// Adds these counts to `noise_draws_total{stage,mech}` in `sink`
@@ -53,11 +50,7 @@ impl DrawCounts {
         if !sink.enabled() {
             return;
         }
-        for (mech, n) in [
-            ("laplace", self.laplace),
-            ("geometric", self.geometric),
-            ("exponential", self.exponential),
-        ] {
+        for (mech, n) in [("laplace", self.laplace), ("exponential", self.exponential)] {
             if n > 0 {
                 sink.add_labeled(
                     NOISE_DRAWS_TOTAL,
@@ -73,7 +66,6 @@ impl DrawCounts {
 thread_local! {
     static TALLY: Cell<DrawCounts> = const { Cell::new(DrawCounts {
         laplace: 0,
-        geometric: 0,
         exponential: 0,
     }) };
 }
@@ -91,14 +83,6 @@ pub(crate) fn note_laplace() {
     });
 }
 
-pub(crate) fn note_geometric() {
-    TALLY.with(|t| {
-        let mut c = t.get();
-        c.geometric += 1;
-        t.set(c);
-    });
-}
-
 pub(crate) fn note_exponential() {
     TALLY.with(|t| {
         let mut c = t.get();
@@ -111,7 +95,7 @@ pub(crate) fn note_exponential() {
 mod tests {
     use super::*;
     use crate::budget::Epsilon;
-    use crate::{exponential_mechanism, laplace_noise, GeometricMechanism, Laplace};
+    use crate::{exponential_mechanism, laplace_noise, Laplace};
     use rngkit::rngs::StdRng;
     use rngkit::SeedableRng;
 
@@ -124,16 +108,11 @@ mod tests {
             lap.sample(&mut rng);
         }
         laplace_noise(&mut rng, 2.0);
-        let geo = GeometricMechanism::new(Epsilon::new(1.0).unwrap(), 1.0);
-        for _ in 0..2 {
-            geo.noise(&mut rng);
-        }
         exponential_mechanism(&mut rng, &[0.0, 1.0], Epsilon::new(1.0).unwrap(), 1.0);
         let d = snapshot().since(&before);
         assert_eq!(d.laplace, 4);
-        assert_eq!(d.geometric, 2);
         assert_eq!(d.exponential, 1);
-        assert_eq!(d.total(), 7);
+        assert_eq!(d.total(), 5);
     }
 
     #[test]
@@ -143,23 +122,32 @@ mod tests {
         let sink = MetricsSink::to_registry(registry.clone());
         DrawCounts {
             laplace: 5,
-            geometric: 0,
             exponential: 2,
         }
         .record_into(&sink, "margins");
+        DrawCounts {
+            laplace: 0,
+            exponential: 3,
+        }
+        .record_into(&sink, "correlation");
         let snap = registry.snapshot();
         assert_eq!(
             snap.get(r#"noise_draws_total{stage="margins",mech="laplace"}"#)
                 .and_then(|e| e.value.as_u64()),
             Some(5)
         );
-        assert!(snap
-            .get(r#"noise_draws_total{stage="margins",mech="geometric"}"#)
-            .is_none());
         assert_eq!(
             snap.get(r#"noise_draws_total{stage="margins",mech="exponential"}"#)
                 .and_then(|e| e.value.as_u64()),
             Some(2)
+        );
+        assert!(snap
+            .get(r#"noise_draws_total{stage="correlation",mech="laplace"}"#)
+            .is_none());
+        assert_eq!(
+            snap.get(r#"noise_draws_total{stage="correlation",mech="exponential"}"#)
+                .and_then(|e| e.value.as_u64()),
+            Some(3)
         );
     }
 }

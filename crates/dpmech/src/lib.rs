@@ -12,8 +12,6 @@
 //! * [`exponential`] — the exponential mechanism (McSherry–Talwar), needed
 //!   by the EFPA coefficient selection and the private splits of PSD and
 //!   P-HP;
-//! * [`geometric`] — the two-sided geometric ("discrete Laplace")
-//!   mechanism, an integer-valued alternative for count queries;
 //! * [`draws`] — per-thread tallies of primitive noise draws, harvested
 //!   by the observability layer into `noise_draws_total{stage,mech}`.
 //!
@@ -25,11 +23,9 @@
 pub mod budget;
 pub mod draws;
 pub mod exponential;
-pub mod geometric;
 pub mod laplace;
 
 pub use budget::{nano_eps, BudgetAccountant, BudgetError, Epsilon, ShardLedger};
 pub use draws::DrawCounts;
 pub use exponential::exponential_mechanism;
-pub use geometric::GeometricMechanism;
 pub use laplace::{laplace_noise, Laplace, LaplaceMechanism};

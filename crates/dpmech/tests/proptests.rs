@@ -5,7 +5,7 @@
 //! Runs on `testkit::prop`: every failure prints the seed that
 //! regenerates the counterexample (`TESTKIT_SEED=<seed> cargo test ...`).
 
-use dpmech::{BudgetAccountant, Epsilon, GeometricMechanism, Laplace, LaplaceMechanism};
+use dpmech::{BudgetAccountant, Epsilon, Laplace, LaplaceMechanism};
 use rngkit::rngs::StdRng;
 use rngkit::SeedableRng;
 use testkit::prop::vec;
@@ -56,15 +56,6 @@ property_tests! {
     fn mechanism_scale_is_sensitivity_over_epsilon(eps in 1e-3f64..100.0, sens in 1e-3f64..100.0) {
         let m = LaplaceMechanism::new(Epsilon::new(eps).unwrap(), sens);
         prop_assert!((m.noise_scale() - sens / eps).abs() < 1e-12);
-    }
-
-    fn geometric_release_is_integer_valued(eps in 0.01f64..10.0, count in -1000i64..1000, seed in 0u64..100) {
-        let g = GeometricMechanism::new(Epsilon::new(eps).unwrap(), 1.0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let out = g.release(count, &mut rng);
-        // i64 output by construction; alpha in (0,1).
-        prop_assert!(g.alpha() > 0.0 && g.alpha() < 1.0);
-        let _ = out;
     }
 
     fn laplace_mechanism_release_vec_preserves_length(

@@ -15,6 +15,8 @@
 //!   uses (Gaussian, uniform, Zipf, exponential, gamma, Student-t);
 //! * [`fft`] — complex FFT (radix-2 + Bluestein) backing the EFPA histogram
 //!   algorithm;
+//! * [`dct`] — orthonormal DCT-II / DCT-III backing the DCT flavour of
+//!   EFPA;
 //! * [`wavelet`] — Haar wavelet transform backing Privelet;
 //! * [`stats`] — descriptive statistics and distances (mean, variance,
 //!   Pearson, Kolmogorov–Smirnov).
@@ -31,7 +33,6 @@ pub mod dct;
 pub mod dist;
 pub mod eigen;
 pub mod fft;
-pub mod hadamard;
 pub mod matrix;
 pub mod special;
 pub mod stats;

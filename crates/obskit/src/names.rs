@@ -57,7 +57,7 @@ pub const BUDGET_EPS_SPENT_NEPS: &str = "budget_eps_spent_neps";
 /// Primitive noise draws, by `stage` and `mech`.
 pub const NOISE_DRAWS_TOTAL: &str = "noise_draws_total";
 /// The `mech` label values of [`NOISE_DRAWS_TOTAL`].
-pub const MECHS: [&str; 3] = ["laplace", "geometric", "exponential"];
+pub const MECHS: [&str; 2] = ["laplace", "exponential"];
 
 /// Successful model artifact loads.
 pub const MODELSTORE_LOADS_TOTAL: &str = "modelstore_loads_total";
