@@ -304,7 +304,7 @@ type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 /// job that panics is caught and discarded so one bad request cannot
 /// shrink the pool; the panic is reported on stderr. Dropping the pool
 /// closes the queue, lets the workers drain every job already submitted,
-/// and joins them — no job accepted by [`TaskPool::execute`] is lost.
+/// and joins them — no job submitted through a [`PoolPermit`] is lost.
 ///
 /// The pool makes no determinism promise: unlike [`par_map`], job
 /// *effects* happen in whatever order workers get to them. Anything that
@@ -414,15 +414,6 @@ impl TaskPool {
         self.pending.load(Ordering::Acquire)
     }
 
-    /// Enqueues `job`; some worker will run it. Never blocks on the
-    /// workers and never refuses — the queue is unbounded. Callers
-    /// wanting back-pressure use [`TaskPool::try_reserve`] /
-    /// [`TaskPool::try_submit`] instead.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        self.send_reserved(Box::new(job));
-    }
-
     /// Reserves a pending slot if fewer than `depth` jobs are queued
     /// or running, refusing with [`PoolSaturated`] otherwise. The
     /// reservation counts toward [`TaskPool::pending`] until the
@@ -457,21 +448,6 @@ impl TaskPool {
         }
     }
 
-    /// Bounded-depth submission: enqueues `job` if fewer than `depth`
-    /// jobs are queued or running, refusing with [`PoolSaturated`]
-    /// (and dropping `job`) otherwise. Convenience over
-    /// [`TaskPool::try_reserve`] for jobs that own nothing worth
-    /// salvaging on refusal.
-    pub fn try_submit(
-        &self,
-        depth: usize,
-        job: impl FnOnce() + Send + 'static,
-    ) -> Result<(), PoolSaturated> {
-        let permit = self.try_reserve(depth)?;
-        permit.submit(job);
-        Ok(())
-    }
-
     /// Sends a job whose pending slot is already counted; the wrapper
     /// releases the slot when the job finishes, even by panic.
     fn send_reserved(&self, job: PoolJob) {
@@ -499,34 +475,6 @@ impl Drop for TaskPool {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// Fallible [`par_map`]: runs every task to completion and returns either
-/// all results in input order or the error of the **lowest-indexed**
-/// failing task — deterministic even when several tasks fail.
-pub fn try_par_map<T, U, E, F>(workers: usize, items: &[T], f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<U, E> + Sync,
-{
-    let mut first_err: Option<(usize, E)> = None;
-    let mut out = Vec::with_capacity(items.len());
-    for (i, r) in par_map(workers, items, f).into_iter().enumerate() {
-        match r {
-            Ok(u) => out.push(u),
-            Err(e) => {
-                if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_err = Some((i, e));
-                }
-            }
-        }
-    }
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok(out),
     }
 }
 
@@ -579,28 +527,6 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    fn try_par_map_returns_lowest_index_error() {
-        let items: Vec<usize> = (0..64).collect();
-        for workers in [1, 3, 8] {
-            let r: Result<Vec<usize>, usize> =
-                try_par_map(
-                    workers,
-                    &items,
-                    |i, &v| {
-                        if i % 10 == 3 {
-                            Err(i)
-                        } else {
-                            Ok(v)
-                        }
-                    },
-                );
-            assert_eq!(r.unwrap_err(), 3, "workers={workers}");
-        }
-        let ok: Result<Vec<usize>, usize> = try_par_map(4, &items, |_, &v| Ok(v));
-        assert_eq!(ok.unwrap(), items);
     }
 
     #[test]
@@ -735,6 +661,13 @@ mod tests {
         assert!(default_workers() >= 1);
     }
 
+    /// Submits `job` at a depth bound no test reaches.
+    fn submit(pool: &TaskPool, job: impl FnOnce() + Send + 'static) {
+        pool.try_reserve(usize::MAX)
+            .expect("unbounded depth admits")
+            .submit(job);
+    }
+
     #[test]
     fn task_pool_runs_every_submitted_job() {
         use std::sync::atomic::AtomicUsize;
@@ -745,7 +678,7 @@ mod tests {
             assert_eq!(pool.workers(), 4);
             for _ in 0..100 {
                 let done = Arc::clone(&done);
-                pool.execute(move || {
+                submit(&pool, move || {
                     done.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -763,7 +696,7 @@ mod tests {
             let pool = TaskPool::new(2);
             for i in 0..20 {
                 let done = Arc::clone(&done);
-                pool.execute(move || {
+                submit(&pool, move || {
                     if i % 5 == 0 {
                         panic!("job {i} fails");
                     }
@@ -794,17 +727,18 @@ mod tests {
         let pool = TaskPool::new(2);
         let (release, gate) = channel::<()>();
         let (started_tx, started) = channel::<()>();
-        pool.try_submit(1, move || {
-            started_tx.send(()).unwrap();
-            gate.recv().unwrap();
-        })
-        .expect("empty pool admits at depth 1");
+        pool.try_reserve(1)
+            .expect("empty pool admits at depth 1")
+            .submit(move || {
+                started_tx.send(()).unwrap();
+                gate.recv().unwrap();
+            });
         started
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("job runs");
 
         // One job in flight: depth 1 refuses, naming both numbers.
-        let refused = pool.try_submit(1, || {}).unwrap_err();
+        let refused = pool.try_reserve(1).err().expect("depth 1 refuses");
         assert_eq!(
             refused,
             PoolSaturated {
@@ -814,17 +748,19 @@ mod tests {
         );
         assert!(refused.to_string().contains("depth bound 1"), "{refused}");
         // Depth 0 is clamped to 1, never a free pass.
-        assert!(pool.try_submit(0, || {}).is_err());
-        // The unbounded path still accepts (and raises pending).
+        assert!(pool.try_reserve(0).is_err());
+        // A larger bound still accepts (and raises pending).
         let (done_tx, done) = channel::<()>();
-        pool.execute(move || done_tx.send(()).unwrap());
+        submit(&pool, move || done_tx.send(()).unwrap());
         done.recv_timeout(std::time::Duration::from_secs(10))
             .expect("unbounded job still runs");
 
         // Draining the blocked job reopens bounded admission.
         release.send(()).unwrap();
         wait_pending(&pool, 0);
-        assert!(pool.try_submit(1, || {}).is_ok());
+        pool.try_reserve(1)
+            .expect("drained pool admits")
+            .submit(|| {});
         wait_pending(&pool, 0);
     }
 
@@ -840,19 +776,20 @@ mod tests {
         for i in 0..4 {
             let gate = Arc::clone(&gate);
             let started_tx = started_tx.clone();
-            pool.try_submit(4, move || {
-                if i == 0 {
-                    started_tx.send(()).unwrap();
-                }
-                gate.lock().unwrap().recv().unwrap();
-            })
-            .unwrap_or_else(|e| panic!("job {i} refused: {e}"));
+            pool.try_reserve(4)
+                .unwrap_or_else(|e| panic!("job {i} refused: {e}"))
+                .submit(move || {
+                    if i == 0 {
+                        started_tx.send(()).unwrap();
+                    }
+                    gate.lock().unwrap().recv().unwrap();
+                });
         }
         started
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("first job running");
         assert_eq!(pool.pending(), 4);
-        let refused = pool.try_submit(4, || {}).unwrap_err();
+        let refused = pool.try_reserve(4).err().expect("depth 4 refuses");
         assert_eq!(
             refused,
             PoolSaturated {
@@ -862,15 +799,18 @@ mod tests {
         );
         // A larger bound still admits over the same backlog.
         let (done_tx, done) = channel::<()>();
-        pool.try_submit(5, move || done_tx.send(()).unwrap())
-            .expect("depth 5 admits the fifth job");
+        pool.try_reserve(5)
+            .expect("depth 5 admits the fifth job")
+            .submit(move || done_tx.send(()).unwrap());
         for _ in 0..5 {
             release.send(()).unwrap();
         }
         done.recv_timeout(std::time::Duration::from_secs(10))
             .expect("backlog drains in order");
         wait_pending(&pool, 0);
-        assert!(pool.try_submit(4, || {}).is_ok());
+        pool.try_reserve(4)
+            .expect("drained pool admits")
+            .submit(|| {});
         wait_pending(&pool, 0);
     }
 
@@ -885,10 +825,11 @@ mod tests {
         assert_eq!(pool.pending(), 0, "dropped permit releases");
 
         // A panicking job must release its slot on unwind.
-        pool.try_submit(1, || panic!("job panics"))
-            .expect("admitted before the panic");
+        pool.try_reserve(1)
+            .expect("admitted before the panic")
+            .submit(|| panic!("job panics"));
         wait_pending(&pool, 0);
-        assert!(pool.try_submit(1, || {}).is_ok());
+        pool.try_reserve(1).expect("slot released").submit(|| {});
         wait_pending(&pool, 0);
     }
 
@@ -897,7 +838,7 @@ mod tests {
         let pool = TaskPool::new(0);
         assert_eq!(pool.workers(), 1);
         let (tx, rx) = std::sync::mpsc::channel();
-        pool.execute(move || tx.send(7u32).expect("receiver alive"));
+        submit(&pool, move || tx.send(7u32).expect("receiver alive"));
         assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(7));
     }
 

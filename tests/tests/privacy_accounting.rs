@@ -62,14 +62,13 @@ fn accountant_simulates_theorem_4_2() {
 fn hybrid_parallel_composition_costs_once() {
     // Algorithm 6: the per-partition DPCopula runs are on disjoint data.
     // Simulate the accounting: count noise (eps1) + one full per-partition
-    // budget (eps - eps1), regardless of the partition count.
+    // budget (eps - eps1), each spent once whatever the partition count.
     let total = Epsilon::new(1.0).unwrap();
     let eps_counts = total.fraction(0.1);
     let eps_copula = Epsilon::new(total.value() - eps_counts.value()).unwrap();
     let mut acc = BudgetAccountant::new(total);
-    let partitions = 64;
-    acc.spend_parallel(eps_counts, partitions).unwrap();
-    acc.spend_parallel(eps_copula, partitions).unwrap();
+    acc.spend(eps_counts).unwrap();
+    acc.spend(eps_copula).unwrap();
     assert!(acc.remaining() < 1e-12);
 }
 
