@@ -15,7 +15,7 @@
 //! * [`http`] — request/response framing over `std::net` with hard
 //!   head/body limits, `Expect: 100-continue` support, and spooling of
 //!   oversized `text/csv` fit bodies to a private temp file;
-//! * [`registry`] — checksum-keyed LRU cache of decoded
+//! * [`registry`] — byte-compared LRU cache of decoded
 //!   [`FittedModel`]s over a watched artifact directory;
 //! * [`budget`] — per-tenant ε admission control on dpmech's integer
 //!   nano-ε ledger (fits are metered; sampling is ε-free

@@ -7,15 +7,15 @@
 //! notification machinery. The request is a cache hit when the file
 //! still holds exactly the bytes its entry was decoded from (or, for an
 //! inserted model, the bytes written for it): a read and a `memcmp`,
-//! and no hash. Exact equality cannot serve the wrong model on a hash
-//! collision. Only a miss hashes the bytes, to key the new entry with
-//! the FNV-1a 64 checksum of the file — for canonically written files
-//! exactly [`ModelArtifact::checksum`] of the decoded model (not the
-//! whole-file CRC-32: per-section CRCs make that constant across
-//! same-shape artifacts — see [`fnv1a64`]). [`ModelRegistry::list`]
-//! reports that key. Capacity is bounded; the least-recently-used entry
-//! is evicted when a decode would exceed it, with evictions and
-//! residency published through the metrics sink.
+//! and no hash, on a hit or a miss. Exact equality cannot serve the
+//! wrong model on a hash collision. [`ModelRegistry::list`] reports each
+//! file's FNV-1a 64 checksum — for canonically written files exactly
+//! [`ModelArtifact::checksum`] of the decoded model (not the whole-file
+//! CRC-32: per-section CRCs make that constant across same-shape
+//! artifacts — see [`fnv1a64`]) — and marks it cached by the same byte
+//! compare. Capacity is bounded; the least-recently-used entry is
+//! evicted when a decode would exceed it, with evictions and residency
+//! published through the metrics sink.
 //!
 //! A panic while a lock is held (in a decode, say) does not poison the
 //! registry for later requests: the per-id flights guard no data, and
@@ -88,7 +88,7 @@ pub struct ModelInfo {
     pub id: String,
     /// Artifact size on disk.
     pub bytes: u64,
-    /// FNV-1a 64 of the artifact bytes (the cache key).
+    /// FNV-1a 64 of the artifact bytes.
     pub checksum: u64,
     /// Whether a decoded copy is currently resident in the cache.
     pub cached: bool,
@@ -100,7 +100,6 @@ pub struct ModelInfo {
 
 struct CacheEntry {
     id: String,
-    key: u64,
     /// The artifact bytes `model` was decoded from, or written for: a
     /// `get` that reads exactly these bytes is a hit.
     bytes: Arc<[u8]>,
@@ -121,7 +120,7 @@ struct CacheState {
     tombstones: HashSet<String>,
 }
 
-/// Checksum-keyed LRU of decoded models over a watched directory.
+/// Byte-compared LRU of decoded models over a watched directory.
 pub struct ModelRegistry {
     dir: PathBuf,
     capacity: usize,
@@ -209,7 +208,6 @@ impl ModelRegistry {
             Ok(_) => {}
             Err(()) => return Err(RegistryError::UnknownModel { id: id.into() }),
         }
-        let key = fnv1a64(&bytes);
         // Decode outside the cache lock: a slow decode must not stall
         // cache hits for other models.
         let artifact = modelstore::decode_observed(&bytes, &self.sink).map_err(|e| {
@@ -228,7 +226,7 @@ impl ModelRegistry {
             })?;
         model.set_metrics_sink(self.sink.clone());
         let model = Arc::new(model);
-        self.insert_cached(id, key, bytes.into(), Arc::clone(&model), false);
+        self.insert_cached(id, bytes.into(), Arc::clone(&model), false);
         Ok(model)
     }
 
@@ -325,30 +323,22 @@ impl ModelRegistry {
 
     /// Caches a freshly fitted model, right after its `{id}.dpcm` was
     /// written canonically: with its canonical encoding as the bytes a
-    /// hit must read, under its canonical checksum
-    /// ([`modelstore::ModelArtifact::checksum`]).
+    /// hit must read.
     pub fn insert(&self, id: &str, model: Arc<FittedModel>) {
         let bytes = model.artifact().encode();
-        self.insert_keyed(id, fnv1a64(&bytes), bytes, model);
+        self.insert_written(id, bytes, model);
     }
 
-    /// [`insert`](Self::insert) with the bytes the caller just wrote and
-    /// their checksum: the fit route holds both, so it neither encodes
-    /// the artifact again nor hashes twice.
-    pub(crate) fn insert_keyed(&self, id: &str, key: u64, bytes: Vec<u8>, model: Arc<FittedModel>) {
+    /// [`insert`](Self::insert) with the bytes the caller just wrote:
+    /// the fit route holds them, so it does not encode the artifact
+    /// again.
+    pub(crate) fn insert_written(&self, id: &str, bytes: Vec<u8>, model: Arc<FittedModel>) {
         // A refit revives a tombstoned id: the new artifact was just
         // written, so the pending deletion is superseded.
-        self.insert_cached(id, key, bytes.into(), model, true);
+        self.insert_cached(id, bytes.into(), model, true);
     }
 
-    fn insert_cached(
-        &self,
-        id: &str,
-        key: u64,
-        bytes: Arc<[u8]>,
-        model: Arc<FittedModel>,
-        revive: bool,
-    ) {
+    fn insert_cached(&self, id: &str, bytes: Arc<[u8]>, model: Arc<FittedModel>, revive: bool) {
         let mut cache = self.cache();
         if revive {
             cache.tombstones.remove(id);
@@ -360,12 +350,11 @@ impl ModelRegistry {
         }
         let clock = cache.clock + 1;
         cache.clock = clock;
-        // A same-id entry with a stale checksum is replaced, not kept
+        // A same-id entry with stale bytes is replaced, not kept
         // alongside: ids are unique in the cache.
         cache.entries.retain(|e| e.id != id);
         cache.entries.push(CacheEntry {
             id: id.to_string(),
-            key,
             bytes,
             model,
             stamp: clock,
@@ -403,11 +392,11 @@ impl ModelRegistry {
             path: self.dir.display().to_string(),
             source: e,
         })?;
-        let cached: Vec<(String, u64)> = self
+        let cached: Vec<(String, Arc<[u8]>)> = self
             .cache()
             .entries
             .iter()
-            .map(|e| (e.id.clone(), e.key))
+            .map(|e| (e.id.clone(), Arc::clone(&e.bytes)))
             .collect();
         let mut out = Vec::new();
         for entry in entries {
@@ -424,12 +413,11 @@ impl ModelRegistry {
             };
             match std::fs::read(&path) {
                 Ok(bytes) => {
-                    let checksum = fnv1a64(&bytes);
                     out.push(ModelInfo {
-                        cached: cached.iter().any(|(i, k)| *i == id && *k == checksum),
+                        cached: cached.iter().any(|(i, b)| *i == id && **b == *bytes),
                         id,
                         bytes: bytes.len() as u64,
-                        checksum,
+                        checksum: fnv1a64(&bytes),
                         error: None,
                     });
                 }

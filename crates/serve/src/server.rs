@@ -1002,7 +1002,7 @@ fn respond_fitted(
     rows: usize,
 ) -> Response {
     // One encode serves the file, the response checksum and the cache
-    // key (`FittedModel::save` plus `checksum()` would encode twice).
+    // entry (`FittedModel::save` plus `checksum()` would encode twice).
     let bytes = model.artifact().encode();
     let path = state.registry.path_for(id);
     if let Err(e) = modelstore::write_atomic(&path, &bytes) {
@@ -1011,9 +1011,7 @@ fn respond_fitted(
     let checksum = fnv1a64(&bytes);
     let spent = model.artifact().ledger.spent();
     let attributes = model.dims();
-    state
-        .registry
-        .insert_keyed(id, checksum, bytes, Arc::new(model));
+    state.registry.insert_written(id, bytes, Arc::new(model));
 
     let remaining = state
         .gate
