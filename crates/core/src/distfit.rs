@@ -16,14 +16,13 @@
 //!   `fit_shard × N` + `merge_shards` releases a `.dpcm`
 //!   **byte-identical** to the single-process `fit --shards N` at the
 //!   same seeds (pinned in `tests/distfit_identity.rs`);
-//! * [`CountedSource`] is the counting pass the in-process fit makes
+//! * `CountedSource` is the counting pass the in-process fit makes
 //!   over a [`RowSource`] before its reducing pass: block memory stays
 //!   bounded by the source's chunk size.
 //!
-//! Both fits reduce their rows with the one
-//! [`RowReducer`](crate::shard::RowReducer) of the in-process fit, and
-//! the merge folds summaries with its one
-//! [`fold_summaries`](crate::engine::fold_summaries).
+//! Both fits reduce their rows with the one `shard::RowReducer` of the
+//! in-process fit, and the merge folds summaries with its one
+//! `engine::fold_summaries`.
 //!
 //! The ε accounting of the merge is the in-process sharded fit's
 //! (DESIGN.md §12, restated for the wire formats in §14): margins

@@ -327,7 +327,7 @@ impl RowReducer {
 }
 
 /// Builds one summary per shard with the margin layer filled in from the
-/// exact histogram counts a [`RowReducer`] gathered
+/// exact histogram counts a `RowReducer` gathered
 /// (`exact[shard][attribute][bin]`): one noisy histogram per
 /// `(shard, attribute)` task, fanned out across `workers` under the
 /// `margins` stage, each keyed by stream index `shard * m + attribute`.
@@ -435,7 +435,7 @@ pub fn shard_locals(spec: ShardSpec, target: usize, base_seed: u64) -> Vec<usize
 ///
 /// The bare estimator has no domains and publishes no margins, so it
 /// picks its sample rows straight from the plan instead of running a
-/// fit's [`RowReducer`].
+/// fit's `RowReducer`.
 pub fn dp_tau_matrix_sharded(
     columns: &[Vec<u32>],
     specs: &[ShardSpec],

@@ -11,9 +11,10 @@
 //! * [`ModelArtifact`] — the released object as plain data: schema,
 //!   margins, correlation matrix, copula family, spent-budget ledger and
 //!   RNG provenance;
-//! * the `.dpcm` wire format ([`format`]) — versioned, little-endian,
-//!   with a CRC-32 per section so any single-byte corruption is rejected
-//!   at load with the damaged section's name and byte offset;
+//! * the `.dpcm` wire format ([`format`](mod@format)) — versioned,
+//!   little-endian, with a CRC-32 per section so any single-byte
+//!   corruption is rejected at load with the damaged section's name and
+//!   byte offset;
 //! * the `.dpcs` shard-summary format ([`shard_format`]) — one shard's
 //!   sufficient statistics for a distributed fit, under the same framing
 //!   and corruption-rejection contract;

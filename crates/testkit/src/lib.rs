@@ -6,7 +6,7 @@
 //! * [`prop`] — seeded property-based testing: generator combinators,
 //!   halving-based shrinking, and a failure report that prints the exact
 //!   seed reproducing the counterexample;
-//! * [`bench`] — a micro-benchmark harness with warmup, N timed
+//! * [`bench`](mod@bench) — a micro-benchmark harness with warmup, N timed
 //!   iterations and a min/median/p95 report, API-shaped like Criterion
 //!   so the existing `benches/*.rs` files ported mechanically.
 //!

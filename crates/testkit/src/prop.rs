@@ -223,7 +223,7 @@ impl_tuple_of_intogen! {
     (T0 G0.0, T1 G1.1, T2 G2.2, T3 G3.3, T4 G4.4)
 }
 
-/// Length specification for [`vec`]: an exact `usize` or a range.
+/// Length specification for [`vec()`]: an exact `usize` or a range.
 pub trait IntoLenRange {
     /// Returns `(min, max)` inclusive bounds.
     fn bounds(self) -> (usize, usize);

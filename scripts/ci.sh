@@ -13,6 +13,9 @@ cargo fmt --check
 echo "==> cargo clippy (offline, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (offline, warnings are errors: no broken or private links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release (offline)"
 cargo build --release --offline
 
