@@ -286,7 +286,8 @@ impl std::fmt::Display for DpCopulaError {
             DpCopulaError::BudgetBelowFloor { smallest } => write!(
                 f,
                 "per-mechanism budget {smallest:e} (epsilon_1/m per margin, \
-                 epsilon_2/C(m,2) per pair) is below the floor {MIN_MECHANISM_EPSILON:e}"
+                 epsilon_2/C(m,2) per pair, count_fraction*epsilon per hybrid \
+                 partition count) is below the floor {MIN_MECHANISM_EPSILON:e}"
             ),
         }
     }
