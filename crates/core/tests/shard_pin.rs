@@ -1,11 +1,12 @@
-//! Byte-identity pins for the sharded fit refactor.
+//! Byte-identity pins of the fit pipeline's releases.
 //!
-//! The fixtures under `tests/fixtures/` hold `.dpcm` bytes produced by
-//! the **pre-shard** fit pipeline. The merge-path fit with `shards = 1`
-//! must keep reproducing them bit for bit: the single-shard fit is the
-//! 1-shard case of the merge path, not a separate code path, and this is
-//! the test that holds that contract. Regenerate (only for an
-//! intentional, documented format change) with `PIN_UPDATE=1`.
+//! Every pin is one `name fnv1a64 bytes` line of
+//! `tests/fixtures/sharded_pins.txt`: the FNV-1a digest and length of a
+//! released byte stream, recorded at the commit before the code that
+//! produces it changed. Re-record (only for an intentional, documented
+//! change of the released bytes) with `PIN_UPDATE=1`; each line it
+//! rewrites is printed as `name: old -> new` (pass `--nocapture` to
+//! see them).
 
 use dpcopula::engine::EngineOptions;
 use dpcopula::kendall::SamplingStrategy;
@@ -36,7 +37,7 @@ fn dataset(m: usize, n: usize, seed: u64) -> (Vec<Vec<u32>>, Vec<usize>) {
     (columns, domains)
 }
 
-/// Whether this run rewrites the fixtures (`PIN_UPDATE=1`) instead of
+/// Whether this run rewrites the pins (`PIN_UPDATE=1`) instead of
 /// checking them.
 fn pin_update() -> bool {
     std::env::var("PIN_UPDATE").is_ok_and(|v| v == "1")
@@ -57,34 +58,31 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Fits with the given config and compares the artifact bytes to the
-/// named fixture (or rewrites it under `PIN_UPDATE=1`).
-fn assert_pinned(config: DpCopulaConfig, opts: &EngineOptions, name: &str) {
+/// The 1-shard fits pinned since the pre-shard pipeline, in the order
+/// they close `sharded_pins.txt`.
+const ONE_SHARD_PINS: [&str; 3] = [
+    "pin_kendall_auto.dpcm",
+    "pin_kendall_full.dpcm",
+    "pin_spearman.dpcm",
+];
+
+/// The `.dpcm` bytes of `config`'s default-options fit of the 3 × 4,000
+/// dataset at seed 77, checked against its line `name`.
+fn assert_one_shard_fit_pinned(config: DpCopulaConfig, name: &str) {
     let (columns, domains) = dataset(3, 4_000, 20240601);
     let (model, _) = SynthesisRequest::from_config(&columns, &domains, config)
-        .engine(*opts)
+        .engine(EngineOptions::default())
         .seed(77)
         .fit()
         .unwrap();
-    let bytes = model.artifact().encode();
-    let path = fixture_path(name);
-    if pin_update() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
-        return;
-    }
-    let pinned = std::fs::read(&path).unwrap_or_else(|e| panic!("fixture {name} missing: {e}"));
-    assert_eq!(
-        bytes, pinned,
-        "{name}: fit output drifted from the pre-shard pipeline bytes"
-    );
+    assert_digests_pinned(&[(name.to_string(), model.artifact().encode())]);
 }
 
 #[test]
 fn one_shard_kendall_fit_matches_pre_shard_bytes() {
     let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
     config.method = CorrelationMethod::Kendall(SamplingStrategy::Auto);
-    assert_pinned(config, &EngineOptions::default(), "pin_kendall_auto.dpcm");
+    assert_one_shard_fit_pinned(config, ONE_SHARD_PINS[0]);
 }
 
 #[test]
@@ -92,14 +90,14 @@ fn one_shard_kendall_full_fit_matches_pre_shard_bytes() {
     let mut config =
         DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(MarginMethod::Privelet);
     config.method = CorrelationMethod::Kendall(SamplingStrategy::Full);
-    assert_pinned(config, &EngineOptions::default(), "pin_kendall_full.dpcm");
+    assert_one_shard_fit_pinned(config, ONE_SHARD_PINS[1]);
 }
 
 #[test]
 fn one_shard_spearman_fit_matches_pre_shard_bytes() {
     let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
     config.method = CorrelationMethod::Spearman;
-    assert_pinned(config, &EngineOptions::default(), "pin_spearman.dpcm");
+    assert_one_shard_fit_pinned(config, ONE_SHARD_PINS[2]);
 }
 
 /// The sharded byte streams pinned against history in
@@ -211,8 +209,9 @@ fn sharded_streams() -> Vec<(String, Vec<u8>)> {
 
 /// Checks each stream against its `name fnv1a64 bytes` line in
 /// `tests/fixtures/sharded_pins.txt`. Under `PIN_UPDATE=1` it rewrites
-/// those lines in place instead (appending names the file lacks) and
-/// leaves every other line as it is, so each pinning test owns its lines.
+/// those lines in place instead (appending names the file lacks),
+/// prints `name: old -> new` for each line it changes, and leaves every
+/// other line as it is, so each pinning test owns its lines.
 fn assert_digests_pinned(streams: &[(String, Vec<u8>)]) {
     let path = fixture_path("sharded_pins.txt");
     let pinned = std::fs::read_to_string(&path)
@@ -224,7 +223,12 @@ fn assert_digests_pinned(streams: &[(String, Vec<u8>)]) {
     if pin_update() {
         let mut lines: Vec<String> = pinned.lines().map(str::to_owned).collect();
         for (name, line) in rendered {
-            match lines.iter_mut().find(|l| stream_name(l) == name) {
+            let slot = lines.iter_mut().find(|l| stream_name(l) == name);
+            let old = slot.as_ref().map_or("(none)", |l| pin_value(l)).to_string();
+            if old != pin_value(&line) {
+                println!("{name}: {old} -> {}", pin_value(&line));
+            }
+            match slot {
                 Some(slot) => *slot = line,
                 None => lines.push(line),
             }
@@ -243,6 +247,11 @@ fn assert_digests_pinned(streams: &[(String, Vec<u8>)]) {
         })
         .collect();
     assert!(drifted.is_empty(), "{}", drifted.join("\n"));
+}
+
+/// The `fnv1a64 bytes` part of a pin line.
+fn pin_value(line: &str) -> &str {
+    line.split_once(' ').map_or("", |(_, value)| value)
 }
 
 fn stream_name(line: &str) -> &str {
@@ -268,6 +277,7 @@ fn sharded_streams_match_their_pinned_digests() {
         .chain(windows.iter().map(String::as_str))
         .chain(HYBRID_PINS)
         .chain(margins.iter().map(String::as_str))
+        .chain(ONE_SHARD_PINS)
         .collect();
     assert_eq!(
         listed, known,
@@ -475,7 +485,7 @@ fn window_pins() -> Vec<String> {
 /// 600-row windows of a Gaussian model in both sampling profiles at
 /// [`WINDOW_OFFSETS`] and workers {1, 3}, each as its columns in `u32`
 /// little-endian. The model is the Kendall `Auto` fit of the 3 × 4,000
-/// dataset at seed 77 (the model of `pin_kendall_auto.dpcm`). The burn
+/// dataset at seed 77 (the model `pin_kendall_auto.dpcm` pins). The burn
 /// of 8,191 rows draws about 24,500 fast normals, so the fast windows
 /// pass through the ziggurat's wedge and tail branches as well as its
 /// core.
