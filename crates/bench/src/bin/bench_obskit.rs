@@ -23,7 +23,8 @@
 //! in the JSON, but only informationally — full recording is allowed
 //! to cost more than the no-op branch.
 //!
-//! `QUICK=1` shrinks the input and sample count for smoke runs.
+//! `QUICK=1` shrinks the input and sample count for smoke runs and
+//! leaves the committed `BENCH_obskit.json` untouched.
 
 use datagen::census::us_census;
 use dpcopula::{DpCopulaConfig, EngineOptions, SynthesisRequest};
@@ -162,8 +163,12 @@ fn main() {
     let _ = writeln!(out, "  \"gate_passed\": {}", noop_overhead_pct < gate_pct);
     out.push_str("}\n");
     let path = "BENCH_obskit.json";
-    std::fs::write(path, &out).expect("write BENCH_obskit.json");
-    println!("wrote {path}");
+    if quick {
+        println!("quick run: leaving {path} untouched");
+    } else {
+        std::fs::write(path, &out).expect("write BENCH_obskit.json");
+        println!("wrote {path}");
+    }
 
     if noop_overhead_pct >= gate_pct {
         eprintln!(
