@@ -22,8 +22,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Ceiling on summary-merge time as a fraction of the single-shard fit:
-/// sharding pays its parallel-composition bookkeeping out of the fit it
-/// accelerates, so the merge must stay a small tax.
+/// sharding pays its fold out of the fit it accelerates, so the merge
+/// must stay a small tax.
 const MAX_MERGE_OVERHEAD: f64 = 0.15;
 
 /// Floor on the 4-shard fit speedup over the serial single-shard fit,

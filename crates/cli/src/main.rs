@@ -70,10 +70,10 @@ is pure post-processing of the one budgeted release — with or without
 metrics, which only observe and never perturb a release.
 
 `fit --shards N` partitions the input rows into N disjoint shards,
-builds each shard's noisy summaries in parallel, and merges them into
-one artifact: margin cost composes in parallel (per-label max across
-shards), and Kendall's tau is scored once over the union of the
-shards' record samples before its single noise draw, so the guarantee
+which release nothing of their own: each margin is published once from
+the exact counts of every row, so the margins are the unsharded fit's
+byte for byte, and Kendall's tau is scored once over the union of the
+shards' record samples before its single noise draw. The guarantee
 and the spent budget match the unsharded fit.
 Repeating --input supplies explicit shards — the files must agree on
 the schema and --shards defaults to the file count. Sharded fits need
@@ -81,14 +81,18 @@ the schema and --shards defaults to the file count. Sharded fits need
 
 `fit-shard` + `merge` is the distributed, out-of-core form of
 `fit --shards N`: each worker streams its own CSV part (shard I of N,
-rows never fully resident) into a `.dpcs` shard summary, and `merge`
-combines the N summaries into a `.dpcm` byte-identical to the
-single-process `fit --shards N` on the concatenated input at the same
-seed and options. Every worker must be given the same --epsilon, --seed,
+rows never fully resident) into a `.dpcs` shard summary of exact counts
+and its share of the tau sample. A shard draws no noise and spends no
+epsilon, so a `.dpcs` is as sensitive as the rows it came from. `merge`
+sums the counts, draws all the noise and writes a `.dpcm`
+byte-identical to the single-process `fit --shards N` on the
+concatenated input at the same seed and options. Every worker must be given the same --epsilon, --seed,
 --method, --margin, --k, --chunk, --shards, and --total-rows (the row
 count of the whole dataset, not the part); `merge` refuses mismatched or
-duplicate parts, and a part whose tau sample is not its share of the
-plan, by file name.
+duplicate parts, a part whose counts do not cover its rows and a part
+whose tau sample is not its share of the plan, by file name. A version 1
+`.dpcs` (written when shards published noisy margins) is refused: re-run
+fit-shard.
 
 `--profile fast` samples with the vectorized hot path: same fitted DP
 model, same privacy guarantee, much higher rows/s. Fast output is
@@ -514,17 +518,12 @@ fn cmd_fit_shard(flags: &Flags) -> Result<(), String> {
     artifact
         .save(out)
         .map_err(|e| format!("writing {out}: {e}"))?;
-    let spent_neps: u64 = artifact.ledger.iter().map(|s| s.neps).sum();
     println!(
         "fitted shard {shard_index} of {shards}: rows [{}, {}) of {total_rows}, \
-         {} attributes (seed {seed})",
+         {} attributes (seed {seed}); artifact: {out}",
         artifact.row_start,
         artifact.row_end,
         artifact.schema.len(),
-    );
-    println!(
-        "shard spent epsilon {:.6} (parallel-composed at merge); artifact: {out}",
-        spent_neps as f64 * 1e-9
     );
     metrics.write(Some(out))?;
     Ok(())
@@ -625,13 +624,6 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
     );
     for entry in &ledger.entries {
         println!("  {:<12} epsilon {:.6}", entry.label, entry.epsilon);
-    }
-    for (s, entries) in ledger.shard_entries.iter().enumerate() {
-        let spent: f64 = entries.iter().map(|e| e.epsilon).sum();
-        println!(
-            "  shard {s:<6} epsilon {spent:.6} ({} entries, parallel-composed)",
-            entries.len()
-        );
     }
     let p = &artifact.provenance;
     println!(

@@ -257,13 +257,25 @@ fn sharded_fit_matches_single_shard_budget_and_serves() {
         "format v2",
         "shard 0",
         "shard 3",
-        "parallel-composed",
         "rows [0, 375)",
         "seed index 3",
         "spent 1.000000",
     ] {
         assert!(report.contains(needle), "missing `{needle}` in:\n{report}");
     }
+    // Its margins section (offset, length, CRC) is the unsharded fit's:
+    // each margin is published once from the counts of every row.
+    let plain = dir.path("plain.dpcm");
+    run_ok(&["fit", "--input", &csv, "--out", &plain, "--seed", "11"]);
+    let plain_report = run_ok(&["inspect", "--model", &plain]);
+    let margins_line = |report: &str| {
+        let line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("margins ") && l.contains("crc32"));
+        line.map(str::to_owned)
+    };
+    assert!(margins_line(&report).is_some(), "{report}");
+    assert_eq!(margins_line(&report), margins_line(&plain_report));
     let served = dir.path("served.csv");
     run_ok(&[
         "sample", "--model", &model, "--out", &served, "--rows", "200",
@@ -731,6 +743,22 @@ fn fit_shard_misuse_and_merge_misuse_are_named_errors() {
     assert!(
         stderr.contains("offset") || stderr.contains("checksum"),
         "error should localise the damage: {stderr}"
+    );
+
+    // A version 1 part, from when shards published noisy margins, is
+    // refused by file name with the remedy.
+    let mut bytes = std::fs::read(&dpcs[0]).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let crc = modelstore::crc32::crc32(&bytes[0..8]);
+    bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+    let old = dir.path("old.dpcs");
+    std::fs::write(&old, &bytes).unwrap();
+    let out = run(&["merge", &old, &dpcs[1], "--out", &dir.path("m.dpcm")]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("old.dpcs") && stderr.contains("re-run fit-shard"),
+        "error should name the file and the remedy: {stderr}"
     );
 
     // Empty merge is refused.

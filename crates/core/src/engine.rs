@@ -9,7 +9,8 @@
 //! * **budget plan** — the row reducer that checks domains and gathers
 //!   exact counts and the τ subsample, one task per attribute over a
 //!   large resident input;
-//! * **margins** — one task per (shard, attribute);
+//! * **margins** — one task per attribute, publishing its exact counts
+//!   over every shard once;
 //! * **correlation** — one task per column of the pooled τ sample to
 //!   rank it, then one task per attribute pair (`C(m,2)` tasks) to score
 //!   it;
@@ -34,17 +35,18 @@ use crate::error::{validate_budget, validate_shape, DpCopulaError};
 use crate::kendall::dp_tau_matrix;
 use crate::mle::dp_mle_matrix_par;
 use crate::sampler::CopulaSampler;
-use crate::shard::{self, RowReducer};
+use crate::shard::{self, RowReducer, ShardSpec};
 use crate::spearman::dp_spearman_matrix_par;
 use crate::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, Synthesis};
 use datagen::RowSource;
-use dpmech::BudgetAccountant;
+use dphist::MarginRegistry;
+use dpmech::{BudgetAccountant, Epsilon};
 use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
 use mathkit::Matrix;
-use modelstore::{AttributeSpec, BudgetEntry, ShardInfo};
+use modelstore::{AttributeSpec, ShardInfo};
 use obskit::names::{
     ENGINE_SHARDS, ENGINE_WORKERS, PIPELINE_ROWS_OUT_TOTAL, PIPELINE_RUNS_TOTAL,
-    SAMPLING_PROFILE_ROWS_TOTAL, SHARD_EPS_SPENT_NEPS,
+    SAMPLING_PROFILE_ROWS_TOTAL,
 };
 use obskit::{MetricsSink, Stopwatch, Unit, SPAN_NS};
 use std::time::Duration;
@@ -79,6 +81,34 @@ pub(crate) fn harvest_draws<T>(sink: &MetricsSink, stage: &str, f: impl FnOnce()
     out
 }
 
+/// Publishes each attribute's margin once from `exact[j]`, its exact
+/// counts over every row: one task per attribute under the `margins`
+/// stage, each at `eps_margin` through the `MarginRegistry` method
+/// `margin_name`, on stream `STREAM_MARGINS[j]` — the same release at
+/// any shard count.
+///
+/// # Panics
+/// Panics when `margin_name` is not a builtin registry name; callers
+/// pass a [`crate::MarginMethod`]'s or check the name first.
+pub(crate) fn publish_margins(
+    exact: &[Vec<u64>],
+    margin_name: &str,
+    eps_margin: Epsilon,
+    base_seed: u64,
+    workers: usize,
+    sink: &MetricsSink,
+) -> Vec<Vec<f64>> {
+    parkit::par_map_observed(workers, exact, sink, "margins", |j, counts| {
+        let counts: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        harvest_draws(sink, "margins", || {
+            let mut rng = parkit::stream_rng(base_seed, STREAM_MARGINS, j as u64);
+            MarginRegistry::builtin()
+                .publish(margin_name, &counts, eps_margin, &mut rng)
+                .expect("builtin registry covers every margin method")
+        })
+    })
+}
+
 /// Execution knobs for the staged engine. Orthogonal to
 /// [`crate::synthesizer::DpCopulaConfig`]: the config decides *what* is
 /// released, the options decide *how fast* — by the determinism contract
@@ -94,14 +124,14 @@ pub struct EngineOptions {
     /// streams), so changing it changes the sampled records — unlike
     /// `workers`, which never does.
     pub sample_chunk: usize,
-    /// Disjoint row shards the fit partitions its input into, each
-    /// reduced to a mergeable [`crate::shard::ShardSummary`] and merged
-    /// into one model (DESIGN.md §12). `1` (the default) is the
-    /// unsharded fit — the same merge path, reproducing the pre-shard
-    /// pipeline byte for byte. Values above 1 change the released bytes
-    /// (per-shard noise terms and, under record sampling, per-shard row
-    /// subsamples), so like `sample_chunk` this is part of the released
-    /// value's identity.
+    /// Disjoint row shards the fit partitions its input into (DESIGN.md
+    /// §12). Each shard draws its own share of the Kendall record
+    /// sample; every release is made once over all rows. `1` (the
+    /// default) is the unsharded fit. Above 1 the margins, and under
+    /// `SamplingStrategy::Full` the whole release, stay the 1-shard
+    /// values; under `Auto`/`Fixed` the per-shard subsamples pool into a
+    /// different τ sample, so like `sample_chunk` this is part of the
+    /// released value's identity.
     pub shards: usize,
 }
 
@@ -145,8 +175,8 @@ pub struct StageTimings {
     /// sample (parallel over columns, then pairs), or the MLE/Spearman
     /// matrix.
     pub correlation: Duration,
-    /// The summary fold (margin sums and the budget accountant), then
-    /// clamping + eigenvalue positive-definite repair.
+    /// The fold (the budget accountant), then clamping + eigenvalue
+    /// positive-definite repair.
     pub pd_repair: Duration,
     /// Copula sampling (parallel over row chunks).
     pub sampling: Duration,
@@ -225,9 +255,6 @@ pub(crate) struct FitParts {
     /// 1-shard fit so its artifact stays on format v1, byte-identical to
     /// the pre-shard pipeline.
     pub shards: Vec<ShardInfo>,
-    /// Per-shard budget sub-ledgers as artifact entries; empty for the
-    /// 1-shard fit.
-    pub shard_entries: Vec<Vec<BudgetEntry>>,
 }
 
 /// The data one fit reads: borrowed resident columns with their domains,
@@ -261,32 +288,32 @@ pub(crate) struct Fit {
     pub rows: usize,
 }
 
-/// Folds per-shard summaries into the released fit — the merge half of
-/// every fit, shared by the in-process fit and
-/// [`crate::distfit::merge_shards`]: the per-bin margin sums, the budget
-/// accountant, clamping and positive-definite repair of `raw`, the shard
-/// spans and per-shard ε counters, and the shard provenance.
+/// Folds the released pieces into the fit — the last half of every fit,
+/// shared by the in-process fit and [`crate::distfit::merge_shards`]:
+/// the budget accountant, clamping and positive-definite repair of
+/// `raw`, the shard spans and the shard provenance of `specs`.
 ///
-/// `raw` is the released correlation estimate before repair (Kendall's
-/// pooled τ matrix, or MLE's or Spearman's; the identity for one
-/// attribute). Only the budget fields of `config` are read. `build_ns`
-/// is the caller's time building the summaries and `raw`, reported as
-/// `pipeline/shard_fit`; the serial fold alone is `pipeline/shard_merge`.
+/// `noisy_margins` are the published margins and `raw` the released
+/// correlation estimate before repair (Kendall's pooled τ matrix, or
+/// MLE's or Spearman's; the identity for one attribute). Only the
+/// budget fields of `config` are read. `build_ns` is the caller's time
+/// building those releases, reported as `pipeline/shard_fit`; the
+/// serial fold alone is `pipeline/shard_merge`.
 pub(crate) fn fold_summaries(
-    summaries: &[shard::ShardSummary],
+    noisy_margins: Vec<Vec<f64>>,
+    specs: &[ShardSpec],
     raw: Matrix,
     config: &DpCopulaConfig,
     build_ns: u64,
     sink: &MetricsSink,
 ) -> Result<FitParts, DpCopulaError> {
-    let m = summaries[0].noisy_margins.len();
+    let m = noisy_margins.len();
     let (eps1, eps2) = config.epsilon.split_ratio(config.k_ratio);
     let eps_margin = eps1.divide(m);
     let mut accountant = BudgetAccountant::new(config.epsilon);
-    sink.gauge_set(ENGINE_SHARDS, Unit::Info, summaries.len() as u64);
+    sink.gauge_set(ENGINE_SHARDS, Unit::Info, specs.len() as u64);
 
     let watch = Stopwatch::start();
-    let noisy_margins = shard::merge_margins(summaries);
     for _ in 0..m {
         accountant.spend_tracked(eps_margin, "margins", sink)?;
     }
@@ -313,42 +340,21 @@ pub(crate) fn fold_summaries(
             Unit::Nanos,
             merge_ns,
         );
-        for (s, summary) in summaries.iter().enumerate() {
-            sink.add_labeled(
-                SHARD_EPS_SPENT_NEPS,
-                &[("shard", &s.to_string())],
-                Unit::NanoEps,
-                summary.ledger.total_neps(),
-            );
-        }
     }
 
-    // Per-shard provenance and sub-ledgers only when actually sharded:
-    // the 1-shard artifact must stay on format v1, byte-identical to the
-    // pre-shard pipeline.
-    let (shards, shard_entries) = if summaries.len() <= 1 {
-        (Vec::new(), Vec::new())
+    // Shard provenance only when actually sharded: the 1-shard artifact
+    // must stay on format v1, byte-identical to the pre-shard pipeline.
+    let shards = if specs.len() <= 1 {
+        Vec::new()
     } else {
-        summaries
+        specs
             .iter()
-            .map(|s| {
-                let info = ShardInfo {
-                    row_start: s.spec.start as u64,
-                    row_end: s.spec.end as u64,
-                    seed_index: s.spec.seed_index,
-                };
-                let entries = s
-                    .ledger
-                    .entries()
-                    .iter()
-                    .map(|(label, neps)| BudgetEntry {
-                        label: label.clone(),
-                        epsilon: *neps as f64 * 1e-9,
-                    })
-                    .collect();
-                (info, entries)
+            .map(|s| ShardInfo {
+                row_start: s.start as u64,
+                row_end: s.end as u64,
+                seed_index: s.seed_index,
             })
-            .unzip()
+            .collect()
     };
 
     Ok(FitParts {
@@ -361,7 +367,6 @@ pub(crate) fn fold_summaries(
         epsilon_margins: eps1.value(),
         epsilon_correlations: if m > 1 { eps2.value() } else { 0.0 },
         shards,
-        shard_entries,
     })
 }
 
@@ -371,9 +376,10 @@ impl DpCopula {
     /// columns and streaming sources alike. Sampling from the result is
     /// free post-processing.
     ///
-    /// The input is partitioned into `opts.shards` row shards, reduced to
-    /// per-shard summaries and folded by [`fold_summaries`]; one shard is
-    /// the unsharded fit. A source is read twice — a counting pass, then
+    /// The input is partitioned into `opts.shards` row shards, whose
+    /// pooled counts and τ sample are released once each and folded by
+    /// [`fold_summaries`]; one shard is the unsharded fit. A source is
+    /// read twice — a counting pass, then
     /// the reducing pass — holding one block at a time when it can
     /// rewind, and buffering its blocks when it cannot. Only that
     /// ingestion is bounded by the block size: under Kendall's τ the fit
@@ -495,14 +501,12 @@ impl DpCopula {
         let mut build_ns = watch.elapsed_ns();
         timings.budget_plan = span.finish();
 
-        // Stage 2: DP margins — one task per (shard, attribute), eps1/m
-        // each; shards hold disjoint rows, so parallel composition keeps
-        // the combined per-attribute cost at eps1/m (the per-shard max).
+        // Stage 2: DP margins — one task per attribute, eps1/m each, over
+        // its exact counts pooled across every shard.
         let span = sink.span("margins");
         let watch = Stopwatch::start();
-        let summaries = shard::build_margin_summaries_from_counts(
+        let noisy_margins = publish_margins(
             &exact,
-            &specs,
             cfg.margin.registry_name(),
             eps1.divide(m),
             base_seed,
@@ -533,10 +537,10 @@ impl DpCopula {
         };
         timings.correlation = span.finish();
 
-        // Stage 4: the summary fold — margin sums and the accountant —
-        // then clamp + positive-definite repair.
+        // Stage 4: the fold — the accountant, then clamp +
+        // positive-definite repair.
         let span = sink.span("pd_repair");
-        let parts = fold_summaries(&summaries, raw, cfg, build_ns, sink)?;
+        let parts = fold_summaries(noisy_margins, &specs, raw, cfg, build_ns, sink)?;
         timings.pd_repair = span.finish();
 
         Ok(Fit {

@@ -108,8 +108,7 @@ pub enum DpCopulaError {
     /// partition to fit.
     ZeroShards,
     /// More shards were requested than the dataset has records, so some
-    /// shard would be empty (parallel composition needs every shard to
-    /// hold at least one record of the disjoint partition).
+    /// shard of the disjoint partition would be empty.
     TooManyShards {
         /// Shards requested.
         shards: usize,

@@ -68,5 +68,5 @@ pub use error::DpCopulaError;
 pub use model::FittedModel;
 pub use request::SynthesisRequest;
 pub use sampler::SamplingProfile;
-pub use shard::{ShardSpec, ShardSummary};
+pub use shard::ShardSpec;
 pub use synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod, Synthesis};

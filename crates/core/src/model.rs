@@ -93,7 +93,6 @@ pub(crate) fn assemble_artifact(
         ledger: BudgetLedger {
             total: meta.epsilon_total,
             entries,
-            shard_entries: parts.shard_entries,
         },
         provenance: RngProvenance {
             base_seed: meta.base_seed,
@@ -468,19 +467,11 @@ mod tests {
             assert!(info.row_end > info.row_start);
         }
 
-        // Per-shard sub-ledgers: each shard spent the full eps1/m per
-        // attribute on its disjoint rows, and the combined entries are
-        // the per-label max — identical to the unsharded ledger.
-        assert_eq!(artifact.ledger.shard_entries.len(), 4);
-        let eps1 = 8.0 / 9.0; // split_ratio(8) of eps = 1.0
-        for entries in &artifact.ledger.shard_entries {
-            let margins: f64 = entries
-                .iter()
-                .filter(|e| e.label == "margins")
-                .map(|e| e.epsilon)
-                .sum();
-            assert!((margins - eps1).abs() < 1e-8, "margins {margins}");
-        }
+        // Shards spend nothing of their own: the ledger and the margins
+        // are the unsharded fit's.
+        let plain = fit(EngineOptions::with_workers(2));
+        assert_eq!(artifact.ledger, plain.artifact().ledger);
+        assert_eq!(artifact.margins, plain.artifact().margins);
         assert!((artifact.ledger.spent() - 1.0).abs() < 1e-9);
 
         // The sharded artifact uses format v2 and round-trips losslessly.
@@ -489,9 +480,7 @@ mod tests {
         assert_eq!(&ModelArtifact::decode(&bytes).unwrap(), artifact);
 
         // The unsharded fit stays on v1 with no shard records at all.
-        let plain = fit(EngineOptions::with_workers(2));
         assert!(plain.artifact().provenance.shards.is_empty());
-        assert!(plain.artifact().ledger.shard_entries.is_empty());
         assert_eq!(
             modelstore::probe_version(&plain.artifact().encode()).unwrap(),
             1

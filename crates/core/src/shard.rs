@@ -1,49 +1,32 @@
-//! The mergeable-summary layer of the sharded fit pipeline.
+//! The sharded fit: how a fit partitions its rows and pools what each
+//! shard contributes (DESIGN.md §12).
 //!
-//! Every fit stage consumes **mergeable summaries** instead of raw
-//! columns: the input rows are partitioned into contiguous disjoint
-//! shards, each shard independently reduces its rows to a
-//! [`ShardSummary`], and the summaries merge into exactly one model
-//! (DESIGN.md §12). The single-shard fit is the 1-shard case of this
-//! path — not a separate implementation — and reproduces the pre-shard
-//! pipeline byte for byte (pinned in `tests/shard_pin.rs`).
+//! The input rows are partitioned into contiguous disjoint shards
+//! ([`shard_specs`]), and the one `RowReducer` of every fit reduces
+//! them. Shards release nothing of their own; every mechanism runs once
+//! over what the shards pool:
 //!
-//! What merges, and how exactly:
-//!
-//! * **Margins** — each shard publishes its own noisy histogram per
-//!   attribute through the [`MarginRegistry`]; merged counts are the
-//!   per-bin sums. Shards hold disjoint rows, so by parallel composition
-//!   (Theorem 3.2) the combined cost per attribute is the per-shard
-//!   **maximum** `ε₁/m`, not the sum — sharding is privacy-free for the
-//!   margins, paying instead with one extra noise term per shard in the
-//!   merged histogram.
+//! * **Margins** — the reducer counts each attribute's values over every
+//!   shard into one exact histogram, and the fit publishes each margin
+//!   once from it at `ε₁/m`, on the 1-shard stream key
+//!   `STREAM_MARGINS[j]`. A sharded fit therefore releases the 1-shard
+//!   margins byte for byte.
 //! * **Kendall's τ** — each shard draws its proportional share of the
 //!   global record sample ([`partition_sample_target`],
 //!   [`shard_locals`]); the shares pool, shard-major, into one τ sample,
 //!   and the one Kendall kernel of [`crate::kendall`] releases it: one
 //!   rank-and-score pass, one Laplace draw per attribute pair at the
-//!   pooled sensitivity `4/(n+1)`. The sharded release is therefore the
-//!   unsharded mechanism over the union of the shards' samples, exact
-//!   by construction, and its cost does not grow with the shard count.
-//!   Under `Full` sampling that union is every row, so any shard count
-//!   releases the unsharded matrix; under `Auto`/`Fixed` it is a
-//!   different row set from the unsharded subsample.
-//! * **Budget** — each shard keeps a [`ShardLedger`] of what its own
-//!   mechanisms spent. A sharded artifact (format v2) lists every
-//!   shard's entries, and `shard_eps_spent_neps` counts them. The
-//!   combined entries the artifact reports are written from `ε₁` and
-//!   `ε₂` when it is assembled: shards hold disjoint rows, so by parallel
-//!   composition the combined cost per label is the per-shard maximum,
-//!   which for the identical sub-ledgers of one fit is any one shard's.
-//!   The fold's `BudgetAccountant` only checks the total and publishes
-//!   the spend series. [`ShardLedger::merge_parallel`] computes the
-//!   per-label maximum; the tests hold the sub-ledgers to it.
+//!   pooled sensitivity `4/(n+1)`. Under `Full` sampling that union is
+//!   every row, so any shard count releases the unsharded matrix; under
+//!   `Auto`/`Fixed` it is a different row set from the unsharded
+//!   subsample.
+//! * **Budget** — each release is made once over all rows, so the
+//!   ledger is the unsharded fit's, whatever the shard count.
 
-use crate::engine::{harvest_draws, STREAM_KENDALL_SAMPLE, STREAM_MARGINS};
+use crate::engine::STREAM_KENDALL_SAMPLE;
 use crate::error::DpCopulaError;
 use crate::kendall::{dp_tau_matrix, recommended_sample_size, SamplingStrategy};
-use dphist::MarginRegistry;
-use dpmech::{Epsilon, ShardLedger};
+use dpmech::Epsilon;
 use mathkit::Matrix;
 use obskit::MetricsSink;
 use rngkit::seq::SliceRandom;
@@ -57,11 +40,11 @@ pub struct ShardSpec {
     pub start: usize,
     /// One past the last row.
     pub end: usize,
-    /// Logical RNG stream index of the shard: the Kendall row subsample
-    /// draws from `stream_rng(base_seed, STREAM_KENDALL_SAMPLE,
-    /// seed_index)` and attribute `j`'s margin noise from stream index
-    /// `seed_index * m + j` — shard 0 of a 1-shard fit therefore lands
-    /// on exactly the pre-shard stream keys.
+    /// Logical RNG stream index of the shard's share of the Kendall row
+    /// subsample, drawn from `stream_rng(base_seed,
+    /// STREAM_KENDALL_SAMPLE, seed_index)` — shard 0 of a 1-shard fit
+    /// therefore lands on exactly the pre-shard key. No other draw is
+    /// keyed by shard.
     pub seed_index: u64,
 }
 
@@ -118,21 +101,6 @@ pub fn partition_sample_target(target: usize, specs: &[ShardSpec]) -> Vec<usize>
         .collect()
 }
 
-/// Everything one shard contributes to the merged margins and ledger:
-/// its noisy margin histograms and its privacy-budget sub-ledger. (Its
-/// τ sample pools with the other shards' before the one Kendall pass.)
-#[derive(Debug, Clone)]
-pub struct ShardSummary {
-    /// The rows and stream index this summary covers.
-    pub spec: ShardSpec,
-    /// Noisy histogram counts, one per attribute (published through the
-    /// `MarginRegistry` at the full per-attribute `ε₁/m` — parallel
-    /// composition across shards keeps that the combined cost).
-    pub noisy_margins: Vec<Vec<f64>>,
-    /// The shard's own budget expenditures.
-    pub ledger: ShardLedger,
-}
-
 /// Orders shard `spec`'s subsample plan for `target` rows by row:
 /// `(local_row, slot)` for each sampled row, ascending, its slots
 /// numbered from `first_slot` — what lets one pass in row order scatter
@@ -159,21 +127,21 @@ fn plan_picks(
         .collect()
 }
 
-/// What a [`RowReducer`] hands on: `exact[shard][attribute][bin]` and
-/// the pooled τ sample, `sampled[attribute][slot]`.
-pub(crate) type Reduced = (Vec<Vec<Vec<f64>>>, Vec<Vec<u32>>);
+/// What a [`RowReducer`] hands on: `exact[attribute][bin]` and the
+/// pooled τ sample, `sampled[attribute][slot]`.
+pub(crate) type Reduced = (Vec<Vec<u64>>, Vec<Vec<u32>>);
 
-/// One attribute's part of a [`RowReducer`]: its exact counts per shard
-/// and its column of the pooled τ sample.
+/// One attribute's part of a [`RowReducer`]: its exact counts over every
+/// shard and its column of the pooled τ sample.
 struct ReducedColumn {
-    counts: Vec<Vec<u64>>,
+    counts: Vec<u64>,
     sampled: Vec<u32>,
 }
 
 /// The one row loop of every fit: reduces the input rows of some shards
-/// to their **exact** histogram counts and their pooled Kendall record
-/// sample, checking every value against its attribute's domain on the
-/// way. The pooled sample is shard-major: shard `s`'s rows, in
+/// to one **exact** histogram per attribute and their pooled Kendall
+/// record sample, checking every value against its attribute's domain
+/// on the way. The pooled sample is shard-major: shard `s`'s rows, in
 /// [`shard_locals`] plan order, fill the slots after the earlier shards'
 /// shares.
 ///
@@ -181,9 +149,9 @@ struct ReducedColumn {
 /// one [`RowReducer::push`] of all its columns, a [`datagen::RowSource`]
 /// one push per block. Attributes are independent, so a large push fans
 /// out one task per attribute. The counts equal what
-/// `Histogram1D::from_values` builds on each shard's slice, so the
+/// `Histogram1D::from_values` builds on the rows of every shard, so the
 /// published margins do not depend on how the input was split into
-/// blocks or tasks.
+/// shards, blocks or tasks.
 pub(crate) struct RowReducer {
     domains: Vec<usize>,
     specs: Vec<ShardSpec>,
@@ -220,7 +188,7 @@ impl RowReducer {
             .iter()
             .map(|&d| {
                 Mutex::new(ReducedColumn {
-                    counts: specs.iter().map(|_| vec![0; d]).collect(),
+                    counts: vec![0; d],
                     sampled: vec![0; pooled],
                 })
             })
@@ -271,9 +239,8 @@ impl RowReducer {
                     continue;
                 }
                 let values = &columns[j][lo - first..hi - first];
-                let counts = &mut column.counts[s];
                 for &v in values {
-                    match counts.get_mut(v as usize) {
+                    match column.counts.get_mut(v as usize) {
                         Some(c) => *c += 1,
                         None => {
                             return Err(DpCopulaError::ValueOutOfDomain {
@@ -308,87 +275,17 @@ impl RowReducer {
         self.rows
     }
 
-    /// The exact counts (as the `f64` histogram bins the margin
-    /// mechanisms take) and the pooled sample, whose columns are empty
+    /// The exact counts and the pooled sample, whose columns are empty
     /// when none was planned.
     pub(crate) fn finish(self) -> Reduced {
-        let shards = self.specs.len();
-        let mut exact: Vec<Vec<Vec<f64>>> = vec![Vec::new(); shards];
-        let mut sampled = Vec::with_capacity(self.columns.len());
-        for column in self.columns {
-            let column = column.into_inner().expect("one task per attribute");
-            for (shard, counts) in exact.iter_mut().zip(column.counts) {
-                shard.push(counts.into_iter().map(|c| c as f64).collect());
-            }
-            sampled.push(column.sampled);
-        }
-        (exact, sampled)
-    }
-}
-
-/// Builds one summary per shard with the margin layer filled in from the
-/// exact histogram counts a `RowReducer` gathered
-/// (`exact[shard][attribute][bin]`): one noisy histogram per
-/// `(shard, attribute)` task, fanned out across `workers` under the
-/// `margins` stage, each keyed by stream index `shard * m + attribute`.
-pub fn build_margin_summaries_from_counts(
-    exact: &[Vec<Vec<f64>>],
-    specs: &[ShardSpec],
-    margin_name: &str,
-    eps_margin: Epsilon,
-    base_seed: u64,
-    workers: usize,
-    sink: &MetricsSink,
-) -> Vec<ShardSummary> {
-    let m = exact[0].len();
-    let tasks: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..m).map(move |j| (s, j)))
-        .collect();
-    let published: Vec<Vec<f64>> =
-        parkit::par_map_observed(workers, &tasks, sink, "margins", |_, &(s, j)| {
-            harvest_draws(sink, "margins", || {
-                let mut rng = parkit::stream_rng(
-                    base_seed,
-                    STREAM_MARGINS,
-                    specs[s].seed_index * m as u64 + j as u64,
-                );
-                MarginRegistry::builtin()
-                    .publish(margin_name, &exact[s][j], eps_margin, &mut rng)
-                    .expect("builtin registry covers every MarginMethod")
+        self.columns
+            .into_iter()
+            .map(|column| {
+                let column = column.into_inner().expect("one task per attribute");
+                (column.counts, column.sampled)
             })
-        });
-
-    let mut published = published.into_iter();
-    specs
-        .iter()
-        .map(|&spec| {
-            let mut ledger = ShardLedger::new();
-            for _ in 0..m {
-                ledger.spend("margins", eps_margin);
-            }
-            ShardSummary {
-                spec,
-                noisy_margins: published.by_ref().take(m).collect(),
-                ledger,
-            }
-        })
-        .collect()
-}
-
-/// Merges the per-shard noisy margins into the released histograms: the
-/// per-bin sum over shards (each shard's histogram counts disjoint rows,
-/// so the sums estimate the pooled counts). With one shard this is that
-/// shard's histograms unchanged.
-pub fn merge_margins(summaries: &[ShardSummary]) -> Vec<Vec<f64>> {
-    let mut merged = summaries[0].noisy_margins.clone();
-    for summary in &summaries[1..] {
-        for (acc, add) in merged.iter_mut().zip(&summary.noisy_margins) {
-            for (a, &b) in acc.iter_mut().zip(add) {
-                *a += b;
-            }
-        }
+            .unzip()
     }
-    merged
 }
 
 /// The global Kendall record-sample target for `n` rows of `m`
@@ -479,10 +376,11 @@ pub fn dp_tau_matrix_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::STREAM_KENDALL_NOISE;
+    use crate::engine::{publish_margins, STREAM_KENDALL_NOISE, STREAM_MARGINS};
     use crate::kendall::{kendall_sensitivity, kendall_tau_naive};
     use dphist::histogram::Histogram1D;
-    use dpmech::{laplace_noise, nano_eps};
+    use dphist::MarginRegistry;
+    use dpmech::laplace_noise;
     use rngkit::rngs::StdRng;
     use rngkit::{Rng, SeedableRng};
     use testkit::prop::Gen;
@@ -598,15 +496,17 @@ mod tests {
         }
     }
 
-    /// Exact per-shard counts through the fit's reducer, in one push.
-    fn exact_counts(
-        cols: &[Vec<u32>],
-        domains: &[usize],
-        specs: &[ShardSpec],
-    ) -> Vec<Vec<Vec<f64>>> {
+    /// Exact counts through the fit's reducer, in one push.
+    fn exact_counts(cols: &[Vec<u32>], domains: &[usize], specs: &[ShardSpec]) -> Vec<Vec<u64>> {
         let mut reducer = RowReducer::new(domains, specs, None, 0, 1);
         reducer.push(cols, 1).unwrap();
         reducer.finish().0
+    }
+
+    /// A column's exact histogram, as the reducer counts it.
+    fn histogram(col: &[u32], domain: usize) -> Vec<u64> {
+        let hist = Histogram1D::from_values(col, domain);
+        hist.counts().iter().map(|&c| c as u64).collect()
     }
 
     #[test]
@@ -625,14 +525,17 @@ mod tests {
                 }
                 assert_eq!(reducer.rows(), 1_001);
                 let (exact, sampled) = reducer.finish();
+                // One histogram per attribute over every shard's rows.
+                for (j, col) in cols.iter().enumerate() {
+                    let want = histogram(col, domains[j]);
+                    assert_eq!(exact[j], want, "shards={shards} block={block}");
+                }
                 // Shard-major: shard s's share follows the earlier ones.
                 let mut first = 0;
                 for (s, spec) in specs.iter().enumerate() {
                     let locals = shard_locals(*spec, targets[s], 5);
                     for (j, col) in cols.iter().enumerate() {
                         let slice = &col[spec.start..spec.end];
-                        let hist = Histogram1D::from_values(slice, domains[j]);
-                        assert_eq!(exact[s][j], hist.counts(), "shards={shards} block={block}");
                         let plan: Vec<u32> = locals.iter().map(|&r| slice[r]).collect();
                         assert_eq!(
                             sampled[j][first..first + targets[s]],
@@ -781,60 +684,24 @@ mod tests {
     }
 
     #[test]
-    fn margin_summaries_merge_to_per_bin_sums_and_max_ledger() {
-        let cols = test_columns(2, 400, 16, 9);
-        let domains = [16usize, 16];
-        let eps_margin = Epsilon::new(0.25).unwrap();
-        let specs = shard_specs(400, 4);
-        let summaries = build_margin_summaries_from_counts(
-            &exact_counts(&cols, &domains, &specs),
-            &specs,
-            "identity",
-            eps_margin,
-            11,
-            2,
-            &off(),
-        );
-        assert_eq!(summaries.len(), 4);
-        let merged = merge_margins(&summaries);
-        for (j, bins) in merged.iter().enumerate() {
-            for (b, &val) in bins.iter().enumerate() {
-                let sum: f64 = summaries.iter().map(|s| s.noisy_margins[j][b]).sum();
-                assert_eq!(val.to_bits(), sum.to_bits(), "j={j} b={b}");
-            }
-        }
-        // Parallel composition: each shard spent m * eps_margin on the
-        // margins label; the combined ledger carries the max, which for
-        // identical sub-ledgers equals any one of them — NOT 4x.
-        let ledgers: Vec<ShardLedger> = summaries.iter().map(|s| s.ledger.clone()).collect();
-        let combined = ShardLedger::merge_parallel(&ledgers);
-        let per_shard = 2 * nano_eps(eps_margin);
-        assert_eq!(combined.spent_neps("margins"), per_shard);
-        for s in &summaries {
-            assert_eq!(s.ledger.spent_neps("margins"), per_shard);
-        }
-    }
-
-    #[test]
     fn one_shard_margin_summary_uses_pre_shard_streams() {
-        // With one shard the (shard, attr) stream index is `0 * m + j`,
-        // i.e. the pre-shard per-attribute key: publishing through the
-        // summary layer must equal publishing directly.
+        // Attribute j publishes on the pre-shard key `STREAM_MARGINS[j]`
+        // from its whole column's counts, at any shard count: publishing
+        // the reducer's counts must equal publishing directly.
         let cols = test_columns(3, 500, 16, 10);
         let domains = [16usize, 16, 16];
         let eps_margin = Epsilon::new(0.2).unwrap();
-        let specs = shard_specs(500, 1);
-        let exact = exact_counts(&cols, &domains, &specs);
-        let summaries =
-            build_margin_summaries_from_counts(&exact, &specs, "efpa", eps_margin, 13, 1, &off());
-        let merged = merge_margins(&summaries);
-        for (j, col) in cols.iter().enumerate() {
-            let exact = Histogram1D::from_values(col, domains[j]);
-            let mut rng = parkit::stream_rng(13, STREAM_MARGINS, j as u64);
-            let direct = MarginRegistry::builtin()
-                .publish("efpa", exact.counts(), eps_margin, &mut rng)
-                .unwrap();
-            assert_eq!(merged[j], direct, "attr {j}");
+        for shards in [1usize, 3] {
+            let exact = exact_counts(&cols, &domains, &shard_specs(500, shards));
+            let published = publish_margins(&exact, "efpa", eps_margin, 13, 2, &off());
+            for (j, col) in cols.iter().enumerate() {
+                let exact = Histogram1D::from_values(col, domains[j]);
+                let mut rng = parkit::stream_rng(13, STREAM_MARGINS, j as u64);
+                let direct = MarginRegistry::builtin()
+                    .publish("efpa", exact.counts(), eps_margin, &mut rng)
+                    .unwrap();
+                assert_eq!(published[j], direct, "shards={shards} attr {j}");
+            }
         }
     }
 

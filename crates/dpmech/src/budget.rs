@@ -188,81 +188,6 @@ pub fn nano_eps(eps: Epsilon) -> u64 {
     (eps.value() * 1e9).round() as u64
 }
 
-/// A per-shard budget sub-ledger: labeled debits kept in integer nano-ε
-/// so that merging across shards is exact, order-independent integer
-/// arithmetic (no float accumulation drift between merge orders).
-///
-/// Each shard of a sharded fit records what *its* mechanisms spent per
-/// stage label; [`ShardLedger::merge_parallel`] then folds the shard
-/// ledgers into the combined cost under parallel composition
-/// (Theorem 3.2): mechanisms with the same label run on **disjoint**
-/// row shards, so the pooled release costs the *maximum* any single
-/// shard spent on that label — not the sum.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardLedger {
-    /// Insertion-ordered `(label, nano-ε)` entries.
-    entries: Vec<(String, u64)>,
-}
-
-impl ShardLedger {
-    /// An empty sub-ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accumulates a debit of `eps` (quantised to nano-ε) under `label`.
-    pub fn spend(&mut self, label: &str, eps: Epsilon) {
-        self.spend_neps(label, nano_eps(eps));
-    }
-
-    /// Accumulates a raw nano-ε debit under `label`.
-    pub fn spend_neps(&mut self, label: &str, neps: u64) {
-        if let Some(entry) = self.entries.iter_mut().find(|(l, _)| l == label) {
-            entry.1 += neps;
-        } else {
-            self.entries.push((label.to_string(), neps));
-        }
-    }
-
-    /// Nano-ε spent under `label` (0 for unknown labels).
-    pub fn spent_neps(&self, label: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|(l, _)| l == label)
-            .map_or(0, |(_, n)| *n)
-    }
-
-    /// Total nano-ε across all labels (sequential composition within the
-    /// shard).
-    pub fn total_neps(&self) -> u64 {
-        self.entries.iter().map(|(_, n)| n).sum()
-    }
-
-    /// The `(label, nano-ε)` entries in insertion order.
-    pub fn entries(&self) -> &[(String, u64)] {
-        &self.entries
-    }
-
-    /// Folds per-shard sub-ledgers into the combined ledger under
-    /// parallel composition (Theorem 3.2): for every label, the merged
-    /// cost is the **maximum** nano-ε any single shard spent on it,
-    /// because same-label mechanisms act on disjoint row shards. Labels
-    /// keep their first-appearance order across the shard sequence.
-    pub fn merge_parallel(shards: &[ShardLedger]) -> ShardLedger {
-        let mut merged = ShardLedger::new();
-        for shard in shards {
-            for (label, neps) in &shard.entries {
-                if let Some(entry) = merged.entries.iter_mut().find(|(l, _)| l == label) {
-                    entry.1 = entry.1.max(*neps);
-                } else {
-                    merged.entries.push((label.clone(), *neps));
-                }
-            }
-        }
-        merged
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,55 +287,5 @@ mod tests {
         assert_eq!(nano_eps(Epsilon::new(1.0).unwrap()), 1_000_000_000);
         assert_eq!(nano_eps(Epsilon::new(0.1).unwrap()), 100_000_000);
         assert_eq!(nano_eps(Epsilon::new(1e-9).unwrap()), 1);
-    }
-
-    #[test]
-    fn shard_ledger_accumulates_in_nano_eps() {
-        let mut ledger = ShardLedger::new();
-        ledger.spend("margins", Epsilon::new(0.25).unwrap());
-        ledger.spend("margins", Epsilon::new(0.25).unwrap());
-        ledger.spend("correlation", Epsilon::new(0.1).unwrap());
-        assert_eq!(ledger.spent_neps("margins"), 500_000_000);
-        assert_eq!(ledger.spent_neps("correlation"), 100_000_000);
-        assert_eq!(ledger.spent_neps("unknown"), 0);
-        assert_eq!(ledger.total_neps(), 600_000_000);
-        assert_eq!(ledger.entries().len(), 2);
-    }
-
-    #[test]
-    fn parallel_merge_takes_per_label_maximum() {
-        // Theorem 3.2: same-label mechanisms on disjoint shards cost the
-        // max over shards, never the sum.
-        let mut a = ShardLedger::new();
-        a.spend("margins", Epsilon::new(0.5).unwrap());
-        a.spend("correlation", Epsilon::new(0.1).unwrap());
-        let mut b = ShardLedger::new();
-        b.spend("margins", Epsilon::new(0.5).unwrap());
-        b.spend("correlation", Epsilon::new(0.2).unwrap());
-        b.spend("extra", Epsilon::new(0.05).unwrap());
-        let merged = ShardLedger::merge_parallel(&[a.clone(), b.clone()]);
-        assert_eq!(merged.spent_neps("margins"), 500_000_000);
-        assert_eq!(merged.spent_neps("correlation"), 200_000_000);
-        assert_eq!(merged.spent_neps("extra"), 50_000_000);
-        assert_eq!(merged.total_neps(), 750_000_000);
-        // Merging is order-independent and idempotent for one shard.
-        assert_eq!(merged, ShardLedger::merge_parallel(&[b, a.clone()]));
-        assert_eq!(ShardLedger::merge_parallel(&[a.clone()]), a);
-        assert_eq!(ShardLedger::merge_parallel(&[]), ShardLedger::new());
-    }
-
-    #[test]
-    fn shard_ledger_merge_is_exact_integer_arithmetic() {
-        // 10 shards each spending an epsilon that does not sum cleanly in
-        // f64 still merge to the exact per-label nano-ε maximum.
-        let shards: Vec<ShardLedger> = (1..=10u64)
-            .map(|i| {
-                let mut l = ShardLedger::new();
-                l.spend_neps("margins", i * 111_111_111);
-                l
-            })
-            .collect();
-        let merged = ShardLedger::merge_parallel(&shards);
-        assert_eq!(merged.spent_neps("margins"), 1_111_111_110);
     }
 }

@@ -25,7 +25,7 @@ pub mod draws;
 pub mod exponential;
 pub mod laplace;
 
-pub use budget::{nano_eps, BudgetAccountant, BudgetError, Epsilon, ShardLedger};
+pub use budget::{nano_eps, BudgetAccountant, BudgetError, Epsilon};
 pub use draws::DrawCounts;
 pub use exponential::exponential_mechanism;
 pub use laplace::{laplace_noise, Laplace, LaplaceMechanism};

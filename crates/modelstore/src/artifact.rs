@@ -93,16 +93,10 @@ pub struct BudgetEntry {
 pub struct BudgetLedger {
     /// Total budget the fit was configured with.
     pub total: f64,
-    /// Individual expenditures, in spend order. For a sharded fit these
-    /// are the *combined* costs after parallel composition across the
-    /// shards.
+    /// Individual expenditures, in spend order. A sharded fit makes
+    /// each release once over all rows, so its entries are the
+    /// unsharded fit's.
     pub entries: Vec<BudgetEntry>,
-    /// Per-shard sub-ledgers of a sharded fit, one entry list per shard
-    /// in shard order (format v2). Empty for single-shard fits, which
-    /// keeps their encoding on format v1. The combined `entries` are the
-    /// per-label maximum over these sub-ledgers (parallel composition:
-    /// shards hold disjoint rows).
-    pub shard_entries: Vec<Vec<BudgetEntry>>,
 }
 
 impl BudgetLedger {
@@ -217,7 +211,6 @@ mod tests {
                     label: "margins".into(),
                     epsilon: 1.0,
                 }],
-                shard_entries: vec![],
             },
             provenance: RngProvenance {
                 base_seed: 42,

@@ -27,9 +27,10 @@
 //! the version-1 fields:
 //!
 //! * `BDGT` — `u32` shard-ledger count, then per shard a `u32` entry
-//!   count followed by `(label, f64 epsilon)` entries: the per-shard
-//!   sub-ledgers whose per-label maximum (parallel composition) the
-//!   combined entries record;
+//!   count followed by `(label, f64 epsilon)` entries. Shards spend
+//!   nothing of their own, so the encoder writes a count of zero; the
+//!   decoder still reads the per-shard sub-ledgers older sharded fits
+//!   wrote, and drops them;
 //! * `PROV` — `u32` shard count, then per shard
 //!   `(u64 row_start, u64 row_end, u64 seed_index)`.
 //!
@@ -109,6 +110,13 @@ pub enum StoreError {
         /// Newest version this reader accepts for the container.
         max: u16,
     },
+    /// A `.dpcs` of a format version no longer read: version 1 shards
+    /// published noisy margins of their own, which no merge folds any
+    /// more. Its remedy is to re-run `fit-shard`.
+    ObsoleteShardVersion {
+        /// Version found in the header.
+        found: u16,
+    },
     /// The header failed its own CRC — the fixed 12-byte prelude is
     /// damaged.
     HeaderChecksum {
@@ -183,6 +191,12 @@ impl std::fmt::Display for StoreError {
             StoreError::UnsupportedVersion { found, max } => write!(
                 f,
                 "unsupported artifact version {found} (this reader understands <= {max})"
+            ),
+            StoreError::ObsoleteShardVersion { found } => write!(
+                f,
+                "shard artifact version {found} is no longer read (its shard released noisy \
+                 margins of its own); re-run fit-shard to write version {}",
+                crate::shard_format::SHARD_FORMAT_VERSION
             ),
             StoreError::HeaderChecksum { expected, actual } => write!(
                 f,
@@ -321,14 +335,8 @@ fn encode_budget(a: &ModelArtifact, version: u16) -> Vec<u8> {
         w.put_f64(e.epsilon);
     }
     if version >= 2 {
-        w.put_u32(a.ledger.shard_entries.len() as u32);
-        for shard in &a.ledger.shard_entries {
-            w.put_u32(shard.len() as u32);
-            for e in shard {
-                w.put_str(&e.label);
-                w.put_f64(e.epsilon);
-            }
-        }
+        // No per-shard sub-ledgers: shards spend nothing of their own.
+        w.put_u32(0);
     }
     w.into_bytes()
 }
@@ -351,9 +359,9 @@ fn encode_provenance(a: &ModelArtifact, version: u16) -> Vec<u8> {
 }
 
 /// The oldest format version able to represent `a`: version 1 unless
-/// the artifact carries sharded-fit provenance or per-shard sub-ledgers.
+/// the artifact carries sharded-fit provenance.
 fn required_version(a: &ModelArtifact) -> u16 {
-    if a.provenance.shards.is_empty() && a.ledger.shard_entries.is_empty() {
+    if a.provenance.shards.is_empty() {
         1
     } else {
         2
@@ -762,19 +770,16 @@ fn decode_budget(payload: &[u8], base: usize, version: u16) -> Result<BudgetLedg
         let epsilon = r.f64("ledger epsilon").map_err(&err)?;
         entries.push(BudgetEntry { label, epsilon });
     }
-    let mut shard_entries = Vec::new();
     if version >= 2 {
-        let shards = r.u32("shard ledger count").map_err(&err)? as usize;
-        shard_entries.reserve(shards);
+        // Older sharded fits wrote per-shard sub-ledgers here; they are
+        // read past, not kept.
+        let shards = r.u32("shard ledger count").map_err(&err)?;
         for _ in 0..shards {
-            let k = r.u32("shard ledger entry count").map_err(&err)? as usize;
-            let mut shard = Vec::with_capacity(k);
+            let k = r.u32("shard ledger entry count").map_err(&err)?;
             for _ in 0..k {
-                let label = r.str("shard ledger label").map_err(&err)?;
-                let epsilon = r.f64("shard ledger epsilon").map_err(&err)?;
-                shard.push(BudgetEntry { label, epsilon });
+                r.str("shard ledger label").map_err(&err)?;
+                r.f64("shard ledger epsilon").map_err(&err)?;
             }
-            shard_entries.push(shard);
         }
     }
     if !r.is_exhausted() {
@@ -784,11 +789,7 @@ fn decode_budget(payload: &[u8], base: usize, version: u16) -> Result<BudgetLedg
             reason: "unconsumed bytes at end of payload".into(),
         });
     }
-    Ok(BudgetLedger {
-        total,
-        entries,
-        shard_entries,
-    })
+    Ok(BudgetLedger { total, entries })
 }
 
 fn decode_provenance(

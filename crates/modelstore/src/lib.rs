@@ -16,8 +16,8 @@
 //!   corruption is rejected at load with the damaged section's name and
 //!   byte offset;
 //! * the `.dpcs` shard-summary format ([`shard_format`]) — one shard's
-//!   sufficient statistics for a distributed fit, under the same framing
-//!   and corruption-rejection contract;
+//!   exact counts and τ sample for a distributed fit, under the same
+//!   framing and corruption-rejection contract;
 //! * an in-repo [`crc32`](crc32::crc32) and byte [`codec`] — the
 //!   workspace is dependency-free by design.
 //!
@@ -38,7 +38,6 @@
 //!     ledger: BudgetLedger {
 //!         total: 1.0,
 //!         entries: vec![BudgetEntry { label: "margins".into(), epsilon: 1.0 }],
-//!         shard_entries: vec![],
 //!     },
 //!     provenance: RngProvenance {
 //!         base_seed: 42,
@@ -69,5 +68,5 @@ pub use format::{
 };
 pub use shard_format::{
     decode_shard_artifact, encode_shard_artifact, probe_shard_artifact, SamplingSpec,
-    ShardArtifact, ShardConcordance, ShardFitConfig, ShardSpend, SHARD_FORMAT_VERSION, SHARD_MAGIC,
+    ShardArtifact, ShardFitConfig, SHARD_FORMAT_VERSION, SHARD_MAGIC,
 };

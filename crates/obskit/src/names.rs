@@ -34,11 +34,6 @@ pub const ENGINE_WORKERS: &str = "engine_workers";
 /// Shards the fit partitioned its input rows into (configuration fact;
 /// `1` is the unsharded fit).
 pub const ENGINE_SHARDS: &str = "engine_shards";
-/// Privacy budget each fit shard's sub-ledger spent, in integer nano-ε,
-/// by `shard` index. Shards hold disjoint rows, so the combined fit cost
-/// is the per-label **max** of these, not their sum (parallel
-/// composition).
-pub const SHARD_EPS_SPENT_NEPS: &str = "shard_eps_spent_neps";
 
 /// Logical tasks executed by a parkit fan-out, by `stage`.
 pub const PARKIT_TASKS_TOTAL: &str = "parkit_tasks_total";
@@ -153,9 +148,6 @@ pub fn register_taxonomy(registry: &MetricsRegistry) {
     registry.ensure_counter(PIPELINE_ROWS_OUT_TOTAL, &[], Unit::Count);
     registry.ensure_gauge(ENGINE_WORKERS, &[], Unit::Info);
     registry.ensure_gauge(ENGINE_SHARDS, &[], Unit::Info);
-    // Per-shard series are keyed by dynamic shard indices; pre-create
-    // shard 0, which every fit (sharded or not) has.
-    registry.ensure_counter(SHARD_EPS_SPENT_NEPS, &[("shard", "0")], Unit::NanoEps);
 
     for stage in STAGES.iter().chain([STAGE_SERVE].iter()) {
         let labels = [("stage", *stage)];

@@ -1,9 +1,9 @@
 //! Per-tenant ε admission control for `POST /v1/fit`.
 //!
 //! Every fit releases differentially private statistics and therefore
-//! consumes privacy budget; the gate holds one integer nano-ε ledger
-//! ([`dpmech::ShardLedger`]) per tenant and refuses fits that would
-//! overdraw the tenant's configured total. Sampling is never routed
+//! consumes privacy budget; the gate keeps each tenant's spent ε as one
+//! integer nano-ε count and refuses fits that would overdraw the
+//! tenant's configured total. Sampling is never routed
 //! through the gate: rows drawn from an already-fitted model are
 //! post-processing of the released statistics and cost no ε (DP's
 //! closure under post-processing), so `/v1/sample` stays unmetered by
@@ -81,10 +81,8 @@ impl std::error::Error for GateError {}
 #[derive(Debug)]
 struct TenantLedger {
     total_neps: u64,
-    ledger: ShardLedgerCell,
+    spent_neps: Mutex<u64>,
 }
-
-type ShardLedgerCell = Mutex<dpmech::ShardLedger>;
 
 /// The admission gate: per-tenant totals plus spend ledgers.
 #[derive(Debug)]
@@ -100,7 +98,7 @@ impl BudgetGate {
             DEFAULT_TENANT.to_string(),
             TenantLedger {
                 total_neps: nano_eps(total),
-                ledger: Mutex::new(dpmech::ShardLedger::new()),
+                spent_neps: Mutex::new(0),
             },
         );
         Self { tenants }
@@ -148,7 +146,7 @@ impl BudgetGate {
                     name.to_string(),
                     TenantLedger {
                         total_neps: nano_eps(eps),
-                        ledger: Mutex::new(dpmech::ShardLedger::new()),
+                        spent_neps: Mutex::new(0),
                     },
                 )
                 .is_some()
@@ -178,8 +176,8 @@ impl BudgetGate {
                 tenant: tenant.to_string(),
             })?;
         let requested = nano_eps(eps);
-        let mut ledger = entry.ledger.lock().expect("tenant ledger poisoned");
-        let remaining = entry.total_neps.saturating_sub(ledger.total_neps());
+        let mut spent = entry.spent_neps.lock().expect("tenant ledger poisoned");
+        let remaining = entry.total_neps.saturating_sub(*spent);
         if requested > remaining {
             return Err(GateError::Exhausted {
                 tenant: tenant.to_string(),
@@ -187,15 +185,15 @@ impl BudgetGate {
                 remaining_neps: remaining,
             });
         }
-        ledger.spend_neps("fit", requested);
+        *spent += requested;
         Ok(())
     }
 
     /// Nano-ε `tenant` has left, or `None` for unknown tenants.
     pub fn remaining_neps(&self, tenant: &str) -> Option<u64> {
         let entry = self.tenants.get(tenant)?;
-        let ledger = entry.ledger.lock().expect("tenant ledger poisoned");
-        Some(entry.total_neps.saturating_sub(ledger.total_neps()))
+        let spent = entry.spent_neps.lock().expect("tenant ledger poisoned");
+        Some(entry.total_neps.saturating_sub(*spent))
     }
 
     /// Tenant names in sorted order.

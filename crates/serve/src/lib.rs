@@ -17,9 +17,9 @@
 //!   oversized `text/csv` fit bodies to a private temp file;
 //! * [`registry`] — byte-compared LRU cache of decoded
 //!   [`FittedModel`]s over a watched artifact directory;
-//! * [`budget`] — per-tenant ε admission control on dpmech's integer
-//!   nano-ε ledger (fits are metered; sampling is ε-free
-//!   post-processing and never gated);
+//! * [`budget`] — per-tenant ε admission control on integer nano-ε
+//!   counts (fits are metered; sampling is ε-free post-processing and
+//!   never gated);
 //! * [`server`] — the routing daemon tying it together, one route per
 //!   endpoint (a single fit route for the JSON and raw-CSV shapes), with
 //!   every request counted and timed through obskit.

@@ -16,12 +16,12 @@
 use datagen::margin::TableMargin;
 use datagen::synthetic::{MarginKind, SyntheticSpec};
 use dpcopula::kendall::{kendall_tau, SamplingStrategy};
-use dpcopula::shard::{
-    build_margin_summaries_from_counts, dp_tau_matrix_sharded, merge_margins, shard_specs,
-};
+use dpcopula::shard::{dp_tau_matrix_sharded, shard_specs};
 use dpcopula::synthesizer::CorrelationMethod;
-use dpcopula::{DpCopulaConfig, EngineOptions, FittedModel, SamplingProfile, SynthesisRequest};
-use dphist::histogram::Histogram1D;
+use dpcopula::{
+    distfit, DpCopulaConfig, EngineOptions, FittedModel, MarginMethod, SamplingProfile,
+    SynthesisRequest,
+};
 use dphist::MarginRegistry;
 use dpmech::Epsilon;
 use modelstore::ModelArtifact;
@@ -112,83 +112,105 @@ fn every_margin_method_improves_with_epsilon() {
 }
 
 #[test]
-fn sharded_margins_track_single_shard_error_on_every_method() {
-    // Sharding is privacy-free for the margins (parallel composition),
-    // paying instead with one extra noise term per shard in each merged
-    // bin: the error budget grows like sqrt(shards). For every
-    // registered margin method and N in {2, 4}, the sharded error must
-    // keep the decreasing error-vs-ε trend AND stay within the
-    // sqrt(N)-scaled tolerance band of the single-shard error.
+fn sharded_margins_equal_single_shard_margins_on_every_method() {
+    // Shards release nothing of their own: each margin is published once
+    // from the exact counts of every row, on the 1-shard stream key. So
+    // for every margin method, `fit` at 2 and 4 shards and
+    // `fit_shard` x 4 + `merge_shards` release the 1-shard margins bit
+    // for bit and the 1-shard ledger; under `Full` sampling the pooled τ
+    // sample is every row, so the correlation matrix is the same too.
     let spec = SyntheticSpec {
-        records: 8_000,
-        dims: 2,
+        records: 2_003,
+        dims: 3,
         domain: 64,
         margin: MarginKind::Gaussian,
         rho: 0.5,
         seed: 0x54A2D,
     };
     let data = spec.generate();
-    let col = &data.columns()[..1];
-    let n = col[0].len();
-    let exact: Vec<f64> = Histogram1D::from_values(&col[0], 64).counts().to_vec();
-    let epsilons = [0.1, 0.8, 6.4];
-    let seeds = 6u64;
-    let sink = MetricsSink::off();
-
-    let sweep = |name: &str, shards: usize| -> Vec<f64> {
-        epsilons
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let margin_bits = |model: &FittedModel| {
+        model
+            .artifact()
+            .margins
+            .iter()
+            .map(|m| bits(m))
+            .collect::<Vec<_>>()
+    };
+    let merged = |config: &DpCopulaConfig, opts: &EngineOptions| {
+        let parts: Vec<(String, modelstore::ShardArtifact)> = shard_specs(data.len(), 4)
             .iter()
             .enumerate()
-            .map(|(ei, &eps)| {
-                let eps = Epsilon::new(eps).unwrap();
-                (0..seeds)
-                    .map(|s| {
-                        let specs = shard_specs(n, shards);
-                        let counts: Vec<Vec<Vec<f64>>> = specs
-                            .iter()
-                            .map(|spec| {
-                                let part = &col[0][spec.start..spec.end];
-                                vec![Histogram1D::from_values(part, 64).counts().to_vec()]
-                            })
-                            .collect();
-                        let summaries = build_margin_summaries_from_counts(
-                            &counts,
-                            &specs,
-                            name,
-                            eps,
-                            0xD1CE + 100 * ei as u64 + s,
-                            2,
-                            &sink,
-                        );
-                        l1_error(&merge_margins(&summaries)[0], &exact)
-                    })
-                    .sum::<f64>()
-                    / seeds as f64
+            .map(|(i, spec)| {
+                let part = data
+                    .columns()
+                    .iter()
+                    .map(|col| col[spec.start..spec.end].to_vec())
+                    .collect();
+                let part = datagen::Dataset::new(data.attributes().to_vec(), part);
+                let mut source = datagen::DatasetSource::new(part);
+                let artifact = distfit::fit_shard(
+                    &mut source,
+                    config,
+                    i,
+                    4,
+                    data.len(),
+                    21,
+                    opts,
+                    &MetricsSink::off(),
+                )
+                .unwrap();
+                (format!("part{i}.dpcs"), artifact)
             })
-            .collect()
+            .collect();
+        distfit::merge_shards(&parts, 2, &MetricsSink::off()).unwrap()
     };
 
-    let registry = MarginRegistry::builtin();
-    for name in registry.names() {
-        let single = sweep(name, 1);
-        assert!(
-            is_decreasing_trend(&single),
-            "`{name}` single-shard error does not shrink with epsilon: {single:?}"
-        );
-        for shards in [2usize, 4] {
-            let sharded = sweep(name, shards);
-            assert!(
-                is_decreasing_trend(&sharded),
-                "`{name}` at {shards} shards: error does not shrink with epsilon: {sharded:?}"
-            );
-            let tolerance = (shards as f64).sqrt() * 1.8;
-            for (ei, (&s_err, &one_err)) in sharded.iter().zip(&single).enumerate() {
-                assert!(
-                    s_err <= one_err * tolerance + 0.02,
-                    "`{name}` at {shards} shards, eps {}: error {s_err} vs \
-                     single-shard {one_err} (tolerance x{tolerance:.2})",
-                    epsilons[ei]
+    for margin in [
+        MarginMethod::Efpa,
+        MarginMethod::EfpaDct,
+        MarginMethod::Identity,
+        MarginMethod::Privelet,
+        MarginMethod::Php,
+        MarginMethod::Hierarchical,
+        MarginMethod::NoiseFirst,
+        MarginMethod::StructureFirst,
+    ] {
+        for strategy in [SamplingStrategy::Auto, SamplingStrategy::Full] {
+            let mut config =
+                DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(margin);
+            config.method = CorrelationMethod::Kendall(strategy);
+            let one = fit(config, &data, 21, EngineOptions::with_workers(2));
+            let mut sharded = Vec::new();
+            for shards in [2usize, 4] {
+                let mut opts = EngineOptions::with_workers(2);
+                opts.shards = shards;
+                sharded.push((
+                    format!("fit --shards {shards}"),
+                    fit(config, &data, 21, opts),
+                ));
+            }
+            let mut opts = EngineOptions::with_workers(2);
+            opts.shards = 4;
+            sharded.push((
+                "fit_shard x 4 + merge_shards".into(),
+                merged(&config, &opts),
+            ));
+            for (path, model) in &sharded {
+                let case = format!("{margin:?} {strategy:?} {path}");
+                assert_eq!(margin_bits(model), margin_bits(&one), "margins: {case}");
+                assert_eq!(
+                    model.artifact().ledger,
+                    one.artifact().ledger,
+                    "ledger: {case}"
                 );
+                if strategy == SamplingStrategy::Full {
+                    assert_eq!(
+                        bits(model.artifact().correlation.as_slice()),
+                        bits(one.artifact().correlation.as_slice()),
+                        "correlation: {case}"
+                    );
+                }
             }
         }
     }
