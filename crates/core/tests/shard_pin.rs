@@ -6,13 +6,17 @@
 //! produces it changed. Re-record (only for an intentional, documented
 //! change of the released bytes) with `PIN_UPDATE=1`; each line it
 //! rewrites is printed as `name: old -> new` (pass `--nocapture` to
-//! see them).
+//! see them). The protocol itself lives in `pins/mod.rs`, which the
+//! serving suite shares.
+
+mod pins;
 
 use dpcopula::engine::EngineOptions;
 use dpcopula::kendall::SamplingStrategy;
 use dpcopula::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod};
 use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
+use pins::{pin_update, stream_name, SERVED_BODY_PINS};
 use rngkit::rngs::StdRng;
 use rngkit::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -35,12 +39,6 @@ fn dataset(m: usize, n: usize, seed: u64) -> (Vec<Vec<u32>>, Vec<usize>) {
         })
         .collect();
     (columns, domains)
-}
-
-/// Whether this run rewrites the pins (`PIN_UPDATE=1`) instead of
-/// checking them.
-fn pin_update() -> bool {
-    std::env::var("PIN_UPDATE").is_ok_and(|v| v == "1")
 }
 
 /// A window's columns as `u32` little-endian, column after column.
@@ -207,55 +205,10 @@ fn sharded_streams() -> Vec<(String, Vec<u8>)> {
     streams
 }
 
-/// Checks each stream against its `name fnv1a64 bytes` line in
-/// `tests/fixtures/sharded_pins.txt`. Under `PIN_UPDATE=1` it rewrites
-/// those lines in place instead (appending names the file lacks),
-/// prints `name: old -> new` for each line it changes, and leaves every
-/// other line as it is, so each pinning test owns its lines.
+/// Checks each stream against its line in `tests/fixtures/sharded_pins.txt`
+/// (rewrites it under `PIN_UPDATE=1`).
 fn assert_digests_pinned(streams: &[(String, Vec<u8>)]) {
-    let path = fixture_path("sharded_pins.txt");
-    let pinned = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture sharded_pins.txt missing: {e}"));
-    let rendered = streams.iter().map(|(name, bytes)| {
-        let hash = modelstore::crc32::fnv1a64(bytes);
-        (name, format!("{name} {hash:016x} {}", bytes.len()))
-    });
-    if pin_update() {
-        let mut lines: Vec<String> = pinned.lines().map(str::to_owned).collect();
-        for (name, line) in rendered {
-            let slot = lines.iter_mut().find(|l| stream_name(l) == name);
-            let old = slot.as_ref().map_or("(none)", |l| pin_value(l)).to_string();
-            if old != pin_value(&line) {
-                println!("{name}: {old} -> {}", pin_value(&line));
-            }
-            match slot {
-                Some(slot) => *slot = line,
-                None => lines.push(line),
-            }
-        }
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
-        return;
-    }
-    // Every drifted stream is named, not only the first.
-    let drifted: Vec<String> = rendered
-        .filter_map(|(name, got)| {
-            let want = pinned
-                .lines()
-                .find(|l| stream_name(l) == name)
-                .unwrap_or_else(|| panic!("{name} has no line in sharded_pins.txt"));
-            (got != want).then(|| format!("{name} drifted: got `{got}`, pinned `{want}`"))
-        })
-        .collect();
-    assert!(drifted.is_empty(), "{}", drifted.join("\n"));
-}
-
-/// The `fnv1a64 bytes` part of a pin line.
-fn pin_value(line: &str) -> &str {
-    line.split_once(' ').map_or("", |(_, value)| value)
-}
-
-fn stream_name(line: &str) -> &str {
-    line.split(' ').next().unwrap_or_default()
+    pins::assert_digests_pinned(&fixture_path("sharded_pins.txt"), streams);
 }
 
 #[test]
@@ -269,6 +222,7 @@ fn sharded_streams_match_their_pinned_digests() {
     let listed: Vec<&str> = pinned.lines().map(stream_name).collect();
     let windows = window_pins();
     let margins = margin_pins();
+    let census = census_pins();
     let known: Vec<&str> = streams
         .iter()
         .map(|(name, _)| name.as_str())
@@ -278,6 +232,8 @@ fn sharded_streams_match_their_pinned_digests() {
         .chain(HYBRID_PINS)
         .chain(margins.iter().map(String::as_str))
         .chain(ONE_SHARD_PINS)
+        .chain(census.iter().map(String::as_str))
+        .chain(SERVED_BODY_PINS)
         .collect();
     assert_eq!(
         listed, known,
@@ -598,4 +554,96 @@ fn hybrid_and_margin_streams() -> Vec<(String, Vec<u8>)> {
 #[test]
 fn hybrid_and_margin_streams_match_their_pinned_digests() {
     assert_digests_pinned(&hybrid_and_margin_streams());
+}
+
+/// The absolute offsets of the census window pins, for the default
+/// 8,192-row sampling chunk: no burn, a burn of half a chunk, and a
+/// burn of 3,349 rows in chunk 15,070.
+const CENSUS_WINDOW_OFFSETS: [usize; 3] = [0, 4_096, 123_456_789];
+
+/// Rows per census window pin: each window spans three chunks.
+const CENSUS_WINDOW_ROWS: usize = 20_000;
+
+/// The names of the census pins, in the order they follow the
+/// one-shard fits in the file: each census's reference windows (offset,
+/// then workers {1, 3}), then one `sample_columns` stream.
+fn census_pins() -> Vec<String> {
+    let mut names = Vec::new();
+    for census in ["us", "brazil"] {
+        for offset in CENSUS_WINDOW_OFFSETS {
+            for workers in [1, 3] {
+                names.push(format!(
+                    "census_{census}100000_reference_off{offset}_w{workers}.u32le"
+                ));
+            }
+        }
+    }
+    names.push("sample_columns_us100000.u32le".into());
+    names
+}
+
+/// Reference windows of census-shaped models, whose margins are wide
+/// (up to 1,020 and 586 bins) and skewed, so the sampled cells land near
+/// many CDF steps:
+///
+/// * [`CENSUS_WINDOW_ROWS`]-row reference windows of the Kendall `Auto`
+///   fits (ε = 1, seed 77) of `us_census(100_000, 7)` and
+///   `brazil_census(100_000, 7)` at [`CENSUS_WINDOW_OFFSETS`] and workers
+///   {1, 3};
+/// * [`CopulaSampler::sample_columns`](dpcopula::sampler::CopulaSampler::sample_columns)
+///   of the US model's released matrix and margins, 20,000 rows on
+///   `StdRng::seed_from_u64(5)`.
+///
+/// Each stream is its columns as `u32` little-endian.
+fn census_streams() -> Vec<(String, Vec<u8>)> {
+    use datagen::census::{brazil_census, us_census};
+    use dpcopula::empirical::MarginalDistribution;
+    use dpcopula::sampler::CopulaSampler;
+    use dpcopula::SamplingProfile;
+
+    let fit = |data: datagen::Dataset| {
+        let (model, _) = SynthesisRequest::from_config(
+            data.columns(),
+            &data.domains(),
+            DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+        )
+        .seed(77)
+        .fit()
+        .unwrap();
+        model
+    };
+    let us = fit(us_census(100_000, 7));
+    let brazil = fit(brazil_census(100_000, 7));
+    let mut streams = Vec::new();
+    for model in [&us, &brazil] {
+        for offset in CENSUS_WINDOW_OFFSETS {
+            for workers in [1, 3] {
+                let window = model
+                    .try_sample_range_profiled(
+                        SamplingProfile::Reference,
+                        offset,
+                        CENSUS_WINDOW_ROWS,
+                        workers,
+                    )
+                    .unwrap();
+                streams.push(u32s(&window));
+            }
+        }
+    }
+    let artifact = us.artifact();
+    let margins = artifact
+        .margins
+        .iter()
+        .map(|counts| MarginalDistribution::from_noisy_histogram(counts))
+        .collect();
+    let sampler = CopulaSampler::new(&artifact.correlation, margins).unwrap();
+    streams.push(u32s(
+        &sampler.sample_columns(20_000, &mut StdRng::seed_from_u64(5)),
+    ));
+    census_pins().into_iter().zip(streams).collect()
+}
+
+#[test]
+fn census_reference_streams_match_their_pinned_digests() {
+    assert_digests_pinned(&census_streams());
 }
