@@ -132,11 +132,14 @@ property_tests! {
                 prop_assert!(fast >= prev, "z {z}: {fast} < {prev}");
             }
             prev = fast;
-            // Max-error contract vs exact inversion: identical except
-            // where Phi(z) lands within an ulp of a CDF step, where the
-            // two may disagree by that single boundary category.
+            // The guarded lookup is the exact inversion, bit for bit.
             let u = mathkit::special::norm_cdf(z);
             let exact = m.quantile(u);
+            let guarded = table.quantile_z_exact(&m, z);
+            prop_assert!(guarded == exact, "z {z}: guarded {guarded} vs exact {exact}");
+            // The unguarded one is identical except where Phi(z) lands
+            // within an ulp of a CDF step, where the two may disagree by
+            // that single boundary category.
             if fast != exact {
                 prop_assert!(fast.abs_diff(exact) == 1, "z {z}: {fast} vs {exact}");
                 let boundary = m.cdf(fast.min(exact));

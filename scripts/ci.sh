@@ -170,9 +170,9 @@ echo "==> observability: disabled-sink overhead gate"
 # QUICK keeps the committed BENCH_obskit.json untouched.
 QUICK=1 cargo run -p dpcopula-bench --release --offline --bin bench_obskit
 
-echo "==> serving-throughput regression gate (fast >= 4x reference)"
+echo "==> serving-throughput regression gate (fast >= 1.5x reference)"
 # bench_serving exits nonzero when the fast profile's sampling
-# throughput falls below 4x the reference profile's. QUICK keeps the
+# throughput falls below 1.5x the reference profile's. QUICK keeps the
 # committed BENCH_serving.json untouched.
 QUICK=1 cargo run -p dpcopula-bench --release --offline --bin bench_serving
 
