@@ -23,6 +23,7 @@ use dpmech::Epsilon;
 use obskit::{MetricsRegistry, MetricsSink};
 use rngkit::rngs::StdRng;
 use rngkit::SeedableRng;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -661,16 +662,27 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
     let metrics = Metrics::parse(flags)?;
     let model = FittedModel::load_observed(path, &metrics.sink())
         .map_err(|e| format!("reading {path}: {e}"))?;
-    let columns = model
-        .try_sample_range_profiled(profile, offset, rows, workers)
-        .map_err(|e| e.to_string())?;
     let attributes: Vec<datagen::Attribute> = model
         .artifact()
         .schema
         .iter()
         .map(|a| datagen::Attribute::new(a.name.clone(), a.domain))
         .collect();
-    save_dataset(&datagen::Dataset::new(attributes, columns), out)?;
+    // The header, then the window's blocks as its chunk tasks encoded
+    // them: the bytes `write_csv` writes for the window's dataset.
+    let blocks = model
+        .try_sample_blocks(profile, offset, rows, workers, |_, columns| {
+            let mut block = Vec::new();
+            datagen::io::encode_csv_rows(&mut block, &attributes, &columns).map(|()| block)
+        })
+        .map_err(|e| e.to_string())?;
+    let written = std::fs::File::create(out).and_then(|mut file| {
+        file.write_all(&datagen::io::csv_header(&attributes))?;
+        blocks
+            .into_iter()
+            .try_for_each(|block| file.write_all(&block?))
+    });
+    written.map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "served rows [{offset}, {}) from {path} to {out}",
         offset + rows

@@ -31,7 +31,9 @@
 use crate::empirical::MarginalDistribution;
 use crate::engine::STREAM_SAMPLER;
 use crate::error::DpCopulaError;
-use crate::sampler::{fan_out_window, record_chunk, CopulaSampler, RowWindow, SamplingProfile};
+use crate::sampler::{
+    concat_chunks, fan_out_chunks, record_chunk, CopulaSampler, RowWindow, SamplingProfile,
+};
 use crate::tcopula::TCopulaSampler;
 use dphist::MarginRegistry;
 use mathkit::correlation::is_correlation_shaped;
@@ -308,8 +310,9 @@ impl FittedModel {
     }
 
     /// Draws the absolute row window `[offset, offset + n)`, column-major,
-    /// fanned out across `workers` threads — the one sampling entry point
-    /// of a fitted model.
+    /// fanned out across `workers` threads: [`Self::try_sample_blocks`]
+    /// with each chunk's columns kept as they are, concatenated in chunk
+    /// order.
     ///
     /// Bit-identical at any worker count and under any window split:
     /// the window `[0, N)` equals `[0, k)` concatenated with `[k, N)` for
@@ -333,6 +336,35 @@ impl FittedModel {
         n: usize,
         workers: usize,
     ) -> Result<Vec<Vec<u32>>, DpCopulaError> {
+        let pieces = self.try_sample_blocks(profile, offset, n, workers, |_, columns| columns)?;
+        Ok(concat_chunks(self.dims(), n, pieces))
+    }
+
+    /// The one sampling entry point of a fitted model: draws the window
+    /// `[offset, offset + n)` chunk by chunk on the sampling grid, across
+    /// `workers` threads, and maps each chunk's columns through
+    /// `encode(i, columns)` (`i` is the chunk's position in the window)
+    /// on the worker that drew them. Returns the blocks in chunk order; a
+    /// window of 0 rows has none.
+    ///
+    /// The rows are those of [`Self::try_sample_range_profiled`] (the
+    /// same kernels, streams and burns), so the blocks concatenate to an
+    /// encoding of its window, and the same `serve/window` span,
+    /// window/row counters and `parkit` task metrics are recorded. A
+    /// window whose end overflows the row space is refused with
+    /// [`DpCopulaError::RowWindowOverflow`].
+    pub fn try_sample_blocks<B, E>(
+        &self,
+        profile: SamplingProfile,
+        offset: usize,
+        n: usize,
+        workers: usize,
+        encode: E,
+    ) -> Result<Vec<B>, DpCopulaError>
+    where
+        B: Send,
+        E: Fn(usize, Vec<Vec<u32>>) -> B + Sync,
+    {
         if offset.checked_add(n).is_none() {
             return Err(DpCopulaError::RowWindowOverflow { offset, n });
         }
@@ -347,35 +379,25 @@ impl FittedModel {
             n as u64,
         );
         let prov = &self.artifact.provenance;
-        let chunk = prov.sample_chunk as usize;
-        let out = match &self.sampler {
-            ServingSampler::Gaussian(s) => s.sample_window(
-                profile,
-                offset,
-                n,
-                prov.base_seed,
-                prov.sampler_stream,
-                workers,
-                chunk,
-                sink,
-                STAGE_SERVE,
-            ),
-            ServingSampler::StudentT(s) => {
-                let window = RowWindow {
-                    offset,
-                    n,
-                    base_seed: prov.base_seed,
-                    stream: prov.sampler_stream,
-                    chunk,
-                };
-                let d = self.dims();
-                fan_out_window(d, window, workers, sink, STAGE_SERVE, |rng, skip, take| {
-                    record_chunk(d, skip, take, |buf| s.sample_record(rng, buf))
-                })
-            }
+        let window = RowWindow {
+            offset,
+            n,
+            base_seed: prov.base_seed,
+            stream: prov.sampler_stream,
+            chunk: prov.sample_chunk as usize,
         };
+        let blocks = fan_out_chunks(window, workers, sink, STAGE_SERVE, |i, rng, skip, take| {
+            let columns = match &self.sampler {
+                ServingSampler::Gaussian(s) => s.sample_chunk(profile, rng, skip, take),
+                // One (reference) kernel serves both profiles.
+                ServingSampler::StudentT(s) => {
+                    record_chunk(s.dims(), skip, take, |buf| s.sample_record(rng, buf))
+                }
+            };
+            encode(i, columns)
+        });
         drop(span);
-        Ok(out)
+        Ok(blocks)
     }
 }
 

@@ -60,11 +60,33 @@ pub(crate) struct RowWindow {
 }
 
 /// The one chunk fan-out behind every sampled window, whatever the
-/// copula family or profile: splits `window` into its chunks
-/// ([`parkit::chunk_windows`]), runs `kernel(rng, skip, take)` per chunk
-/// on `stream_rng(base_seed, stream, chunk id)` across `workers` threads
-/// (task metrics to `sink` under `stage`), and concatenates the pieces
-/// in chunk order into `dims` columns.
+/// copula family, profile or output: splits `window` into its chunks
+/// ([`parkit::chunk_windows`]) and runs `task(i, rng, skip, take)` for
+/// the window's `i`-th chunk on `stream_rng(base_seed, stream, chunk id)`
+/// across `workers` threads (task metrics to `sink` under `stage`). The
+/// tasks' outputs come back in chunk order, each made on the worker that
+/// drew its chunk.
+pub(crate) fn fan_out_chunks<B, F>(
+    window: RowWindow,
+    workers: usize,
+    sink: &obskit::MetricsSink,
+    stage: &str,
+    task: F,
+) -> Vec<B>
+where
+    B: Send,
+    F: Fn(usize, &mut StdRng, usize, usize) -> B + Sync,
+{
+    let windows = parkit::chunk_windows(window.offset, window.n, window.chunk);
+    parkit::par_map_observed(workers, &windows, sink, stage, |i, w| {
+        let mut rng = parkit::stream_rng(window.base_seed, window.stream, w.id as u64);
+        task(i, &mut rng, w.skip, w.take)
+    })
+}
+
+/// [`fan_out_chunks`]' column-collecting case: each chunk drawn by
+/// `kernel(rng, skip, take)`, the pieces concatenated in chunk order
+/// into `dims` columns of `window.n` rows.
 pub(crate) fn fan_out_window<F>(
     dims: usize,
     window: RowWindow,
@@ -76,13 +98,16 @@ pub(crate) fn fan_out_window<F>(
 where
     F: Fn(&mut StdRng, usize, usize) -> Vec<Vec<u32>> + Sync,
 {
-    let windows = parkit::chunk_windows(window.offset, window.n, window.chunk);
-    let pieces: Vec<Vec<Vec<u32>>> =
-        parkit::par_map_observed(workers, &windows, sink, stage, |_, w| {
-            let mut rng = parkit::stream_rng(window.base_seed, window.stream, w.id as u64);
-            kernel(&mut rng, w.skip, w.take)
-        });
-    let mut out = vec![Vec::with_capacity(window.n); dims];
+    let pieces = fan_out_chunks(window, workers, sink, stage, |_, rng, skip, take| {
+        kernel(rng, skip, take)
+    });
+    concat_chunks(dims, window.n, pieces)
+}
+
+/// Concatenates per-chunk column pieces, in order, into `dims` columns
+/// of `n` rows.
+pub(crate) fn concat_chunks(dims: usize, n: usize, pieces: Vec<Vec<Vec<u32>>>) -> Vec<Vec<u32>> {
+    let mut out = vec![Vec::with_capacity(n); dims];
     for piece in pieces {
         for (col, mut part) in out.iter_mut().zip(piece) {
             col.append(&mut part);
@@ -206,11 +231,23 @@ impl CopulaSampler {
             workers,
             sink,
             stage,
-            |rng, skip, take| match profile {
-                SamplingProfile::Reference => self.sample_chunk_reference(rng, skip, take),
-                SamplingProfile::Fast => self.sample_chunk_fast(rng, skip, take),
-            },
+            |rng, skip, take| self.sample_chunk(profile, rng, skip, take),
         )
+    }
+
+    /// One chunk of a window under `profile`: `skip` rows burned, then
+    /// `take` rows kept, column-major.
+    pub(crate) fn sample_chunk(
+        &self,
+        profile: SamplingProfile,
+        rng: &mut StdRng,
+        skip: usize,
+        take: usize,
+    ) -> Vec<Vec<u32>> {
+        match profile {
+            SamplingProfile::Reference => self.sample_chunk_reference(rng, skip, take),
+            SamplingProfile::Fast => self.sample_chunk_fast(rng, skip, take),
+        }
     }
 
     /// One chunk of the reference path: `skip` rows burned as `skip · d`

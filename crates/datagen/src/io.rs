@@ -4,16 +4,21 @@
 //! Format: a header row `name:domain,name:domain,...` followed by one
 //! comma-separated row of `u32` values per record.
 //!
-//! Writing is one table-driven pass. [`write_csv`] renders each value
-//! from a `static` table of the zero-padded decimal digits of 0‥9,999:
-//! one copy below 10⁴, two or three above. Rows fill one reused block
-//! buffer of at most 64 KiB, and each full block goes to the writer in
-//! one `write_all`; nothing is allocated per row or per value. The
-//! bytes are the values' `u32::to_string` renderings joined by `,`,
-//! each record ending in `\n`, after the `name:domain` header line.
-//! [`csv_len`] is that length, computed without encoding, so an
-//! in-memory body is allocated once at its final size, and
-//! [`push_u32`] is the same digit writer for other formats.
+//! Writing has one row encoder. It renders each value from a `static`
+//! table of the zero-padded decimal digits of 0‥9,999: one copy below
+//! 10⁴, two or three above. Each row is the values' `u32::to_string`
+//! renderings joined by `,`, framed by a row opener and closer: nothing
+//! and `\n` for a CSV line ([`encode_csv_rows`]), `[` (or `,[` after the
+//! first row) and `]` for the row arrays of a JSON list
+//! ([`encode_json_rows`]). Every value is checked against its
+//! attribute's domain as it is written, and one outside it is refused as
+//! [`Dataset::new`] refuses it. An encoder reserves its output once, at a
+//! bound of the digits of each attribute's largest value, so a block is
+//! never regrown. [`write_csv`] is the [`csv_header`] line and then the
+//! same rows, batched into one reused block of at most 64 KiB that goes
+//! to the writer with one `write_all` each time it fills; nothing is
+//! allocated per row or per value. [`push_u32`] is the same digit writer
+//! for other formats.
 //!
 //! Reading is one byte-level pass: lines stream through one reused
 //! buffer, and each field is parsed and domain-checked straight from its
@@ -23,6 +28,7 @@
 
 use crate::dataset::{Attribute, Dataset};
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Errors arising while reading a dataset.
@@ -58,11 +64,16 @@ impl From<io::Error> for CsvError {
     }
 }
 
-/// Encoded rows held before they go to the writer.
+/// Encoded rows [`write_csv`] holds before they go to the writer.
 const BLOCK_BYTES: usize = 64 * 1024;
 
-/// Room one value takes in a block: the ten digits of `u32::MAX`, then
-/// its `,` or `\n`.
+/// Bytes of row bound an encoder zero-fills ahead of its stores at a
+/// time; the rest of a reserved block is touched only by the digits.
+const BATCH_BYTES: usize = 4 * 1024;
+
+/// Room past the last value that the four-byte-wide digit stores need:
+/// [`put_u32`] writes up to ten bytes from a value's start, then the
+/// separator.
 const MAX_FIELD_BYTES: usize = 11;
 
 /// `DIGITS[v]` is `v < 10⁴` as four zero-padded decimal digits.
@@ -118,10 +129,11 @@ pub fn push_u32(out: &mut String, v: u32) {
     out.push_str(std::str::from_utf8(&digits[..n]).expect("decimal digits are ASCII"));
 }
 
-/// The header line, `name:domain,...` and its `\n`.
-fn header(dataset: &Dataset) -> Vec<u8> {
+/// The CSV header line: each attribute's `name:domain`, joined by `,`,
+/// then `\n`.
+pub fn csv_header(attributes: &[Attribute]) -> Vec<u8> {
     let mut line = Vec::new();
-    for (j, a) in dataset.attributes().iter().enumerate() {
+    for (j, a) in attributes.iter().enumerate() {
         if j > 0 {
             line.push(b',');
         }
@@ -131,59 +143,158 @@ fn header(dataset: &Dataset) -> Vec<u8> {
     line
 }
 
-/// The exact number of bytes [`write_csv`] writes for `dataset`.
-pub fn csv_len(dataset: &Dataset) -> usize {
-    const POWERS: [u32; 9] = [
-        10,
-        100,
-        1_000,
-        10_000,
-        100_000,
-        1_000_000,
-        10_000_000,
-        100_000_000,
-        1_000_000_000,
-    ];
-    // Each value takes one byte for its `,` or `\n`, one for its first
-    // digit, and one more for every power of ten it reaches; powers past
-    // a column's maximum add nothing to it.
-    let mut len = header(dataset).len();
-    for col in dataset.columns() {
-        len += 2 * col.len();
-        let max = col.iter().copied().max().unwrap_or(0);
-        for &p in POWERS.iter().take_while(|&&p| p <= max) {
-            len += col.iter().filter(|&&v| v >= p).count();
-        }
-    }
-    len
+/// The most bytes one value of `domain` takes: the digits of its largest
+/// value (`domain − 1`, capped at `u32::MAX`), then its separator.
+/// Integer `ilog10` is exact at every power of ten, where a float
+/// `log10` may land a hair below the next digit count.
+fn field_bytes(domain: usize) -> usize {
+    let top = u32::try_from(domain.saturating_sub(1)).unwrap_or(u32::MAX);
+    top.checked_ilog10().map_or(1, |k| k as usize + 1) + 1
 }
 
-/// Writes the dataset to a writer: the header, then one line per
-/// record, encoded into one block buffer that is handed to `w` with one
-/// `write_all` each time it fills (see the module docs for the bytes).
-pub fn write_csv<W: Write>(dataset: &Dataset, mut w: W) -> io::Result<()> {
-    let mut block = header(dataset);
-    let mut at = block.len();
-    // Room for every row, up to the block size; a header longer than
-    // that is written out before the first value.
-    let rows_bound = (dataset.len() * dataset.dims()).saturating_mul(MAX_FIELD_BYTES);
-    block.resize(at.saturating_add(rows_bound).min(BLOCK_BYTES).max(at), 0);
-    let cols = dataset.columns();
-    for row in 0..dataset.len() {
-        for col in cols {
-            if at + MAX_FIELD_BYTES > block.len() {
-                w.write_all(&block[..at])?;
-                at = 0;
-            }
-            let field = &mut block[at..at + MAX_FIELD_BYTES];
-            let n = put_u32(field, col[row]);
-            field[n] = b',';
-            at += n + 1;
-        }
-        // Every row has a value, so its last `,` is in this block.
-        block[at - 1] = b'\n';
+/// The most bytes one row takes: its opener, then each value and its
+/// separator (the last separator is the row's closer).
+fn row_bytes(attributes: &[Attribute], open: &[u8]) -> usize {
+    open.len()
+        + attributes
+            .iter()
+            .map(|a| field_bytes(a.domain))
+            .sum::<usize>()
+}
+
+/// The row count of `columns`, or an `InvalidInput` error when they are
+/// not one equal-length column per attribute.
+fn row_count(attributes: &[Attribute], columns: &[Vec<u32>]) -> io::Result<usize> {
+    let rows = columns.first().map_or(0, Vec::len);
+    if attributes.is_empty()
+        || columns.len() != attributes.len()
+        || columns.iter().any(|c| c.len() != rows)
+    {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} columns of unequal or mismatched length for {} attributes",
+                columns.len(),
+                attributes.len()
+            ),
+        ));
     }
-    w.write_all(&block[..at])?;
+    Ok(rows)
+}
+
+/// The one row encoder: appends rows `rows` of `columns` to `out`, each
+/// as `open`, the values joined by `,`, then `close`. A value outside
+/// its attribute's domain is refused with an `InvalidData` error that
+/// reads as [`Dataset::new`]'s refusal, and `out` keeps the rows before
+/// it. `out` grows by at most one [`BATCH_BYTES`] batch of bound at a
+/// time, so a caller that reserved the rows' bound is never regrown.
+fn push_rows(
+    out: &mut Vec<u8>,
+    attributes: &[Attribute],
+    columns: &[Vec<u32>],
+    rows: Range<usize>,
+    open: &[u8],
+    close: u8,
+) -> io::Result<()> {
+    let row_bytes = row_bytes(attributes, open);
+    let batch = (BATCH_BYTES / row_bytes).max(1);
+    let mut start = rows.start;
+    while start < rows.end {
+        let end = rows.end.min(start + batch);
+        let mut at = out.len();
+        out.resize(at + (end - start) * row_bytes + MAX_FIELD_BYTES, 0);
+        for row in start..end {
+            let row_start = at;
+            out[at..at + open.len()].copy_from_slice(open);
+            at += open.len();
+            for (col, attribute) in columns.iter().zip(attributes) {
+                let v = col[row];
+                if v as usize >= attribute.domain {
+                    out.truncate(row_start);
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "value {v} outside domain {} of attribute {}",
+                            attribute.domain, attribute.name
+                        ),
+                    ));
+                }
+                let field = &mut out[at..at + MAX_FIELD_BYTES];
+                let n = put_u32(field, v);
+                field[n] = b',';
+                at += n + 1;
+            }
+            // Every row has a value, so its last byte is a `,`.
+            out[at - 1] = close;
+        }
+        out.truncate(at);
+        start = end;
+    }
+    Ok(())
+}
+
+/// Appends `columns` (one per attribute, column-major) to `out` as CSV
+/// data lines, without the header: the header-less rows encoder that
+/// [`write_csv`] writes through. `out` is reserved once for the rows'
+/// bound. Fails on a value outside its attribute's domain (`out` then
+/// holds the lines before its row) and on columns that do not match the
+/// attributes.
+pub fn encode_csv_rows(
+    out: &mut Vec<u8>,
+    attributes: &[Attribute],
+    columns: &[Vec<u32>],
+) -> io::Result<()> {
+    let rows = row_count(attributes, columns)?;
+    out.reserve(rows * row_bytes(attributes, b"") + MAX_FIELD_BYTES);
+    push_rows(out, attributes, columns, 0..rows, b"", b'\n')
+}
+
+/// Appends `columns` to `out` as the row arrays of a JSON `"rows"` list,
+/// `[v,…]` joined by `,`. Every row but the list's first starts with its
+/// `,`, so blocks encoded with `first` set on the first block alone
+/// concatenate into the list. Reserves and refuses as
+/// [`encode_csv_rows`] does.
+pub fn encode_json_rows(
+    out: &mut Vec<u8>,
+    attributes: &[Attribute],
+    columns: &[Vec<u32>],
+    first: bool,
+) -> io::Result<()> {
+    let rows = row_count(attributes, columns)?;
+    out.reserve(rows * row_bytes(attributes, b",[") + MAX_FIELD_BYTES);
+    let lead = usize::from(first).min(rows);
+    push_rows(out, attributes, columns, 0..lead, b"[", b']')?;
+    push_rows(out, attributes, columns, lead..rows, b",[", b']')
+}
+
+/// Writes the dataset to a writer: the [`csv_header`] line, then the
+/// rows of [`encode_csv_rows`], batched into one block buffer that is
+/// handed to `w` with one `write_all` each time the next rows' bound
+/// would take it past 64 KiB. A header past 64 KiB goes out before the
+/// first row, and a row whose bound alone exceeds 64 KiB is a block of
+/// its own.
+pub fn write_csv<W: Write>(dataset: &Dataset, mut w: W) -> io::Result<()> {
+    let (attributes, columns) = (dataset.attributes(), dataset.columns());
+    let rows = dataset.len();
+    let row_bytes = row_bytes(attributes, b"");
+    let mut block = csv_header(attributes);
+    let bound = rows
+        .saturating_mul(row_bytes)
+        .saturating_add(MAX_FIELD_BYTES);
+    block.reserve(bound.min(BLOCK_BYTES.saturating_sub(block.len())));
+    let mut row = 0;
+    while row < rows {
+        let room = BLOCK_BYTES.saturating_sub(block.len() + MAX_FIELD_BYTES) / row_bytes;
+        if room == 0 && !block.is_empty() {
+            w.write_all(&block)?;
+            block.clear();
+            continue;
+        }
+        let end = rows.min(row + room.max(1));
+        push_rows(&mut block, attributes, columns, row..end, b"", b'\n')?;
+        row = end;
+    }
+    w.write_all(&block)?;
     w.flush()
 }
 
@@ -749,7 +860,10 @@ mod tests {
             let mut got = Vec::new();
             write_csv(d, &mut got).map_err(|e| e.to_string())?;
             testkit::prop_assert!(got == want, "encoded bytes differ from the reference");
-            testkit::prop_assert_eq!(csv_len(d), want.len());
+            // The header-less rows encoder behind it gives the same rows.
+            let mut rows = csv_header(d.attributes());
+            encode_csv_rows(&mut rows, d.attributes(), d.columns()).map_err(|e| e.to_string())?;
+            testkit::prop_assert!(rows == want, "header + rows encoder differ from the reference");
             testkit::prop_assert!(
                 read_csv(&got[..]).map_err(|e| e.to_string())? == *d,
                 "read_csv(write_csv(d)) != d"
@@ -800,6 +914,133 @@ mod tests {
         let mut got = Vec::new();
         write_csv(&d, &mut got).unwrap();
         assert_eq!(got, reference_write_csv(&d));
-        assert_eq!(csv_len(&d), got.len());
+    }
+
+    /// The row-by-row JSON renderer the rows encoder replaced in the
+    /// daemon, kept as the reference: `[v,…]` per row, joined by `,`.
+    fn reference_json_rows(columns: &[Vec<u32>]) -> String {
+        let rows = columns.first().map_or(0, Vec::len);
+        let mut body = String::new();
+        for r in 0..rows {
+            if r > 0 {
+                body.push(',');
+            }
+            body.push('[');
+            for (j, col) in columns.iter().enumerate() {
+                if j > 0 {
+                    body.push(',');
+                }
+                push_u32(&mut body, col[r]);
+            }
+            body.push(']');
+        }
+        body
+    }
+
+    /// Every digit-length boundary up to `u32::MAX`: 10^k − 1, 10^k and
+    /// 10^k + 1 for k = 0‥9, and the top two values.
+    fn digit_boundaries() -> Vec<u32> {
+        let mut values: Vec<u32> = (0..10)
+            .flat_map(|k| {
+                let p = 10u32.pow(k);
+                [p - 1, p, p + 1]
+            })
+            .collect();
+        values.extend([u32::MAX - 1, u32::MAX]);
+        values
+    }
+
+    #[test]
+    fn rows_encoder_plus_header_equals_write_csv_at_every_digit_length_boundary() {
+        let values = digit_boundaries();
+        let d = Dataset::new(
+            vec![Attribute::new("wide", 1 << 32), Attribute::new("b", 3)],
+            vec![values.clone(), values.iter().map(|v| v % 3).collect()],
+        );
+        let mut want = Vec::new();
+        write_csv(&d, &mut want).unwrap();
+        assert_eq!(want, reference_write_csv(&d));
+        let mut got = csv_header(d.attributes());
+        encode_csv_rows(&mut got, d.attributes(), d.columns()).unwrap();
+        assert_eq!(got, want);
+
+        // JSON blocks split anywhere concatenate into the reference
+        // list: the first block alone opens without a `,`.
+        let reference = reference_json_rows(d.columns());
+        for split in [0, 1, 7, values.len()] {
+            let (head, tail): (Vec<Vec<u32>>, Vec<Vec<u32>>) = d
+                .columns()
+                .iter()
+                .map(|c| (c[..split].to_vec(), c[split..].to_vec()))
+                .unzip();
+            let mut json = Vec::new();
+            encode_json_rows(&mut json, d.attributes(), &head, true).unwrap();
+            encode_json_rows(&mut json, d.attributes(), &tail, split == 0).unwrap();
+            assert_eq!(String::from_utf8(json).unwrap(), reference, "split {split}");
+        }
+    }
+
+    #[test]
+    fn a_block_never_outgrows_its_bound_at_any_power_of_ten_domain() {
+        let mut domains: Vec<usize> = (0..=10)
+            .flat_map(|k| {
+                let p = 10usize.pow(k);
+                [p - 1, p, p + 1]
+            })
+            .filter(|&d| d > 0)
+            .collect();
+        domains.extend([(1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 40]);
+        for domain in domains {
+            let top = (domain - 1).min(u32::MAX as usize) as u32;
+            // The bound is the top value's digits and a separator: tight.
+            assert_eq!(
+                field_bytes(domain),
+                top.to_string().len() + 1,
+                "domain {domain}"
+            );
+            let attributes = vec![Attribute::new("a", domain), Attribute::new("b", domain)];
+            for rows in [1, 1_000] {
+                let columns = vec![vec![top; rows]; 2];
+                for open in [&b""[..], b",["] {
+                    let bound = rows * row_bytes(&attributes, open) + MAX_FIELD_BYTES;
+                    let mut out = Vec::with_capacity(bound);
+                    let cap = out.capacity();
+                    if open.is_empty() {
+                        encode_csv_rows(&mut out, &attributes, &columns).unwrap();
+                    } else {
+                        encode_json_rows(&mut out, &attributes, &columns, false).unwrap();
+                    }
+                    assert_eq!(out.capacity(), cap, "domain {domain}, {rows} rows regrew");
+                    assert_eq!(out.len(), bound - MAX_FIELD_BYTES, "domain {domain}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_value_outside_its_domain_is_refused_as_dataset_new_refuses_it() {
+        let attributes = vec![Attribute::new("a", 4), Attribute::new("b", 100)];
+        let columns = vec![vec![0, 3, 4, 1], vec![42, 0, 99, 7]];
+        let refusal =
+            std::panic::catch_unwind(|| Dataset::new(attributes.clone(), columns.clone()))
+                .expect_err("Dataset::new refuses the value");
+        let refusal = refusal.downcast_ref::<String>().expect("a formatted panic");
+        let mut out = b"kept".to_vec();
+        let err = encode_csv_rows(&mut out, &attributes, &columns).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(&err.to_string(), refusal);
+        // The lines before the refused row stay; nothing of it is kept.
+        assert_eq!(out, b"kept0,42\n3,0\n");
+        let mut json = Vec::new();
+        let err = encode_json_rows(&mut json, &attributes, &columns, true).unwrap_err();
+        assert_eq!(&err.to_string(), refusal);
+        assert_eq!(json, b"[0,42],[3,0]");
+
+        // Columns that do not match the attributes are refused too.
+        let ragged = vec![vec![0, 1], vec![2]];
+        let err = encode_csv_rows(&mut Vec::new(), &attributes, &ragged).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let err = encode_json_rows(&mut Vec::new(), &attributes[..1], &columns, true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

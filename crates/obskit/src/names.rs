@@ -66,7 +66,8 @@ pub const MODELSTORE_SECTION_PARSE_NS: &str = "modelstore_section_parse_ns";
 /// the `.dpcm` sections in wire order.
 pub const SECTIONS: [&str; 6] = ["SCHM", "MRGN", "CORR", "COPL", "BDGT", "PROV"];
 
-/// Rows served from a fitted model via `try_sample_range_profiled`.
+/// Rows served from a fitted model via `try_sample_blocks` (or
+/// `try_sample_range_profiled`, which is built on it).
 pub const SERVE_ROWS_TOTAL: &str = "serve_rows_total";
 /// Row windows served from a fitted model.
 pub const SERVE_WINDOWS_TOTAL: &str = "serve_windows_total";

@@ -490,6 +490,9 @@ fn read_head_line<R: BufRead>(
     }
 }
 
+/// A head and body of at most this many bytes leave in one `write`.
+const ONE_WRITE_BYTES: usize = 64 * 1024;
+
 /// One response, framed and written by [`Response::write_to`].
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -500,39 +503,35 @@ pub struct Response {
     /// Extra response headers (name, value), written verbatim after
     /// the standard set — `Retry-After` on shed responses.
     pub headers: Vec<(&'static str, String)>,
-    /// Response body.
-    pub body: Vec<u8>,
+    /// Response body: blocks written in order and never joined;
+    /// `Content-Length` is their sum.
+    pub body: Vec<Vec<u8>>,
 }
 
 impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, body: String) -> Self {
+    /// A response whose body is `blocks`, in order.
+    pub fn blocks(status: u16, content_type: &'static str, blocks: Vec<Vec<u8>>) -> Self {
         Self {
             status,
-            content_type: "application/json",
+            content_type,
             headers: Vec::new(),
-            body: body.into_bytes(),
+            body: blocks,
         }
+    }
+
+    /// A JSON response.
+    pub fn json(status: u16, body: String) -> Self {
+        Self::blocks(status, "application/json", vec![body.into_bytes()])
     }
 
     /// A plain-text response.
     pub fn text(status: u16, body: String) -> Self {
-        Self {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            headers: Vec::new(),
-            body: body.into_bytes(),
-        }
+        Self::blocks(status, "text/plain; charset=utf-8", vec![body.into_bytes()])
     }
 
     /// A CSV response (the exact bytes `datagen::io::write_csv` emits).
     pub fn csv(body: Vec<u8>) -> Self {
-        Self {
-            status: 200,
-            content_type: "text/csv",
-            headers: Vec::new(),
-            body,
-        }
+        Self::blocks(200, "text/csv", vec![body])
     }
 
     /// Adds an extra response header.
@@ -555,14 +554,17 @@ impl Response {
     }
 
     /// Writes the framed response. `keep_alive` picks the `Connection`
-    /// header; the caller closes the stream when it is `false`.
+    /// header; the caller closes the stream when it is `false`. A head
+    /// and body of at most 64 KiB go out in one `write`; past that the
+    /// head goes alone and then the body block by block.
     pub fn write_to<W: Write>(&self, stream: &mut W, keep_alive: bool) -> std::io::Result<()> {
+        let body_len: usize = self.body.iter().map(Vec::len).sum();
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason_phrase(self.status),
             self.content_type,
-            self.body.len(),
+            body_len,
             if keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.headers {
@@ -572,8 +574,19 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        let mut head = head.into_bytes();
+        if head.len() + body_len <= ONE_WRITE_BYTES {
+            head.reserve(body_len);
+            for block in &self.body {
+                head.extend_from_slice(block);
+            }
+            stream.write_all(&head)?;
+        } else {
+            stream.write_all(&head)?;
+            for block in &self.body {
+                stream.write_all(block)?;
+            }
+        }
         stream.flush()
     }
 }
@@ -777,5 +790,106 @@ mod tests {
             text.ends_with("{\"error\":\"budget exhausted\",\"remaining_eps\":0.25}\n"),
             "{text}"
         );
+    }
+
+    /// Takes at most `left` bytes, then fails every write; counts the
+    /// `write` calls it sees.
+    struct CountingWriter {
+        got: Vec<u8>,
+        writes: usize,
+        left: usize,
+    }
+
+    impl CountingWriter {
+        fn new(left: usize) -> Self {
+            Self {
+                got: Vec::new(),
+                writes: 0,
+                left,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.left == 0 {
+                return Err(std::io::Error::other("peer gone"));
+            }
+            let n = buf.len().min(self.left);
+            self.got.extend_from_slice(&buf[..n]);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A CSV response of one block per size, block `i` all `b'a' + i`.
+    fn blocks_response(sizes: &[usize]) -> Response {
+        let blocks = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| vec![b'a' + i as u8; n])
+            .collect();
+        Response::blocks(200, "text/csv", blocks)
+    }
+
+    #[test]
+    fn a_block_body_is_its_blocks_in_order_under_their_summed_length() {
+        for sizes in [&[3, 0, 5][..], &[70_000, 0, 2, 100_000]] {
+            let response = blocks_response(sizes);
+            let mut out = Vec::new();
+            response.write_to(&mut out, true).unwrap();
+            let split = out.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+            let head = std::str::from_utf8(&out[..split]).unwrap();
+            let total: usize = sizes.iter().sum();
+            assert!(
+                head.contains(&format!("Content-Length: {total}\r\n")),
+                "{head}"
+            );
+            assert_eq!(out.len() - split, total);
+            assert_eq!(out[split..], response.body.concat()[..]);
+        }
+    }
+
+    #[test]
+    fn a_response_up_to_64_kib_leaves_in_one_write() {
+        let head_len = |body: usize| {
+            let mut out = Vec::new();
+            blocks_response(&[body]).write_to(&mut out, true).unwrap();
+            out.len() - body
+        };
+        // Bodies of 60,000 bytes or so share one head length.
+        let fits = ONE_WRITE_BYTES - head_len(60_000);
+        for (sizes, writes) in [
+            (vec![fits], 1),
+            (vec![fits - 10, 0, 10], 1),
+            (vec![1, 2, 3], 1),
+            (vec![fits + 1], 2),
+            (vec![fits - 10, 0, 11], 3),
+        ] {
+            let mut w = CountingWriter::new(usize::MAX);
+            blocks_response(&sizes).write_to(&mut w, true).unwrap();
+            assert_eq!(w.writes, writes, "{sizes:?}");
+        }
+    }
+
+    #[test]
+    fn a_writer_failing_after_k_bytes_gets_its_error_back() {
+        for sizes in [vec![100, 5], vec![70_000, 0, 30_000]] {
+            let response = blocks_response(&sizes);
+            let mut full = Vec::new();
+            response.write_to(&mut full, false).unwrap();
+            for k in [0, 1, 50, 70_050, full.len() / 2, full.len() - 1] {
+                let k = k.min(full.len() - 1);
+                let mut w = CountingWriter::new(k);
+                let err = response.write_to(&mut w, false).unwrap_err();
+                assert_eq!(err.to_string(), "peer gone");
+                assert_eq!(w.got, full[..k], "{sizes:?} failing after {k}");
+            }
+        }
     }
 }

@@ -243,12 +243,10 @@ impl<'a> Parser<'a> {
                     .ok_or_else(|| self.err("truncated \\u escape"))?;
                 // Exactly four hex digits: `u32::from_str_radix` would
                 // also take a sign (`\u+041`).
-                if !hex.iter().all(u8::is_ascii_hexdigit) {
-                    return Err(self.err("non-hex \\u escape"));
-                }
-                let code = hex.iter().fold(0u32, |acc, &h| {
-                    acc * 16 + char::from(h).to_digit(16).expect("checked hex digit")
-                });
+                let code = hex
+                    .iter()
+                    .try_fold(0u32, |acc, &h| Some(acc * 16 + char::from(h).to_digit(16)?))
+                    .ok_or_else(|| self.err("non-hex \\u escape"))?;
                 self.pos += 4;
                 // Surrogates are rejected rather than paired: the
                 // protocol's strings are ids and CSV text, all inside

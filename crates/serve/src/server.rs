@@ -42,9 +42,10 @@
 //!
 //! ## Determinism
 //!
-//! Sampling goes through `FittedModel::try_sample_range_profiled`, so a
-//! window fetched over HTTP is byte-identical (as CSV) to the same
-//! window sampled in-process, at any worker count.
+//! Sampling goes through `FittedModel::try_sample_blocks`, the path
+//! `try_sample_range_profiled` is built on, so a window fetched over
+//! HTTP is byte-identical (as CSV) to the same window sampled
+//! in-process, at any worker count.
 
 use crate::budget::{BudgetGate, GateError, DEFAULT_TENANT};
 use crate::http::{read_request_spooled, HttpError, ReadLimits, Request, Response, SpoolPolicy};
@@ -548,7 +549,7 @@ fn route<'a>(
         ),
         ("GET", "models") => (handle_models(state), None),
         ("POST", "sample") => gated(state, endpoint, &state.sample_gate, || {
-            handle_sample(req, state)
+            handle_sample(req, state).unwrap_or_else(|refusal| refusal)
         }),
         ("POST", "fit") => gated(state, endpoint, &state.fit_gate, || {
             handle_fit(req, state).unwrap_or_else(|refusal| refusal)
@@ -656,121 +657,88 @@ fn registry_error_response(e: &RegistryError) -> Response {
     Response::error(status, &e.to_string(), &[])
 }
 
-fn handle_sample(req: &Request, state: &ServerState) -> Response {
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
+/// The sample route: the window `[offset, offset + rows)` of a registry
+/// model as a body of blocks — the CSV header line or the JSON head, one
+/// block per chunk of rows, encoded by the chunk's own task on the
+/// worker that drew it (`FittedModel::try_sample_blocks`), then the JSON
+/// tail. The CSV is the exact bytes `datagen::io::write_csv` emits.
+fn handle_sample(req: &Request, state: &ServerState) -> Result<Response, Response> {
+    let doc = parse_body(req)?;
     let Some(model_id) = doc.get("model").and_then(Json::as_str) else {
-        return Response::error(400, "missing required string field `model`", &[]);
+        return Err(bad_request("missing required string field `model`".into()));
     };
     let Some(rows) = doc.get("rows").and_then(Json::as_u64) else {
-        return Response::error(400, "missing required integer field `rows`", &[]);
+        return Err(bad_request("missing required integer field `rows`".into()));
     };
     let offset = match doc.get("offset") {
         None => 0,
-        Some(v) => match v.as_u64() {
-            Some(o) => o,
-            None => return Response::error(400, "`offset` must be a non-negative integer", &[]),
-        },
+        Some(v) => v
+            .as_u64()
+            .ok_or_else(|| bad_request("`offset` must be a non-negative integer".into()))?,
     };
     if rows as usize > state.config.max_rows {
-        return Response::error(
-            400,
-            &format!(
-                "`rows` {} exceeds the per-request cap {}",
-                rows, state.config.max_rows
-            ),
-            &[],
-        );
+        let cap = state.config.max_rows;
+        return Err(bad_request(format!(
+            "`rows` {rows} exceeds the per-request cap {cap}"
+        )));
     }
-    let profile = match doc.get("profile").map(|p| p.as_str()) {
-        None => SamplingProfile::Reference,
-        Some(Some("reference")) => SamplingProfile::Reference,
-        Some(Some("fast")) => SamplingProfile::Fast,
-        Some(other) => {
-            return Response::error(
-                400,
-                &format!(
-                    "`profile` must be \"reference\" or \"fast\", got {:?}",
-                    other.unwrap_or("<non-string>")
-                ),
-                &[],
-            )
-        }
+    let profile = match one_of(&doc, "profile", ["reference", "fast"])? {
+        "fast" => SamplingProfile::Fast,
+        _ => SamplingProfile::Reference,
     };
-    let format = match doc.get("format").map(|f| f.as_str()) {
-        None | Some(Some("csv")) => "csv",
-        Some(Some("json")) => "json",
-        Some(other) => {
-            return Response::error(
-                400,
-                &format!(
-                    "`format` must be \"csv\" or \"json\", got {:?}",
-                    other.unwrap_or("<non-string>")
-                ),
-                &[],
-            )
-        }
-    };
-
-    let model = match state.registry.get(model_id) {
-        Ok(m) => m,
-        Err(e) => return registry_error_response(&e),
-    };
-    let columns = match model.try_sample_range_profiled(
-        profile,
-        offset as usize,
-        rows as usize,
-        state.config.sample_workers,
-    ) {
-        Ok(c) => c,
-        Err(e @ DpCopulaError::RowWindowOverflow { .. }) => {
-            return Response::error(400, &e.to_string(), &[])
-        }
-        Err(e) => return Response::error(500, &e.to_string(), &[]),
-    };
-
+    let json = one_of(&doc, "format", ["csv", "json"])? == "json";
+    let model = state
+        .registry
+        .get(model_id)
+        .map_err(|e| registry_error_response(&e))?;
     let attributes: Vec<datagen::Attribute> = model
         .artifact()
         .schema
         .iter()
         .map(|a| datagen::Attribute::new(a.name.clone(), a.domain))
         .collect();
-    if format == "csv" {
-        // The exact bytes `datagen::io::write_csv` emits in-process —
-        // the byte-identity contract the integration tests pin — into a
-        // body allocated once at its final length.
-        let dataset = datagen::Dataset::new(attributes, columns);
-        let mut bytes = Vec::with_capacity(datagen::io::csv_len(&dataset));
-        if let Err(e) = datagen::io::write_csv(&dataset, &mut bytes) {
-            return Response::error(500, &format!("encoding csv: {e}"), &[]);
-        }
-        Response::csv(bytes)
+    let (offset, rows, workers) = (offset as usize, rows as usize, state.config.sample_workers);
+    let window = model.try_sample_blocks(profile, offset, rows, workers, |i, columns| {
+        let mut block = Vec::new();
+        let encoded = if json {
+            datagen::io::encode_json_rows(&mut block, &attributes, &columns, i == 0)
+        } else {
+            datagen::io::encode_csv_rows(&mut block, &attributes, &columns)
+        };
+        encoded.map(|()| block)
+    });
+    let blocks = match window {
+        Ok(blocks) => blocks.into_iter().collect::<std::io::Result<Vec<_>>>(),
+        Err(e @ DpCopulaError::RowWindowOverflow { .. }) => return Err(bad_request(e.to_string())),
+        Err(e) => return Err(Response::error(500, &e.to_string(), &[])),
+    };
+    let mut body = blocks.map_err(|e| Response::error(500, &format!("encoding rows: {e}"), &[]))?;
+    if json {
+        let names: Vec<String> = attributes.iter().map(|a| quote(&a.name)).collect();
+        body.insert(
+            0,
+            format!("{{\"columns\":[{}],\"rows\":[", names.join(",")).into(),
+        );
+        body.push(b"]}\n".to_vec());
+        Ok(Response::blocks(200, "application/json", body))
     } else {
-        let mut body = String::from("{\"columns\":[");
-        for (i, a) in attributes.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&quote(&a.name));
-        }
-        body.push_str("],\"rows\":[");
-        for r in 0..rows as usize {
-            if r > 0 {
-                body.push(',');
-            }
-            body.push('[');
-            for (j, col) in columns.iter().enumerate() {
-                if j > 0 {
-                    body.push(',');
-                }
-                datagen::io::push_u32(&mut body, col[r]);
-            }
-            body.push(']');
-        }
-        body.push_str("]}\n");
-        Response::json(200, body)
+        body.insert(0, datagen::io::csv_header(&attributes));
+        Ok(Response::blocks(200, "text/csv", body))
+    }
+}
+
+/// The optional string field `name` of `doc`, which must be one of
+/// `options`; absent, it is the first.
+fn one_of<'a>(doc: &'a Json, name: &str, options: [&'a str; 2]) -> Result<&'a str, Response> {
+    match doc.get(name).map(Json::as_str) {
+        None => Ok(options[0]),
+        Some(Some(v)) if options.contains(&v) => Ok(v),
+        Some(other) => Err(bad_request(format!(
+            "`{name}` must be \"{}\" or \"{}\", got {:?}",
+            options[0],
+            options[1],
+            other.unwrap_or("<non-string>")
+        ))),
     }
 }
 

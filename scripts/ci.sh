@@ -204,6 +204,16 @@ curl -sf -X POST "http://$ADDR/v1/sample" \
     -d '{"model":"model","offset":0,"rows":1000}' > "$SMOKE/http-served.csv"
 diff "$SMOKE/http-served.csv" "$SMOKE/served.csv"
 echo "    HTTP-served rows are byte-identical to CLI-served rows"
+# The window above is one chunk, so one block. Rows [5000, 25000) start
+# mid-chunk and span four chunks of the default 8,192-row grid, so the
+# daemon (1 sample worker) serves four blocks from four chunk tasks;
+# the CLI samples the same window at 3 workers.
+curl -sf -X POST "http://$ADDR/v1/sample" \
+    -d '{"model":"model","offset":5000,"rows":20000}' > "$SMOKE/http-chunks.csv"
+"$CLI" sample --model "$SMOKE/model.dpcm" --out "$SMOKE/cli-chunks.csv" \
+    --offset 5000 --rows 20000 --workers 3 > /dev/null
+diff "$SMOKE/http-chunks.csv" "$SMOKE/cli-chunks.csv"
+echo "    a four-chunk HTTP window is byte-identical to the CLI's"
 # A per-mechanism budget below the floor (k = 1e-150 leaves the margins
 # epsilon_1 = 0) is a 400 before admission. Had it debited the tenant,
 # the epsilon 1.0 fit below would get 429.

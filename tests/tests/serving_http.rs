@@ -229,6 +229,104 @@ fn http_sample_window_is_byte_identical_to_in_process_sampling() {
     );
 }
 
+/// The `"format":"json"` body as the daemon rendered it row by row
+/// before it served chunk blocks, kept as the block path's reference.
+fn reference_json_body(names: &[&str], columns: &[Vec<u32>]) -> String {
+    let mut body = String::from("{\"columns\":[");
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(&dpcopula_serve::json::quote(name));
+    }
+    body.push_str("],\"rows\":[");
+    for r in 0..columns[0].len() {
+        if r > 0 {
+            body.push(',');
+        }
+        body.push('[');
+        for (j, col) in columns.iter().enumerate() {
+            if j > 0 {
+                body.push(',');
+            }
+            datagen::io::push_u32(&mut body, col[r]);
+        }
+        body.push(']');
+    }
+    body.push_str("]}\n");
+    body
+}
+
+#[test]
+fn served_blocks_equal_the_in_process_window_at_every_chunk_edge() {
+    use dpcopula::{DpCopulaConfig, SamplingProfile, SynthesisRequest};
+    // A Gaussian model on a 512-row chunk grid, and its Student-t twin
+    // (family set by hand, as the `t5_window_*` pins build it).
+    let census = datagen::census::us_census(4_000, 7);
+    let config = DpCopulaConfig::kendall(dpmech::Epsilon::new(1.0).unwrap());
+    let (mut gaussian, _) =
+        SynthesisRequest::from_config(census.columns(), &census.domains(), config)
+            .seed(77)
+            .sample_chunk(512)
+            .fit()
+            .unwrap();
+    let names: Vec<&str> = census
+        .attributes()
+        .iter()
+        .map(|a| a.name.as_str())
+        .collect();
+    gaussian.set_attribute_names(&names);
+    let mut artifact = gaussian.artifact().clone();
+    artifact.family = modelstore::CopulaFamily::StudentT { dof: 5.0 };
+    let student = FittedModel::from_artifact(artifact).unwrap();
+
+    // (offset, rows): empty; one row; inside one chunk; across one
+    // chunk edge; from mid-chunk across three edges; past 2^32.
+    let windows = [
+        (1_000, 0),
+        (700, 1),
+        (600, 300),
+        (500, 100),
+        (300, 1_500),
+        ((1usize << 32) + 100, 700),
+    ];
+    for workers in [1, 2, 3] {
+        let server = TestServer::start(&format!("blocks-w{workers}"), |c| {
+            c.sample_workers = workers;
+        });
+        gaussian.save(server.model_dir.join("gauss.dpcm")).unwrap();
+        student.save(server.model_dir.join("t5.dpcm")).unwrap();
+        for (id, model) in [("gauss", &gaussian), ("t5", &student)] {
+            for profile in [SamplingProfile::Reference, SamplingProfile::Fast] {
+                for (offset, rows) in windows {
+                    let columns = model
+                        .try_sample_range_profiled(profile, offset, rows, 4 - workers)
+                        .unwrap();
+                    let json = reference_json_body(&names, &columns);
+                    let dataset = datagen::Dataset::new(census.attributes().to_vec(), columns);
+                    let mut csv = Vec::new();
+                    datagen::io::write_csv(&dataset, &mut csv).unwrap();
+                    let case = format!(
+                        "{id} {} [{offset}, +{rows}) at {workers} workers",
+                        profile.name()
+                    );
+                    for (format, want) in [("csv", csv), ("json", json.into_bytes())] {
+                        let request = format!(
+                            "{{\"model\":\"{id}\",\"offset\":{offset},\"rows\":{rows},\
+                             \"profile\":\"{}\",\"format\":\"{format}\"}}",
+                            profile.name()
+                        );
+                        let (status, body) =
+                            http(server.addr, "POST", "/v1/sample", request.as_bytes());
+                        assert_eq!(status, 200, "{case}: {}", String::from_utf8_lossy(&body));
+                        assert!(body == want, "{case}: served {format} differs");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn exhausted_tenant_gets_429_while_sampling_keeps_serving() {
     let server = TestServer::start("budget", |c| {
