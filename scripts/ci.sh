@@ -136,6 +136,26 @@ pin_cksum "$SMOKE/part2.dpcs" "591143848 21391"
 pin_cksum "$SMOKE/part3.dpcs" "1899404685 21391"
 echo "    model, sharded and shard artifacts match their pinned checksums"
 
+echo "==> ingest tier: a training CSV past many read buffers, LF and CRLF"
+# census.csv (23 KB) fits in one 64 KiB read buffer. This 50,000-row
+# table (585 KB) crosses eight buffer refills, in the eager reader
+# (`fit`) and in the streamed one (`fit-shard`). Its CRLF twin must fit
+# to the LF model's bytes both ways, and the checksums pin the table
+# and its model from outside the readers.
+"$CLI" gen --out "$SMOKE/big.csv" --records 50000 --seed 7
+"$CLI" fit --input "$SMOKE/big.csv" --out "$SMOKE/big.dpcm" --epsilon 1.0 --seed 99
+sed 's/$/\r/' "$SMOKE/big.csv" > "$SMOKE/big-crlf.csv"
+"$CLI" fit --input "$SMOKE/big-crlf.csv" --out "$SMOKE/big-crlf.dpcm" --epsilon 1.0 --seed 99
+cmp "$SMOKE/big-crlf.dpcm" "$SMOKE/big.dpcm"
+"$CLI" fit-shard --input "$SMOKE/big-crlf.csv" --out "$SMOKE/big-crlf.dpcs" \
+    --shard-index 0 --shards 1 --total-rows 50000 --epsilon 1.0 --seed 99
+"$CLI" merge "$SMOKE/big-crlf.dpcs" --out "$SMOKE/big-streamed.dpcm"
+cmp "$SMOKE/big-streamed.dpcm" "$SMOKE/big.dpcm"
+echo "    the CRLF twin fits to the LF model, eager and streamed"
+pin_cksum "$SMOKE/big.csv" "3928615331 585739"
+pin_cksum "$SMOKE/big.dpcm" "1708305388 13525"
+echo "    big.csv and its model match their pinned checksums"
+
 echo "==> observability: CLI metrics smoke vs golden manifest"
 # synth with a JSON snapshot; the emitted metric *names* must match the
 # checked-in manifest exactly (taxonomy drift lands with a manifest
