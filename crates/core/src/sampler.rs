@@ -107,7 +107,7 @@ where
 /// Concatenates per-chunk column pieces, in order, into `dims` columns
 /// of `n` rows.
 pub(crate) fn concat_chunks(dims: usize, n: usize, pieces: Vec<Vec<Vec<u32>>>) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::with_capacity(n); dims];
+    let mut out: Vec<Vec<u32>> = (0..dims).map(|_| Vec::with_capacity(n)).collect();
     for piece in pieces {
         for (col, mut part) in out.iter_mut().zip(piece) {
             col.append(&mut part);
@@ -125,7 +125,7 @@ pub(crate) fn record_chunk(
     take: usize,
     mut record: impl FnMut(&mut [u32]),
 ) -> Vec<Vec<u32>> {
-    let mut cols = vec![Vec::with_capacity(take); dims];
+    let mut cols: Vec<Vec<u32>> = (0..dims).map(|_| Vec::with_capacity(take)).collect();
     let mut buf = vec![0u32; dims];
     for _ in 0..skip {
         record(&mut buf);
@@ -269,7 +269,7 @@ impl CopulaSampler {
         for _ in 0..skip * d {
             standard_normal(rng);
         }
-        let mut cols = vec![Vec::with_capacity(take); d];
+        let mut cols: Vec<Vec<u32>> = (0..d).map(|_| Vec::with_capacity(take)).collect();
         let mut z = vec![0.0; d];
         for _ in 0..take {
             self.mvn.sample_into(rng, &mut z);
