@@ -17,17 +17,22 @@
 //! never regrown. [`write_csv`] is the [`csv_header`] line and then the
 //! same rows, batched into one reused block of at most 64 KiB that goes
 //! to the writer with one `write_all` each time it fills; nothing is
-//! allocated per row or per value. [`push_u32`] is the same digit writer
-//! for other formats.
+//! allocated per row or per value.
 //!
-//! Reading is one byte-level pass: lines stream through one reused
-//! buffer, and each field is parsed and domain-checked straight from its
-//! bytes. [`read_csv`] and [`crate::CsvFileSource`] share the header and
-//! row parsers, so both accept and reject exactly the same inputs, with
-//! the same 1-based line numbers and reasons.
+//! Reading has one block parser, `CsvRows`, behind both [`read_csv`]
+//! and [`crate::CsvFileSource`]. The input streams through one bounded
+//! 64 KiB read buffer and is never held whole. Each complete plain row
+//! (`m` fields of 1–10 digits below their domains, joined by `,`, ended
+//! by `\n` or `\r\n`) is parsed and domain-checked where it lies in the
+//! buffer, in one pass, with no per-line copy. Every other line (blank,
+//! `+`, 11+ digits, the wrong field count, an out-of-domain value, a
+//! stray `\r`, non-UTF-8 bytes, or the one line a refill or the end of
+//! input cuts) goes whole to the line reader and row parser that read
+//! every line before, so both readers accept and reject exactly what
+//! they did, with the same 1-based line numbers and reasons.
 
 use crate::dataset::{Attribute, Dataset};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
 
@@ -64,7 +69,8 @@ impl From<io::Error> for CsvError {
     }
 }
 
-/// Encoded rows [`write_csv`] holds before they go to the writer.
+/// Encoded rows [`write_csv`] holds before they go to the writer, and
+/// the input [`CsvRows`] reads at a time.
 const BLOCK_BYTES: usize = 64 * 1024;
 
 /// Bytes of row bound an encoder zero-fills ahead of its stores at a
@@ -120,13 +126,6 @@ fn put_head(out: &mut [u8], v: u32) -> usize {
     let padded = u32::from_le_bytes(DIGITS[v as usize]);
     out[..4].copy_from_slice(&(padded >> (8 * (4 - len))).to_le_bytes());
     len
-}
-
-/// Appends `v` in decimal: the digits [`write_csv`] writes for it.
-pub fn push_u32(out: &mut String, v: u32) {
-    let mut digits = [0u8; 10];
-    let n = put_u32(&mut digits, v);
-    out.push_str(std::str::from_utf8(&digits[..n]).expect("decimal digits are ASCII"));
 }
 
 /// The CSV header line: each attribute's `name:domain`, joined by `,`,
@@ -303,24 +302,176 @@ pub fn save_csv(dataset: &Dataset, path: impl AsRef<Path>) -> io::Result<()> {
     write_csv(dataset, std::fs::File::create(path)?)
 }
 
-/// Reads a dataset from a reader, streaming it one line at a time.
+/// Reads a dataset from a reader through the block parser. The values are
+/// domain-checked as they are parsed, so the dataset is built without
+/// [`Dataset::new`]'s second pass over them.
 pub fn read_csv<R: Read>(r: R) -> Result<Dataset, CsvError> {
-    let mut reader = BufReader::new(r);
-    let mut line = Vec::new();
-    let attributes = read_header(&mut reader, &mut line)?;
-    let mut columns: Vec<Vec<u32>> = vec![Vec::new(); attributes.len()];
-    let mut line_no = 1;
-    while read_line(&mut reader, &mut line)? {
-        line_no += 1;
-        parse_row(&line, line_no, &attributes, &mut columns)?;
+    let mut rows = CsvRows::new(r)?;
+    let mut columns: Vec<Vec<u32>> = rows.attributes.iter().map(|_| Vec::new()).collect();
+    rows.read_rows(&mut columns, usize::MAX)?;
+    Ok(Dataset::from_checked(rows.attributes, columns))
+}
+
+/// The one CSV reader of [`read_csv`] and [`crate::CsvFileSource`]: the
+/// header line, then rows in blocks, through one [`BLOCK_BYTES`] read
+/// buffer. Each complete plain row is parsed where it lies
+/// ([`plain_row`]). Any other line, and the line that runs past the
+/// buffer's end, goes whole through [`read_line`] and [`parse_row`], so
+/// every value and every refusal is theirs.
+#[derive(Debug)]
+pub(crate) struct CsvRows<R> {
+    reader: BufReader<R>,
+    attributes: Vec<Attribute>,
+    /// Each attribute's bound on a plain value: `min(domain, 2³²)`.
+    limits: Vec<u64>,
+    /// The fallback's line buffer.
+    line: Vec<u8>,
+    /// The 1-based number of the last line read.
+    line_no: usize,
+}
+
+impl<R: Read> CsvRows<R> {
+    /// Reads and parses the header line of `r`.
+    pub(crate) fn new(r: R) -> Result<Self, CsvError> {
+        let mut reader = BufReader::with_capacity(BLOCK_BYTES, r);
+        let mut line = Vec::new();
+        let attributes = read_header(&mut reader, &mut line)?;
+        let limits = attributes
+            .iter()
+            .map(|a| (a.domain as u64).min(1 << 32))
+            .collect();
+        Ok(Self {
+            reader,
+            attributes,
+            limits,
+            line,
+            line_no: 1,
+        })
     }
-    Ok(Dataset::new(attributes, columns))
+
+    /// The schema the header declared.
+    pub(crate) fn attributes(&self) -> &[Attribute] {
+        &self.attributes
+    }
+
+    /// Appends up to `max_rows` rows to `columns` (one per attribute)
+    /// and returns how many; fewer than `max_rows` only at the end of
+    /// input. Blank lines are skipped. On an error, `columns` may hold
+    /// part of the refused row.
+    pub(crate) fn read_rows(
+        &mut self,
+        columns: &mut [Vec<u32>],
+        max_rows: usize,
+    ) -> Result<usize, CsvError> {
+        let mut rows = 0;
+        while rows < max_rows {
+            let block = self.reader.fill_buf()?;
+            if block.is_empty() {
+                break;
+            }
+            let mut at = 0;
+            while rows < max_rows {
+                let Some(len) = plain_row(&block[at..], &self.limits, columns) else {
+                    break;
+                };
+                at += len;
+                rows += 1;
+                self.line_no += 1;
+            }
+            let parsed_all = at == block.len();
+            self.reader.consume(at);
+            if rows == max_rows || parsed_all {
+                continue;
+            }
+            // The next line is not a plain row, or the buffer cuts it.
+            read_line(&mut self.reader, &mut self.line)?;
+            self.line_no += 1;
+            if parse_row(&self.line, self.line_no, &self.attributes, columns)? {
+                rows += 1;
+            }
+        }
+        Ok(rows)
+    }
+}
+
+impl<R: Read + Seek> CsvRows<R> {
+    /// The input offset of the next unread line.
+    pub(crate) fn position(&mut self) -> io::Result<u64> {
+        self.reader.stream_position()
+    }
+
+    /// Restarts at `offset`, which [`CsvRows::position`] gave right
+    /// after the header, so the next row read is line 2's.
+    pub(crate) fn rewind_to(&mut self, offset: u64) -> io::Result<()> {
+        self.reader.seek(SeekFrom::Start(offset))?;
+        self.line_no = 1;
+        Ok(())
+    }
+}
+
+/// Parses the plain row at the start of `bytes` onto `columns` and
+/// returns its length with its terminator. A plain row is one field of
+/// 1–10 ASCII digits per limit, each value below its limit, joined by
+/// `,` and ended by `\n` or `\r\n`: a line [`read_line`] and
+/// [`parse_row`] accept, as the same values. Anything else, a row that
+/// runs past the end of `bytes` included, returns `None` and leaves
+/// `columns` as they were.
+///
+/// Each field but the last is pushed as it is parsed, and the row is
+/// judged once, at its end: a refused row truncates them back to the
+/// last column's length.
+#[inline]
+fn plain_row(bytes: &[u8], limits: &[u64], columns: &mut [Vec<u32>]) -> Option<usize> {
+    let (&last_limit, limits) = limits.split_last()?;
+    let (last_column, columns) = columns.split_last_mut()?;
+    let mut plain = true;
+    let mut at = 0;
+    for (&limit, column) in limits.iter().zip(columns.iter_mut()) {
+        let (v, digits) = leading_digits(bytes, at);
+        at += digits;
+        plain &= (bytes.get(at) == Some(&b',')) & (1..=10).contains(&digits) & (v < limit);
+        column.push(v as u32);
+        at += 1;
+    }
+    let (v, digits) = leading_digits(bytes, at);
+    at += digits;
+    let end = match bytes.get(at) {
+        Some(b'\n') => 1,
+        Some(b'\r') if bytes.get(at + 1) == Some(&b'\n') => 2,
+        _ => 0,
+    };
+    if plain & (end > 0) & (1..=10).contains(&digits) & (v < last_limit) {
+        last_column.push(v as u32);
+        return Some(at + end);
+    }
+    let rows = last_column.len();
+    for column in columns {
+        column.truncate(rows);
+    }
+    None
+}
+
+/// The ASCII digits at the start of `bytes[at..]`: their value, which
+/// wraps past 19 digits, and their count.
+#[inline]
+fn leading_digits(bytes: &[u8], mut at: usize) -> (u64, usize) {
+    let start = at;
+    let mut v = 0u64;
+    while let Some(digit) = bytes
+        .get(at)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|&d| d <= 9)
+    {
+        v = v.wrapping_mul(10).wrapping_add(u64::from(digit));
+        at += 1;
+    }
+    (v, at - start)
 }
 
 /// Reads the next line into `buf` (cleared first) without its `\n` or
 /// `\r\n` terminator, the normalization `BufRead::lines` applies.
 /// Returns `false` at end of input.
-pub(crate) fn read_line<R: BufRead>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+fn read_line<R: BufRead>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
     buf.clear();
     if r.read_until(b'\n', buf)? == 0 {
         return Ok(false);
@@ -336,10 +487,7 @@ pub(crate) fn read_line<R: BufRead>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<
 
 /// Reads line 1 through `buf` and parses it as the schema header
 /// `name:domain,...`.
-pub(crate) fn read_header<R: BufRead>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-) -> Result<Vec<Attribute>, CsvError> {
+fn read_header<R: BufRead>(r: &mut R, buf: &mut Vec<u8>) -> Result<Vec<Attribute>, CsvError> {
     if !read_line(r, buf)? {
         return Err(malformed(1, "empty file".into()));
     }
@@ -361,7 +509,7 @@ pub(crate) fn read_header<R: BufRead>(
 /// Parses data line `line_no` onto `columns`: one `u32` per attribute,
 /// each checked against its domain. Returns `false` for a blank line,
 /// which is skipped.
-pub(crate) fn parse_row(
+fn parse_row(
     line: &[u8],
     line_no: usize,
     attributes: &[Attribute],
@@ -606,6 +754,45 @@ mod tests {
         }
     }
 
+    /// Drains [`CsvRows`] over `r` in blocks of at most `block_rows`
+    /// rows, as [`crate::CsvFileSource::next_block`] does over a file.
+    fn blocks_outcome<R: Read>(r: R, block_rows: usize) -> Outcome {
+        let drained = CsvRows::new(r).and_then(|mut rows| {
+            let m = rows.attributes().len();
+            let mut columns = vec![Vec::new(); m];
+            loop {
+                let mut block = vec![Vec::new(); m];
+                let n = rows.read_rows(&mut block, block_rows)?;
+                if n == 0 {
+                    break;
+                }
+                assert!(n <= block_rows, "oversized block");
+                assert!(block.iter().all(|c| c.len() == n), "ragged block");
+                for (acc, col) in columns.iter_mut().zip(block) {
+                    acc.extend(col);
+                }
+            }
+            Ok(Dataset::new(rows.attributes().to_vec(), columns))
+        });
+        eager_outcome(drained)
+    }
+
+    /// A reader that returns at most `k` bytes per `read`, so every
+    /// `k`-th byte is a buffer edge.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        k: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.k).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
     /// A CSV input; printed lossily so a failing case reads as text.
     #[derive(Clone)]
     struct CsvCase(Vec<u8>);
@@ -620,11 +807,68 @@ mod tests {
     /// both occur.
     const DOMAINS: [usize; 6] = [1, 2, 7, 100, u32::MAX as usize, 1 << 40];
 
+    /// A data row: one value per domain, joined by `,`, a tenth of them
+    /// with two leading zeros.
+    fn valid_row(domains: &[usize], rng: &mut StdRng) -> Vec<u8> {
+        let fields: Vec<String> = domains
+            .iter()
+            .map(|&d| {
+                let v = rng.gen_range(0..d.min(u32::MAX as usize + 1) as u64);
+                match rng.gen_range(0..10u32) {
+                    0 => format!("00{v}"),
+                    _ => v.to_string(),
+                }
+            })
+            .collect();
+        fields.join(",").into_bytes()
+    }
+
+    /// Damage kinds of a data line, for [`damage`].
+    const DAMAGE_KINDS: u32 = 11;
+
+    /// Damages data line `line` of a table over `domains`: a leading `+`
+    /// (0), u32 overflow (1), an 11-digit extra field (2), an empty
+    /// trailing field (3), an extra field (4), a missing field (5), a
+    /// value out of every domain below 2³² (6), a non-UTF-8 byte (7), a
+    /// stray `\r` (8), an odd line (9), or one field set to its domain,
+    /// the smallest value outside it (10; an overflow past 2³²).
+    fn damage(line: &mut Vec<u8>, kind: u32, domains: &[usize], rng: &mut StdRng) {
+        match kind {
+            0 => line.insert(0, b'+'),
+            1 => *line = b"4294967296".to_vec(),
+            2 => line.extend_from_slice(b",99999999999"),
+            3 => line.push(b','),
+            4 => line.extend_from_slice(b",0"),
+            5 => {
+                if let Some(comma) = line.iter().rposition(|&b| b == b',') {
+                    line.truncate(comma);
+                }
+            }
+            6 => *line = b"4294967295".to_vec(),
+            7 => {
+                let pos = rng.gen_range(0..=line.len());
+                line.insert(pos, 0xff);
+            }
+            8 => line.push(b'\r'),
+            9 => {
+                const ODD: [&[u8]; 6] = [b"+", b"-", b" 1", b"1 ", b"++1", b""];
+                *line = ODD[rng.gen_range(0..ODD.len())].to_vec();
+            }
+            _ => {
+                let j = rng.gen_range(0..domains.len());
+                let mut fields: Vec<Vec<u8>> =
+                    line.split(|&b| b == b',').map(<[u8]>::to_vec).collect();
+                if let Some(field) = fields.get_mut(j) {
+                    *field = domains[j].min(1 << 32).to_string().into_bytes();
+                }
+                *line = fields.join(&b',');
+            }
+        }
+    }
+
     /// A random valid CSV (CRLF or LF per line, blank lines, leading
     /// zeros, with or without a final newline), then up to three
-    /// damaging edits: a leading `+`, u32 overflow, empty, trailing,
-    /// extra or missing fields, out-of-domain values, non-UTF-8 bytes,
-    /// stray `\r`s, and header damage.
+    /// damaging edits: [`damage`] to a data line, or header damage.
     fn csv_case(rng: &mut StdRng) -> CsvCase {
         let m = rng.gen_range(1..5usize);
         let domains: Vec<usize> = (0..m)
@@ -643,43 +887,13 @@ mod tests {
             if rng.gen_range(0..8u32) == 0 {
                 lines.push(Vec::new());
             }
-            let fields: Vec<String> = domains
-                .iter()
-                .map(|&d| {
-                    let v = rng.gen_range(0..d.min(u32::MAX as usize + 1) as u64);
-                    match rng.gen_range(0..10u32) {
-                        0 => format!("00{v}"),
-                        _ => v.to_string(),
-                    }
-                })
-                .collect();
-            lines.push(fields.join(",").into_bytes());
+            lines.push(valid_row(&domains, rng));
         }
         for _ in 0..rng.gen_range(0..4usize) {
             let at = rng.gen_range(0..lines.len());
-            let line = &mut lines[at];
-            match rng.gen_range(0..12u32) {
-                0 => line.insert(0, b'+'),
-                1 => *line = b"4294967296".to_vec(),
-                2 => line.extend_from_slice(b",99999999999"),
-                3 => line.push(b','),
-                4 => line.extend_from_slice(b",0"),
-                5 => {
-                    if let Some(comma) = line.iter().rposition(|&b| b == b',') {
-                        line.truncate(comma);
-                    }
-                }
-                6 => *line = b"4294967295".to_vec(),
-                7 => {
-                    let pos = rng.gen_range(0..=line.len());
-                    line.insert(pos, 0xff);
-                }
-                8 => line.push(b'\r'),
-                9 => {
-                    const ODD: [&[u8]; 6] = [b"+", b"-", b" 1", b"1 ", b"++1", b""];
-                    *line = ODD[rng.gen_range(0..ODD.len())].to_vec();
-                }
-                10 => lines[0].extend_from_slice(b",nodomain"),
+            match rng.gen_range(0..DAMAGE_KINDS + 2) {
+                kind if kind < DAMAGE_KINDS => damage(&mut lines[at], kind, &domains, rng),
+                kind if kind == DAMAGE_KINDS => lines[0].extend_from_slice(b",nodomain"),
                 _ => lines[0].extend_from_slice(b",b:+3"),
             }
         }
@@ -709,6 +923,223 @@ mod tests {
             for block_rows in [1, 7, 8192] {
                 testkit::prop_assert_eq!(streamed_outcome(&path, block_rows), want);
             }
+            // Short reads put a buffer edge every k bytes.
+            for k in [1, 7, 64, 4096] {
+                let trickle = || Trickle { bytes: &case.0, k };
+                let got = eager_outcome(read_csv(trickle()));
+                testkit::prop_assert!(got == want, "k = {k}: {got:?} != {want:?}");
+                for block_rows in [1, 7, 8192] {
+                    let got = blocks_outcome(trickle(), block_rows);
+                    testkit::prop_assert!(
+                        got == want,
+                        "k = {k}, block_rows = {block_rows}: {got:?} != {want:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A CSV of valid rows past three read buffers, with one line placed
+    /// at a buffer edge. Printed as what was placed where, and the bytes
+    /// around it.
+    #[derive(Clone)]
+    struct EdgeCase {
+        csv: Vec<u8>,
+        placed: String,
+        start: usize,
+    }
+
+    impl std::fmt::Debug for EdgeCase {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let around =
+                &self.csv[self.start.saturating_sub(64)..(self.start + 96).min(self.csv.len())];
+            write!(
+                f,
+                "{} at byte {} of {} (edges at multiples of {BLOCK_BYTES}), around it {:?}",
+                self.placed,
+                self.start,
+                self.csv.len(),
+                String::from_utf8_lossy(around)
+            )
+        }
+    }
+
+    /// Kinds of line [`placed_line`] makes: each [`damage`] kind, then a
+    /// valid row, a valid row led by more than `BLOCK_BYTES` zeros, and
+    /// one led by as many nines (an overflow).
+    const PLACED_KINDS: u32 = DAMAGE_KINDS + 3;
+
+    /// A data line of `kind` over `domains`, ended by `\r\n` or `\n`,
+    /// and what it is.
+    fn placed_line(
+        kind: u32,
+        domains: &[usize],
+        crlf: bool,
+        rng: &mut StdRng,
+    ) -> (Vec<u8>, String) {
+        let mut line = valid_row(domains, rng);
+        let long = "0".repeat(BLOCK_BYTES + rng.gen_range(0..100usize));
+        let what = match kind {
+            k if k < DAMAGE_KINDS => {
+                damage(&mut line, k, domains, rng);
+                format!("damage kind {k}")
+            }
+            k if k == DAMAGE_KINDS => "a valid row".to_string(),
+            k if k == DAMAGE_KINDS + 1 => {
+                line.splice(0..0, long.bytes());
+                "a row led by 64 KiB of zeros".to_string()
+            }
+            _ => {
+                line.splice(0..0, long.replace('0', "9").bytes());
+                "a row led by 64 KiB of nines".to_string()
+            }
+        };
+        line.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+        let what = format!(
+            "{what} ({} B, {})",
+            line.len(),
+            if crlf { "CRLF" } else { "LF" }
+        );
+        (line, what)
+    }
+
+    /// Where [`edge_csv`] can start a line of `len` bytes relative to
+    /// `edge`: on it, one byte after or before it, so that its last byte
+    /// (the `\n` of a split `\r\n`) is the buffer's last or the next
+    /// buffer's first, or `across` bytes before it.
+    fn placement(edge: usize, len: usize, across: usize) -> [(usize, &'static str); 6] {
+        [
+            (edge, "on the edge"),
+            (edge + 1, "one byte after the edge"),
+            (edge - 1, "one byte before the edge"),
+            (edge - len, "ending at the edge"),
+            (edge + 1 - len, "ending one byte past the edge"),
+            (edge - across % len, "across the edge"),
+        ]
+    }
+
+    /// A CSV over `domains`: valid rows (LF or CRLF, a few blank lines)
+    /// up to `line` at byte `start`, then more of them past `min_len`
+    /// bytes.
+    fn edge_csv(
+        domains: &[usize],
+        line: &[u8],
+        start: usize,
+        min_len: usize,
+        rng: &mut StdRng,
+    ) -> Vec<u8> {
+        let m = domains.len();
+        let pool: Vec<Vec<u8>> = (0..64)
+            .map(|_| {
+                let mut row = valid_row(domains, rng);
+                match rng.gen_range(0..16u32) {
+                    0 => row.push(b'\r'),
+                    1 => row.clear(),
+                    _ => {}
+                }
+                row.push(b'\n');
+                row
+            })
+            .collect();
+        let header: Vec<String> = domains
+            .iter()
+            .enumerate()
+            .map(|(j, d)| format!("a{j}:{d}"))
+            .collect();
+        let mut csv = header.join(",").into_bytes();
+        csv.push(b'\n');
+        // Whole rows while a row and the shortest padding row still fit,
+        // then one row of exactly the rest, widened by leading zeros.
+        loop {
+            let row = &pool[rng.gen_range(0..pool.len())];
+            if csv.len() + row.len() + 2 * m > start {
+                break;
+            }
+            csv.extend_from_slice(row);
+        }
+        let pad = start - csv.len();
+        csv.extend(std::iter::repeat_n(b'0', pad - 2 * m + 1));
+        csv.extend(std::iter::repeat_n(&b",0"[..], m - 1).flatten());
+        csv.push(b'\n');
+        assert_eq!(csv.len(), start);
+        csv.extend_from_slice(line);
+        while csv.len() <= min_len {
+            csv.extend_from_slice(&pool[rng.gen_range(0..pool.len())]);
+        }
+        csv
+    }
+
+    /// One [`placed_line`] of a random kind at a random [`placement`]
+    /// about a random one of the first three edges, in an [`edge_csv`]
+    /// past `3 × BLOCK_BYTES` whose last line is unterminated now and
+    /// then.
+    fn edge_case(rng: &mut StdRng) -> EdgeCase {
+        let m = rng.gen_range(1..5usize);
+        let domains: Vec<usize> = (0..m)
+            .map(|_| DOMAINS[rng.gen_range(0..DOMAINS.len())])
+            .collect();
+        let kind = rng.gen_range(0..PLACED_KINDS);
+        let crlf = rng.gen_range(0..2u32) == 0;
+        let (line, what) = placed_line(kind, &domains, crlf, rng);
+        let first = if line.len() > BLOCK_BYTES { 2 } else { 1 };
+        let edge = BLOCK_BYTES * rng.gen_range(first..4usize);
+        let spots = placement(edge, line.len(), rng.gen_range(0..usize::MAX));
+        let (start, how) = spots[rng.gen_range(0..spots.len())];
+        let mut csv = edge_csv(&domains, &line, start, 3 * BLOCK_BYTES + 200, rng);
+        if rng.gen_range(0..4u32) == 0 {
+            while csv.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
+                csv.pop();
+            }
+        }
+        let placed = format!("{what} {how} at {edge}");
+        EdgeCase { csv, placed, start }
+    }
+
+    /// Checks that `read_csv`, and `CsvFileSource` at each of
+    /// `block_rows`, read `csv` as `reference_read_csv` does.
+    fn check_readers(csv: &[u8], block_rows: &[usize], file: &str) -> Result<(), String> {
+        let want = eager_outcome(reference_read_csv(csv));
+        let got = eager_outcome(read_csv(csv));
+        testkit::prop_assert!(got == want, "read_csv: {got:?} != {want:?}");
+        let dir = std::env::temp_dir().join(format!("datagen-csv-edge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        let path = dir.join(file);
+        std::fs::write(&path, csv).map_err(|e| e.to_string())?;
+        for &block_rows in block_rows {
+            let got = streamed_outcome(&path, block_rows);
+            testkit::prop_assert!(
+                got == want,
+                "block_rows = {block_rows}: {got:?} != {want:?}"
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_placed_line_reads_alike_at_every_placement_about_an_edge() {
+        use rngkit::SeedableRng;
+        let domains = [7, 2, u32::MAX as usize, 100];
+        let mut rng = StdRng::seed_from_u64(25);
+        for kind in 0..PLACED_KINDS {
+            for crlf in [false, true] {
+                let (line, what) = placed_line(kind, &domains, crlf, &mut rng);
+                let edge = BLOCK_BYTES * if line.len() > BLOCK_BYTES { 2 } else { 1 };
+                let spots = placement(edge, line.len(), rng.gen_range(0..usize::MAX));
+                for (start, how) in spots {
+                    let csv = edge_csv(&domains, &line, start, edge + 1024, &mut rng);
+                    if let Err(e) = check_readers(&csv, &[7, 8192], "every.csv") {
+                        panic!("{what} {how} at {edge}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    testkit::property_tests! {
+        fn readers_match_the_reference_across_read_buffer_edges(
+            case in testkit::prop::Gen::new(edge_case, |_| Vec::new()),
+        ) {
+            check_readers(&case.csv, &[1, 7, 8192], "edge.csv")?;
         }
     }
 
@@ -893,11 +1324,10 @@ mod tests {
             values.extend([p - 1, p, p + 1]);
         }
         values.extend([u32::MAX - 1, u32::MAX]);
-        let mut out = String::new();
+        let mut out = [0u8; 10];
         for v in values {
-            out.clear();
-            push_u32(&mut out, v);
-            assert_eq!(out, v.to_string());
+            let n = put_u32(&mut out, v);
+            assert_eq!(&out[..n], v.to_string().as_bytes());
         }
     }
 
@@ -930,7 +1360,7 @@ mod tests {
                 if j > 0 {
                     body.push(',');
                 }
-                push_u32(&mut body, col[r]);
+                body.push_str(&col[r].to_string());
             }
             body.push(']');
         }

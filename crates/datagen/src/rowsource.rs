@@ -11,9 +11,9 @@
 //! eager-sized memory).
 
 use crate::dataset::{Attribute, Dataset};
-use crate::io::{parse_row, read_header, read_line, CsvError};
+use crate::io::{CsvError, CsvRows};
 use std::fs::File;
-use std::io::{self, BufReader, Seek, SeekFrom};
+use std::io;
 use std::path::Path;
 
 /// Default number of rows per block for the buffered adapters.
@@ -186,21 +186,18 @@ impl RowSource for DatasetSource {
 
 /// An out-of-core CSV [`RowSource`]: reads the same format as
 /// [`crate::io::read_csv`] (header `name:domain,...`, one `u32` row per
-/// record, blank lines skipped) through a buffered reader, holding at
-/// most one block of rows resident. Rewinds by seeking back to the
+/// record, blank lines skipped) through one 64 KiB read buffer, holding
+/// at most one block of rows resident. Rewinds by seeking back to the
 /// first data byte, so a fit's two passes never materialize the file.
 ///
-/// It parses with the eager reader's header and row parsers, so the
-/// same malformed-input conditions are rejected with the same 1-based
-/// line numbers and reasons.
+/// Each block comes from the eager reader's block parser, so the same
+/// malformed-input conditions are rejected with the same 1-based line
+/// numbers and reasons.
 #[derive(Debug)]
 pub struct CsvFileSource {
-    reader: BufReader<File>,
-    attributes: Vec<Attribute>,
+    rows: CsvRows<File>,
     block_rows: usize,
     data_offset: u64,
-    next_line: usize,
-    line_buf: Vec<u8>,
 }
 
 impl CsvFileSource {
@@ -214,24 +211,19 @@ impl CsvFileSource {
         path: impl AsRef<Path>,
         block_rows: usize,
     ) -> Result<Self, SourceError> {
-        let mut reader = BufReader::new(File::open(path)?);
-        let mut line_buf = Vec::new();
-        let attributes = read_header(&mut reader, &mut line_buf)?;
-        let data_offset = reader.stream_position()?;
+        let mut rows = CsvRows::new(File::open(path)?)?;
+        let data_offset = rows.position()?;
         Ok(Self {
-            reader,
-            attributes,
+            rows,
             block_rows: block_rows.max(1),
             data_offset,
-            next_line: 2,
-            line_buf,
         })
     }
 }
 
 impl RowSource for CsvFileSource {
     fn attributes(&self) -> &[Attribute] {
-        &self.attributes
+        self.rows.attributes()
     }
 
     fn rewindable(&self) -> bool {
@@ -239,25 +231,19 @@ impl RowSource for CsvFileSource {
     }
 
     fn next_block(&mut self) -> Result<Option<Block>, SourceError> {
-        let m = self.attributes.len();
-        let mut columns: Vec<Vec<u32>> = vec![Vec::with_capacity(self.block_rows); m];
-        let mut rows = 0;
-        while rows < self.block_rows && read_line(&mut self.reader, &mut self.line_buf)? {
-            let line = self.next_line;
-            self.next_line += 1;
-            if parse_row(&self.line_buf, line, &self.attributes, &mut columns)? {
-                rows += 1;
-            }
-        }
-        if rows == 0 {
+        let mut columns: Vec<Vec<u32>> = self
+            .attributes()
+            .iter()
+            .map(|_| Vec::with_capacity(self.block_rows))
+            .collect();
+        if self.rows.read_rows(&mut columns, self.block_rows)? == 0 {
             return Ok(None);
         }
         Ok(Some(Block::new(columns)))
     }
 
     fn rewind(&mut self) -> Result<(), SourceError> {
-        self.reader.seek(SeekFrom::Start(self.data_offset))?;
-        self.next_line = 2;
+        self.rows.rewind_to(self.data_offset)?;
         Ok(())
     }
 }

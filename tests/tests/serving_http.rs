@@ -249,7 +249,7 @@ fn reference_json_body(names: &[&str], columns: &[Vec<u32>]) -> String {
             if j > 0 {
                 body.push(',');
             }
-            datagen::io::push_u32(&mut body, col[r]);
+            body.push_str(&col[r].to_string());
         }
         body.push(']');
     }
