@@ -4,8 +4,9 @@
 //! serial correlation estimator (`dp_correlation_matrix`, single-threaded)
 //! as the reference the correlation-stage speedup is measured against,
 //! the sampling stage timed under both sampling profiles (`reference` vs
-//! the ziggurat/table `fast` hot path), and the correlation stage of an
-//! 8-attribute sharded fit (`correlation_wide`, no gate).
+//! the ziggurat/table `fast` hot path), the correlation stage of an
+//! 8-attribute sharded fit (`correlation_wide`, no gate), and CSV ingest
+//! of that fit's rows (`ingest`, no gate).
 //!
 //! `QUICK=1` shrinks the input and sample count for smoke runs.
 
@@ -242,6 +243,79 @@ fn main() {
         );
     }
     let _ = writeln!(out, "  ]}},");
+
+    // Ingest: the same census as a CSV, read back eagerly from memory
+    // (`read_csv`, as the daemon reads a fit body) and from a file
+    // (`load_csv`, as `fit` does), its CRLF twin from memory, and the
+    // file drained through `CsvFileSource` in default-size blocks (the
+    // spooled and `fit-shard` path). No gate.
+    let mut csv = Vec::new();
+    datagen::io::write_csv(&wide, &mut csv).expect("encode census csv");
+    let crlf: Vec<u8> = csv
+        .split_inclusive(|&b| b == b'\n')
+        .flat_map(|line| [&line[..line.len() - 1], b"\r\n"].concat())
+        .collect();
+    let ingest_dir =
+        std::env::temp_dir().join(format!("dpcopula-bench-ingest-{}", std::process::id()));
+    std::fs::create_dir_all(&ingest_dir).expect("create ingest scratch dir");
+    let csv_path = ingest_dir.join("census.csv");
+    std::fs::write(&csv_path, &csv).expect("write census csv");
+    let drain = || {
+        let mut source = datagen::CsvFileSource::open(&csv_path).expect("open census csv");
+        let mut rows = 0;
+        while let Some(block) = source.next_block().expect("census csv reads") {
+            rows += block.rows();
+        }
+        rows
+    };
+    let readers: [(&str, usize, &dyn Fn() -> usize); 4] = [
+        ("read_csv", csv.len(), &|| {
+            datagen::io::read_csv(&csv[..])
+                .expect("census csv reads")
+                .len()
+        }),
+        ("load_csv", csv.len(), &|| {
+            datagen::io::load_csv(&csv_path)
+                .expect("census csv reads")
+                .len()
+        }),
+        ("read_csv_crlf", crlf.len(), &|| {
+            datagen::io::read_csv(&crlf[..])
+                .expect("census csv reads")
+                .len()
+        }),
+        ("csv_source_drain", csv.len(), &drain),
+    ];
+    let ingest_samples = if quick { 3 } else { 21 };
+    let _ = writeln!(
+        out,
+        "  \"ingest\": {{\"records\": {wide_n}, \"attributes\": {wide_m}, \
+         \"bytes\": {}, \"samples\": {ingest_samples},",
+        csv.len()
+    );
+    for (ri, (name, bytes, read)) in readers.iter().enumerate() {
+        let mut times = Vec::with_capacity(ingest_samples);
+        for _ in 0..ingest_samples {
+            let t0 = Stopwatch::start();
+            assert_eq!(std::hint::black_box(read()), wide_n, "{name} row count");
+            times.push(t0.elapsed().as_secs_f64());
+        }
+        let st = stats(&times);
+        let mb_per_s = *bytes as f64 / st.median / 1e6;
+        println!(
+            "ingest {name}: min {:.4}s, median {:.4}s ({mb_per_s:.0} MB/s)",
+            st.min, st.median
+        );
+        let comma = if ri + 1 < readers.len() { "," } else { "" };
+        let _ = writeln!(
+            out,
+            "    \"{name}\": {{\"min_s\": {:.6}, \"median_s\": {:.6}, \"p95_s\": {:.6}, \
+             \"mb_per_s\": {mb_per_s:.1}}}{comma}",
+            st.min, st.median, st.p95
+        );
+    }
+    let _ = writeln!(out, "  }},");
+    std::fs::remove_dir_all(&ingest_dir).expect("remove ingest scratch dir");
 
     // The sampling stage under each profile, full engine at 4 workers:
     // same fitted model shape, different hot path.
