@@ -156,6 +156,20 @@ pin_cksum "$SMOKE/big.csv" "3928615331 585739"
 pin_cksum "$SMOKE/big.dpcm" "1708305388 13525"
 echo "    big.csv and its model match their pinned checksums"
 
+echo "==> wide-fit tier: 400,000 Brazil rows, 4 shards, 1 and 2 workers"
+# The shape of dpbench's fit-sharded workload (8 attributes, a 25,200-
+# row τ sample over 4 shards): every exact count and every Kendall pair
+# of a full-size fit, pinned from outside the fit, at two worker counts.
+"$CLI" gen --out "$SMOKE/wide.csv" --dataset brazil-census --records 400000 --seed 7
+"$CLI" fit --input "$SMOKE/wide.csv" --out "$SMOKE/wide.dpcm" --epsilon 1.0 --seed 99 \
+    --shards 4 --workers 2
+"$CLI" fit --input "$SMOKE/wide.csv" --out "$SMOKE/wide-w1.dpcm" --epsilon 1.0 --seed 99 \
+    --shards 4 --workers 1
+cmp "$SMOKE/wide-w1.dpcm" "$SMOKE/wide.dpcm"
+pin_cksum "$SMOKE/wide.csv" "2557290253 8300912"
+pin_cksum "$SMOKE/wide.dpcm" "3202569158 8752"
+echo "    wide.csv and its model match their pinned checksums at 1 and 2 workers"
+
 echo "==> observability: CLI metrics smoke vs golden manifest"
 # synth with a JSON snapshot; the emitted metric *names* must match the
 # checked-in manifest exactly (taxonomy drift lands with a manifest
