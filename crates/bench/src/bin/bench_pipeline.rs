@@ -4,9 +4,10 @@
 //! serial correlation estimator (`dp_correlation_matrix`, single-threaded)
 //! as the reference the correlation-stage speedup is measured against,
 //! the sampling stage timed under both sampling profiles (`reference` vs
-//! the ziggurat/table `fast` hot path), the correlation stage of an
-//! 8-attribute sharded fit (`correlation_wide`, no gate), and CSV ingest
-//! of that fit's rows (`ingest`, no gate).
+//! the ziggurat/table `fast` hot path), the budget-plan and correlation
+//! stages and the whole fit of an 8-attribute sharded fit
+//! (`correlation_wide`, no gate), and CSV ingest of that fit's rows
+//! (`ingest`, no gate).
 //!
 //! `QUICK=1` shrinks the input and sample count for smoke runs.
 
@@ -202,10 +203,13 @@ fn main() {
     }
     let _ = writeln!(out, "  ],");
 
-    // The correlation stage at the shape of dpbench's `fit-sharded`: a
-    // 4-shard fit of the 8-attribute Brazil census, whose categorical
-    // columns put many τ-sample records in each (x, y) value cell.
+    // The fit at the shape of dpbench's `fit-sharded`: a 4-shard fit of
+    // the 8-attribute Brazil census, whose categorical columns put many
+    // τ-sample records in each (x, y) value cell. `budget_plan` holds the
+    // exact counts over every row, `correlation` the Kendall pairs, and
+    // `fit` is the wall clock of the whole call.
     let wide_n = if quick { 40_000 } else { 400_000 };
+    let wide_samples = if quick { 3 } else { 61 };
     let wide = brazil_census(wide_n, 0xb2a2);
     let wide_m = wide.domains().len();
     let wide_shards = 4usize;
@@ -213,33 +217,43 @@ fn main() {
     let _ = writeln!(
         out,
         "  \"correlation_wide\": {{\"records\": {wide_n}, \"attributes\": {wide_m}, \
-         \"shards\": {wide_shards}, \"tau_sample\": {tau_sample}, \"workers\": ["
+         \"shards\": {wide_shards}, \"tau_sample\": {tau_sample}, \
+         \"samples\": {wide_samples}, \"workers\": ["
     );
     let wide_workers = [1usize, 2];
     for (wi, &workers) in wide_workers.iter().enumerate() {
-        let mut correlation = Vec::with_capacity(samples);
-        for s in 0..samples {
+        let mut budget_plan = Vec::with_capacity(wide_samples);
+        let mut correlation = Vec::with_capacity(wide_samples);
+        let mut fits = Vec::with_capacity(wide_samples);
+        for s in 0..wide_samples {
             let mut opts = EngineOptions::with_workers(workers);
             opts.shards = wide_shards;
+            let t0 = Stopwatch::start();
             let (_, report) =
                 SynthesisRequest::from_config(wide.columns(), &wide.domains(), config)
                     .engine(opts)
                     .seed(0xc0de + s as u64)
                     .fit()
                     .expect("census fit succeeds");
+            fits.push(t0.elapsed().as_secs_f64());
+            budget_plan.push(report.timings.budget_plan.as_secs_f64());
             correlation.push(report.timings.correlation.as_secs_f64());
         }
-        let corr = stats(&correlation);
+        let (plan, corr, fit) = (stats(&budget_plan), stats(&correlation), stats(&fits));
         println!(
-            "wide correlation ({wide_n} x {wide_m}, {wide_shards} shards, \
-             tau sample {tau_sample}) workers={workers}: median {:.4}s",
-            corr.median
+            "wide fit ({wide_n} x {wide_m}, {wide_shards} shards, tau sample {tau_sample}) \
+             workers={workers}: budget_plan median {:.4}s, correlation median {:.4}s, \
+             fit median {:.4}s",
+            plan.median, corr.median, fit.median
         );
         let comma = if wi + 1 < wide_workers.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"workers\": {workers}, \"correlation\": {}}}{comma}",
-            json_stats(corr)
+            "    {{\"workers\": {workers}, \"budget_plan\": {}, \"correlation\": {}, \
+             \"fit\": {}}}{comma}",
+            json_stats(plan),
+            json_stats(corr),
+            json_stats(fit)
         );
     }
     let _ = writeln!(out, "  ]}},");

@@ -533,7 +533,8 @@ fn dpcs_counts_that_miss_their_row_range_are_refused_by_file() {
     assert_eq!(merged.artifact().encode(), reference.artifact().encode());
 }
 
-/// A deliberately misbehaving source: advertises domain 4 but emits 9s.
+/// A deliberately misbehaving source: advertises a domain (4, unless
+/// built with [`LyingSource::with_domains`]) but emits values past it.
 /// `Dataset` can't represent this (its constructor validates), which is
 /// exactly why the streaming fits must catch it themselves.
 #[derive(Clone)]
@@ -545,8 +546,16 @@ struct LyingSource {
 
 impl LyingSource {
     fn new(blocks: Vec<Vec<Vec<u32>>>) -> Self {
+        Self::with_domains(&[4, 4], blocks)
+    }
+
+    fn with_domains(domains: &[usize], blocks: Vec<Vec<Vec<u32>>>) -> Self {
         Self {
-            attrs: vec![Attribute::new("a", 4), Attribute::new("b", 4)],
+            attrs: domains
+                .iter()
+                .enumerate()
+                .map(|(j, &d)| Attribute::new(format!("attr{j}"), d))
+                .collect(),
             blocks,
             next: 0,
         }
@@ -617,5 +626,80 @@ fn streaming_gather_validates_like_the_eager_path() {
                 .unwrap_err();
             assert_eq!(err, expected, "fit from resident columns");
         }
+    }
+}
+
+/// The fit's refusal of `columns` over `domains`, which must be the
+/// same from resident columns (one block), from a source whose clean
+/// block of the same length comes first, and from `fit_shard` over that
+/// source.
+fn refusal(columns: &[Vec<u32>], domains: &[usize]) -> DpCopulaError {
+    let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+    let opts = EngineOptions::default();
+    let resident = SynthesisRequest::from_config(columns, domains, config)
+        .fit()
+        .unwrap_err();
+    let clean: Vec<Vec<u32>> = columns.iter().map(|c| vec![0; c.len()]).collect();
+    let source = LyingSource::with_domains(domains, vec![clean, columns.to_vec()]);
+    let n = source.rows();
+    let streamed = streamed_fit(source.clone(), config, 1, opts).unwrap_err();
+    assert_eq!(streamed, resident, "fit from a source");
+    let mut shard_source = source;
+    let shard = distfit::fit_shard(&mut shard_source, &config, 0, 1, n, 1, &opts, &off());
+    assert_eq!(shard.unwrap_err(), resident, "fit_shard");
+    resident
+}
+
+#[test]
+fn every_counting_lane_refuses_out_of_domain_values() {
+    // The reducer counts a small domain in four lanes, value i of each
+    // run of four in lane i, plus a tail of len % 4 values; a sentinel
+    // bin catches what misses the domain. At block lengths 8..=11 (every
+    // residue mod 4) one bad value in any lane or in the tail, of either
+    // attribute, is refused by name, value and domain.
+    let out_of_domain = |dim, value, domain| DpCopulaError::ValueOutOfDomain { dim, value, domain };
+    for len in 8..12 {
+        for dim in 0..2 {
+            for row in 0..len {
+                let mut columns: Vec<Vec<u32>> = (0..2)
+                    .map(|_| (0..len as u32).map(|i| i % 4).collect())
+                    .collect();
+                columns[dim][row] = 4 + row as u32;
+                let want = out_of_domain(dim, 4 + row as u32, 4);
+                assert_eq!(
+                    refusal(&columns, &[4, 4]),
+                    want,
+                    "len {len} dim {dim} row {row}"
+                );
+            }
+        }
+        // Two offending attributes: the lowest names the refusal, even
+        // when its bad value sits in a later row than the other's.
+        let mut columns: Vec<Vec<u32>> = vec![vec![1; len]; 2];
+        columns[0][len - 1] = 7;
+        columns[1][0] = 9;
+        assert_eq!(
+            refusal(&columns, &[4, 4]),
+            out_of_domain(0, 7, 4),
+            "len {len}"
+        );
+        // Two offending rows of one column: the lowest row's value.
+        let mut columns: Vec<Vec<u32>> = vec![vec![2; len]; 2];
+        columns[1][len - 2] = 5;
+        columns[1][len - 1] = 6;
+        columns[1][1] = 8;
+        assert_eq!(
+            refusal(&columns, &[4, 4]),
+            out_of_domain(1, 8, 4),
+            "len {len}"
+        );
+        // Domain 1: only 0 is in it, and 1 already lands in the sentinel.
+        let mut columns: Vec<Vec<u32>> = vec![vec![0; len]; 2];
+        columns[1][len - 1] = 1;
+        assert_eq!(
+            refusal(&columns, &[1, 1]),
+            out_of_domain(1, 1, 1),
+            "len {len}"
+        );
     }
 }
