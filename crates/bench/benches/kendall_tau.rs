@@ -1,5 +1,6 @@
 //! Microbenchmark: Kendall's tau — the rank-and-score kernel (bench id
-//! `knight`: a Fenwick tree scored once per `(x, y)` value cell,
+//! `knight`; these 1,000-value columns are too wide for its sweep, so
+//! it takes the Fenwick tree scored once per `(x, y)` value cell,
 //! O(n + c·log g) for `c` distinct cells, O(n log n) at worst) vs the
 //! quadratic reference, plus the DP release. Backs the paper's "fast
 //! Kendall's tau computation" complexity claim (§4.2).
