@@ -170,6 +170,23 @@ pin_cksum "$SMOKE/wide.csv" "2557290253 8300912"
 pin_cksum "$SMOKE/wide.dpcm" "3202569158 8752"
 echo "    wide.csv and its model match their pinned checksums at 1 and 2 workers"
 
+echo "==> examples tier: the seven example binaries, six stdouts pinned"
+# Every example prints a seeded release, so its stdout pins the public
+# API's bytes from outside the library. fit_once_sample_many prints a
+# wall-clock line, so it only has to run.
+pin_example() {
+    "target/release/$1" > "$SMOKE/example-$1.out"
+    pin_cksum "$SMOKE/example-$1.out" "$2"
+}
+pin_example quickstart "2680006100 603"
+pin_example census_release "891752849 897"
+pin_example budget_planner "3593714852 764"
+pin_example workload_eval "2981658027 480"
+pin_example heavy_tail_release "3269190184 627"
+pin_example streaming_release "3795201704 637"
+target/release/fit_once_sample_many > /dev/null
+echo "    six example stdouts match their pinned checksums; fit_once_sample_many runs"
+
 echo "==> observability: CLI metrics smoke vs golden manifest"
 # synth with a JSON snapshot; the emitted metric *names* must match the
 # checked-in manifest exactly (taxonomy drift lands with a manifest
