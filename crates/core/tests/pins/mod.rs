@@ -9,10 +9,15 @@
 
 use std::path::Path;
 
-/// The HTTP bodies of one reference window, pinned by the integration
-/// tests' serving suite; listed here so the pin file's stream-list check
-/// knows them.
-pub const SERVED_BODY_PINS: [&str; 2] = ["served_window_off1000.csv", "served_window_off1000.json"];
+/// The pins the integration tests record, listed here so the pin file's
+/// stream-list check knows them: the HTTP bodies of one reference window
+/// (the serving suite) and the deterministic metrics of one census run
+/// (`metrics_determinism`).
+pub const INTEGRATION_PINS: [&str; 3] = [
+    "served_window_off1000.csv",
+    "served_window_off1000.json",
+    "run_metrics_census2000.json",
+];
 
 /// Whether this run rewrites the pins (`PIN_UPDATE=1`) instead of
 /// checking them.

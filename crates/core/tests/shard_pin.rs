@@ -16,7 +16,7 @@ use dpcopula::kendall::SamplingStrategy;
 use dpcopula::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod};
 use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
-use pins::{pin_update, stream_name, SERVED_BODY_PINS};
+use pins::{pin_update, stream_name, INTEGRATION_PINS};
 use rngkit::rngs::StdRng;
 use rngkit::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -233,7 +233,7 @@ fn sharded_streams_match_their_pinned_digests() {
         .chain(margins.iter().map(String::as_str))
         .chain(ONE_SHARD_PINS)
         .chain(census.iter().map(String::as_str))
-        .chain(SERVED_BODY_PINS)
+        .chain(INTEGRATION_PINS)
         .collect();
     assert_eq!(
         listed, known,

@@ -4,9 +4,13 @@
 //! taxonomy, and the per-stage timings the engine reports are exactly
 //! the span histograms in the snapshot.
 
+#[path = "../../crates/core/tests/pins/mod.rs"]
+mod pins;
+
 use dpcopula::{DpCopulaConfig, EngineOptions, SynthesisRequest};
 use dpmech::Epsilon;
 use obskit::{MetricsRegistry, MetricsSink, Snapshot};
+use std::path::Path;
 use std::sync::Arc;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
@@ -38,6 +42,19 @@ fn deterministic_snapshot_is_identical_across_worker_counts() {
             "deterministic metrics diverged at {workers} workers"
         );
     }
+}
+
+#[test]
+fn deterministic_snapshot_matches_its_pin() {
+    // The other tests compare runs with each other and check names and
+    // signs; this digest pins the values, so a run that also counted its
+    // rows as served, or moved its tasks to another stage, fails here.
+    let (snap, _) = run_with_workers(WORKER_COUNTS[0]);
+    let [_, _, name] = pins::INTEGRATION_PINS;
+    let pin_file = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../crates/core/tests/fixtures/sharded_pins.txt");
+    let json = snap.deterministic().to_json().into_bytes();
+    pins::assert_digests_pinned(&pin_file, &[(name.to_string(), json)]);
 }
 
 #[test]

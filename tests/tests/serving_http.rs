@@ -204,7 +204,7 @@ fn http_sample_window_is_byte_identical_to_in_process_sampling() {
     // encoders; these digests pin the served bytes from outside them.
     let pin_file = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../crates/core/tests/fixtures/sharded_pins.txt");
-    let [csv_pin, json_pin] = pins::SERVED_BODY_PINS.map(String::from);
+    let [csv_pin, json_pin, _] = pins::INTEGRATION_PINS.map(String::from);
     pins::assert_digests_pinned(&pin_file, &[(csv_pin, http_csv), (json_pin, json_rows)]);
 
     // An empty window is the CSV header alone, or an empty row list.
