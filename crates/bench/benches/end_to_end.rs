@@ -3,10 +3,11 @@
 
 use datagen::synthetic::{MarginKind, SyntheticSpec};
 use dpcopula::mle::PartitionStrategy;
-use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig};
+use dpcopula::synthesizer::{CorrelationMethod, DpCopulaConfig};
+use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 use std::hint::black_box;
 use testkit::bench::{BenchmarkId, Criterion};
 use testkit::{criterion_group, criterion_main};
@@ -24,31 +25,24 @@ fn bench_end_to_end(c: &mut Criterion) {
         }
         .generate();
         let eps = Epsilon::new(1.0).unwrap();
+        let domains = data.domains();
 
         g.bench_with_input(BenchmarkId::new("kendall", m), &m, |b, _| {
             let config = DpCopulaConfig::kendall(eps);
-            let synth = DpCopula::new(config);
             let mut rng = StdRng::seed_from_u64(6);
             b.iter(|| {
-                black_box(
-                    synth
-                        .synthesize(data.columns(), &data.domains(), &mut rng)
-                        .unwrap(),
-                )
+                let request = SynthesisRequest::from_config(data.columns(), &domains, config);
+                black_box(request.seed(rng.next_u64()).run().unwrap())
             })
         });
 
         g.bench_with_input(BenchmarkId::new("mle", m), &m, |b, _| {
             let mut config = DpCopulaConfig::mle(eps);
             config.method = CorrelationMethod::Mle(PartitionStrategy::Fixed(100));
-            let synth = DpCopula::new(config);
             let mut rng = StdRng::seed_from_u64(7);
             b.iter(|| {
-                black_box(
-                    synth
-                        .synthesize(data.columns(), &data.domains(), &mut rng)
-                        .unwrap(),
-                )
+                let request = SynthesisRequest::from_config(data.columns(), &domains, config);
+                black_box(request.seed(rng.next_u64()).run().unwrap())
             })
         });
     }

@@ -17,13 +17,14 @@ use datagen::synthetic::{MarginKind, SyntheticSpec};
 use dpcopula::hybrid::{HybridConfig, HybridSynthesizer};
 use dpcopula::kendall::SamplingStrategy;
 use dpcopula::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod};
+use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use mathkit::cholesky::is_positive_definite;
 use mathkit::correlation::clamp_to_correlation;
 use mathkit::Matrix;
 use queryeval::{ErrorSummary, Workload};
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 /// Margin-method ablation on the simulated US census.
 pub fn run_ablation_margins(params: &ExperimentParams) -> Vec<Table> {
@@ -117,8 +118,9 @@ pub fn run_ablation_sampling(params: &ExperimentParams) -> Vec<Table> {
                     .with_k_ratio(params.k_ratio)
                     .with_margin(MarginMethod::Php);
                 base.method = CorrelationMethod::Kendall(strategy);
-                let out = dpcopula::DpCopula::new(base)
-                    .synthesize(data.columns(), &data.domains(), &mut rng)
+                let (out, _) = SynthesisRequest::from_config(data.columns(), &data.domains(), base)
+                    .seed(rng.next_u64())
+                    .run()
                     .expect("synthesis failed");
                 let answers = workload.estimate_with(|q| q.count(&out.columns));
                 rel +=
@@ -174,8 +176,9 @@ pub fn run_ablation_rank_correlation(params: &ExperimentParams) -> Vec<Table> {
                     .with_k_ratio(params.k_ratio)
                     .with_margin(MarginMethod::Php);
                 base.method = method;
-                let out = dpcopula::DpCopula::new(base)
-                    .synthesize(data.columns(), &data.domains(), &mut rng)
+                let (out, _) = SynthesisRequest::from_config(data.columns(), &data.domains(), base)
+                    .seed(rng.next_u64())
+                    .run()
                     .expect("synthesis failed");
                 let answers = workload.estimate_with(|q| q.count(&out.columns));
                 rel += ErrorSummary::from_answers(&answers, &truth, params.sanity).mean_relative;

@@ -30,24 +30,19 @@
 //! two stages can collide on a generator even when their indices overlap.
 
 use crate::distfit::CountedSource;
-use crate::empirical::MarginalDistribution;
 use crate::error::{validate_budget, validate_shape, DpCopulaError};
 use crate::kendall::dp_tau_matrix;
 use crate::mle::dp_mle_matrix_par;
-use crate::sampler::CopulaSampler;
 use crate::shard::{self, RowReducer, ShardSpec};
 use crate::spearman::dp_spearman_matrix_par;
-use crate::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, Synthesis};
+use crate::synthesizer::{CorrelationMethod, DpCopulaConfig};
 use datagen::RowSource;
 use dphist::MarginRegistry;
 use dpmech::{BudgetAccountant, Epsilon};
 use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
 use mathkit::Matrix;
 use modelstore::{AttributeSpec, ShardInfo};
-use obskit::names::{
-    ENGINE_SHARDS, ENGINE_WORKERS, PIPELINE_ROWS_OUT_TOTAL, PIPELINE_RUNS_TOTAL,
-    SAMPLING_PROFILE_ROWS_TOTAL,
-};
+use obskit::names::ENGINE_SHARDS;
 use obskit::{MetricsSink, Stopwatch, Unit, SPAN_NS};
 use std::time::Duration;
 
@@ -224,7 +219,7 @@ impl StageTimings {
     }
 }
 
-/// What one staged run did, beyond the released [`Synthesis`].
+/// What one staged run did, beyond the released [`crate::Synthesis`].
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// Per-stage wall-clock timings.
@@ -236,13 +231,9 @@ pub struct PipelineReport {
 }
 
 /// The fitted model pieces stages 1–4 produce — everything of a run
-/// except the sampled rows. [`crate::SynthesisRequest::fit`] packages
-/// this into a durable [`crate::model::FittedModel`];
-/// [`crate::SynthesisRequest::run`] feeds it straight into the sampling
-/// stage.
+/// except the sampled rows, which [`crate::model::assemble_artifact`]
+/// packages into the released artifact.
 pub(crate) struct FitParts {
-    /// Ready-to-sample marginal distributions (CDFs from noisy counts).
-    pub margins: Vec<MarginalDistribution>,
     /// The published noisy marginal counts.
     pub noisy_margins: Vec<Vec<f64>>,
     /// The clamped + PD-repaired DP correlation matrix.
@@ -358,10 +349,6 @@ pub(crate) fn fold_summaries(
     };
 
     Ok(FitParts {
-        margins: noisy_margins
-            .iter()
-            .map(|noisy| MarginalDistribution::from_noisy_histogram(noisy))
-            .collect(),
         noisy_margins,
         correlation,
         epsilon_margins: eps1.value(),
@@ -370,245 +357,183 @@ pub(crate) fn fold_summaries(
     })
 }
 
-impl DpCopula {
-    /// Runs stages 1–4 of the pipeline — the *fit*, which is everything
-    /// that touches the raw data and the privacy budget — on resident
-    /// columns and streaming sources alike. Sampling from the result is
-    /// free post-processing.
-    ///
-    /// The input is partitioned into `opts.shards` row shards, whose
-    /// pooled counts and τ sample are released once each and folded by
-    /// [`fold_summaries`]; one shard is the unsharded fit. A source is
-    /// read twice — a counting pass, then
-    /// the reducing pass — holding one block at a time when it can
-    /// rewind, and buffering its blocks when it cannot. Only that
-    /// ingestion is bounded by the block size: under Kendall's τ the fit
-    /// also holds the exact counts, each shard's subsample plan (8 B per
-    /// sampled row, plus a 4 B/row shuffle and up to 8 B per sampled row
-    /// of buckets while a shard's plan is drawn and ordered) and the
-    /// subsample itself — every
-    /// row under `SamplingStrategy::Full`. MLE and Spearman read the raw
-    /// records, so for them the reducing pass keeps the columns. For
-    /// equal rows every input kind and block size releases the same
-    /// bytes (pinned in `tests/distfit_identity.rs`).
-    pub(crate) fn fit_parts(
-        &self,
-        input: FitInput<'_>,
-        base_seed: u64,
-        opts: &EngineOptions,
-        sink: &MetricsSink,
-    ) -> Result<Fit, DpCopulaError> {
-        let cfg = self.config();
-        let workers = opts.workers.max(1);
-        let mut timings = StageTimings::default();
+/// Runs stages 1–4 of the pipeline under `cfg` — the *fit*, which is
+/// everything that touches the raw data and the privacy budget — on
+/// resident columns and streaming sources alike. Sampling from the
+/// result is free post-processing.
+///
+/// The input is partitioned into `opts.shards` row shards, whose pooled
+/// counts and τ sample are released once each and folded by
+/// [`fold_summaries`]; one shard is the unsharded fit. A source is read
+/// twice — a counting pass, then the reducing pass — holding one block
+/// at a time when it can rewind, and buffering its blocks when it
+/// cannot. Only that ingestion is bounded by the block size: under
+/// Kendall's τ the fit also holds the exact counts, each shard's
+/// subsample plan (8 B per sampled row, plus a 4 B/row shuffle and up to
+/// 8 B per sampled row of buckets while a shard's plan is drawn and
+/// ordered) and the subsample itself — every row under
+/// `SamplingStrategy::Full`. MLE and Spearman read the raw records, so
+/// for them the reducing pass keeps the columns. For equal rows every
+/// input kind and block size releases the same bytes (pinned in
+/// `tests/distfit_identity.rs`).
+pub(crate) fn fit_parts(
+    cfg: &DpCopulaConfig,
+    input: FitInput<'_>,
+    base_seed: u64,
+    opts: &EngineOptions,
+    sink: &MetricsSink,
+) -> Result<Fit, DpCopulaError> {
+    let workers = opts.workers.max(1);
+    let mut timings = StageTimings::default();
 
-        // Stage 1: budget plan — shape checks, the shard and subsample
-        // plan, and the one reducer pass over the rows, which checks
-        // every value against its domain and gathers the exact counts
-        // and the τ subsample.
-        let span = sink.span("budget_plan");
-        let (schema, input) = match input {
-            FitInput::Columns { columns, domains } => {
-                validate_shape(columns, domains)?;
-                let schema = domains
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &d)| AttributeSpec::new(format!("attr{j}"), d))
-                    .collect();
-                (schema, Rows::Resident(columns))
-            }
-            FitInput::Source(source) => {
-                let schema: Vec<AttributeSpec> = source
-                    .attributes()
-                    .iter()
-                    .map(|a| AttributeSpec::new(a.name.clone(), a.domain))
-                    .collect();
-                if schema.is_empty() {
-                    return Err(DpCopulaError::EmptyInput);
-                }
-                let counted = CountedSource::count(source)?;
-                if counted.rows == 0 {
-                    return Err(DpCopulaError::EmptyInput);
-                }
-                (schema, Rows::Streamed(counted))
-            }
-        };
-        let domains: Vec<usize> = schema.iter().map(|a| a.domain).collect();
-        let m = domains.len();
-        validate_budget(cfg.epsilon, cfg.k_ratio, m)?;
-        let n = match &input {
-            Rows::Resident(columns) => columns[0].len(),
-            Rows::Streamed(counted) => counted.rows,
-        };
-        if m > 1 && n < 2 {
-            // Pairwise correlation (Kendall/Spearman/MLE) needs >= 2
-            // observations.
-            return Err(DpCopulaError::TooFewRecords {
-                records: n,
-                required: 2,
-            });
+    // Stage 1: budget plan — shape checks, the shard and subsample
+    // plan, and the one reducer pass over the rows, which checks
+    // every value against its domain and gathers the exact counts
+    // and the τ subsample.
+    let span = sink.span("budget_plan");
+    let (schema, input) = match input {
+        FitInput::Columns { columns, domains } => {
+            validate_shape(columns, domains)?;
+            let schema = domains
+                .iter()
+                .enumerate()
+                .map(|(j, &d)| AttributeSpec::new(format!("attr{j}"), d))
+                .collect();
+            (schema, Rows::Resident(columns))
         }
-        if opts.shards == 0 {
-            return Err(DpCopulaError::ZeroShards);
-        }
-        if opts.shards > n {
-            return Err(DpCopulaError::TooManyShards {
-                shards: opts.shards,
-                records: n,
-            });
-        }
-        let strategy = match cfg.method {
-            CorrelationMethod::Kendall(strategy) => Some(strategy),
-            // Only Kendall's tau has a mergeable summary (DESIGN.md §12).
-            CorrelationMethod::Mle(_) if opts.shards > 1 && m > 1 => {
-                return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "mle" })
+        FitInput::Source(source) => {
+            let schema: Vec<AttributeSpec> = source
+                .attributes()
+                .iter()
+                .map(|a| AttributeSpec::new(a.name.clone(), a.domain))
+                .collect();
+            if schema.is_empty() {
+                return Err(DpCopulaError::EmptyInput);
             }
-            CorrelationMethod::Spearman if opts.shards > 1 && m > 1 => {
-                return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "spearman" })
+            let counted = CountedSource::count(source)?;
+            if counted.rows == 0 {
+                return Err(DpCopulaError::EmptyInput);
             }
-            _ => None,
-        };
-        let (eps1, eps2) = cfg.epsilon.split_ratio(cfg.k_ratio);
-        let specs = shard::shard_specs(n, opts.shards);
-        let targets = strategy.filter(|_| m > 1).map(|strategy| {
-            let target = shard::kendall_sample_target(m, n, strategy, eps2);
-            shard::partition_sample_target(target, &specs)
+            (schema, Rows::Streamed(counted))
+        }
+    };
+    let domains: Vec<usize> = schema.iter().map(|a| a.domain).collect();
+    let m = domains.len();
+    validate_budget(cfg.epsilon, cfg.k_ratio, m)?;
+    let n = match &input {
+        Rows::Resident(columns) => columns[0].len(),
+        Rows::Streamed(counted) => counted.rows,
+    };
+    if m > 1 && n < 2 {
+        // Pairwise correlation (Kendall/Spearman/MLE) needs >= 2
+        // observations.
+        return Err(DpCopulaError::TooFewRecords {
+            records: n,
+            required: 2,
         });
-        let watch = Stopwatch::start();
-        let mut reducer = RowReducer::new(&domains, &specs, targets.as_deref(), base_seed, workers);
-        let kept: Vec<Vec<u32>>;
-        let resident: &[Vec<u32>] = match input {
-            Rows::Resident(columns) => {
-                reducer.push(columns, workers)?;
-                columns
-            }
-            Rows::Streamed(counted) => {
-                // MLE and Spearman partition the raw records, so the
-                // reducing pass keeps a copy of every block for them.
-                let keep = if m > 1 && strategy.is_none() { m } else { 0 };
-                let mut columns: Vec<Vec<u32>> = (0..keep).map(|_| Vec::with_capacity(n)).collect();
-                counted.replay(|block| {
-                    reducer.push(block, workers)?;
-                    for (col, part) in columns.iter_mut().zip(block) {
-                        col.extend_from_slice(part);
-                    }
-                    Ok(())
-                })?;
-                kept = columns;
-                &kept
-            }
-        };
-        let (exact, sampled) = reducer.finish();
-        let mut build_ns = watch.elapsed_ns();
-        timings.budget_plan = span.finish();
-
-        // Stage 2: DP margins — one task per attribute, eps1/m each, over
-        // its exact counts pooled across every shard.
-        let span = sink.span("margins");
-        let watch = Stopwatch::start();
-        let noisy_margins = publish_margins(
-            &exact,
-            cfg.margin.registry_name(),
-            eps1.divide(m),
-            base_seed,
-            workers,
-            sink,
-        );
-        build_ns += watch.elapsed_ns();
-        timings.margins = span.finish();
-
-        // Stage 3: DP correlation — the one Kendall pass over the pooled
-        // τ sample, or the raw matrix of an estimator without a sharded
-        // form (stage 1 guarantees a single shard for those).
-        let span = sink.span("correlation");
-        let raw = match cfg.method {
-            _ if m == 1 => Matrix::identity(1),
-            CorrelationMethod::Kendall(_) => {
-                let watch = Stopwatch::start();
-                let p = dp_tau_matrix(sampled, eps2, base_seed, workers, sink);
-                build_ns += watch.elapsed_ns();
-                p
-            }
-            CorrelationMethod::Mle(strategy) => {
-                dp_mle_matrix_par(resident, eps2, strategy, base_seed, workers, sink)?
-            }
-            CorrelationMethod::Spearman => {
-                dp_spearman_matrix_par(resident, eps2, base_seed, workers, sink)?
-            }
-        };
-        timings.correlation = span.finish();
-
-        // Stage 4: the fold — the accountant, then clamp +
-        // positive-definite repair.
-        let span = sink.span("pd_repair");
-        let parts = fold_summaries(noisy_margins, &specs, raw, cfg, build_ns, sink)?;
-        timings.pd_repair = span.finish();
-
-        Ok(Fit {
-            parts,
-            timings,
-            schema,
-            rows: n,
-        })
     }
-
-    /// Stage 5: copula sampling — one task per row chunk
-    /// (post-processing, no budget). The profile picks the hot path; both
-    /// draw from the same fitted DP model. `n_default` is the output row
-    /// count when the config leaves `output_records` unset (the input's
-    /// row count).
-    pub(crate) fn sample_parts(
-        &self,
-        parts: FitParts,
-        mut timings: StageTimings,
-        n_default: usize,
-        base_seed: u64,
-        opts: &EngineOptions,
-        sink: &MetricsSink,
-    ) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
-        let workers = opts.workers.max(1);
-        let span = sink.span("sampling");
-        let profile = self.config().sampling_profile;
-        let sampler = CopulaSampler::new(&parts.correlation, parts.margins)?;
-        let n_out = self.config().output_records.unwrap_or(n_default);
-        let out_columns = sampler.sample_window(
-            profile,
-            0,
-            n_out,
-            base_seed,
-            STREAM_SAMPLER,
-            workers,
-            opts.sample_chunk,
-            sink,
-            "sampling",
-        );
-        timings.sampling = span.finish();
-
-        sink.add(PIPELINE_RUNS_TOTAL, Unit::Count, 1);
-        sink.add(PIPELINE_ROWS_OUT_TOTAL, Unit::Count, n_out as u64);
-        sink.add_labeled(
-            SAMPLING_PROFILE_ROWS_TOTAL,
-            &[("profile", profile.name())],
-            Unit::Count,
-            n_out as u64,
-        );
-        sink.gauge_set(ENGINE_WORKERS, Unit::Info, workers as u64);
-
-        Ok((
-            Synthesis {
-                columns: out_columns,
-                correlation: parts.correlation,
-                noisy_margins: parts.noisy_margins,
-                epsilon_margins: parts.epsilon_margins,
-                epsilon_correlations: parts.epsilon_correlations,
-            },
-            PipelineReport {
-                timings,
-                workers,
-                base_seed,
-            },
-        ))
+    if opts.shards == 0 {
+        return Err(DpCopulaError::ZeroShards);
     }
+    if opts.shards > n {
+        return Err(DpCopulaError::TooManyShards {
+            shards: opts.shards,
+            records: n,
+        });
+    }
+    let strategy = match cfg.method {
+        CorrelationMethod::Kendall(strategy) => Some(strategy),
+        // Only Kendall's tau has a mergeable summary (DESIGN.md §12).
+        CorrelationMethod::Mle(_) if opts.shards > 1 && m > 1 => {
+            return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "mle" })
+        }
+        CorrelationMethod::Spearman if opts.shards > 1 && m > 1 => {
+            return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "spearman" })
+        }
+        _ => None,
+    };
+    let (eps1, eps2) = cfg.epsilon.split_ratio(cfg.k_ratio);
+    let specs = shard::shard_specs(n, opts.shards);
+    let targets = strategy.filter(|_| m > 1).map(|strategy| {
+        let target = shard::kendall_sample_target(m, n, strategy, eps2);
+        shard::partition_sample_target(target, &specs)
+    });
+    let watch = Stopwatch::start();
+    let mut reducer = RowReducer::new(&domains, &specs, targets.as_deref(), base_seed, workers);
+    let kept: Vec<Vec<u32>>;
+    let resident: &[Vec<u32>] = match input {
+        Rows::Resident(columns) => {
+            reducer.push(columns, workers)?;
+            columns
+        }
+        Rows::Streamed(counted) => {
+            // MLE and Spearman partition the raw records, so the
+            // reducing pass keeps a copy of every block for them.
+            let keep = if m > 1 && strategy.is_none() { m } else { 0 };
+            let mut columns: Vec<Vec<u32>> = (0..keep).map(|_| Vec::with_capacity(n)).collect();
+            counted.replay(|block| {
+                reducer.push(block, workers)?;
+                for (col, part) in columns.iter_mut().zip(block) {
+                    col.extend_from_slice(part);
+                }
+                Ok(())
+            })?;
+            kept = columns;
+            &kept
+        }
+    };
+    let (exact, sampled) = reducer.finish();
+    let mut build_ns = watch.elapsed_ns();
+    timings.budget_plan = span.finish();
+
+    // Stage 2: DP margins — one task per attribute, eps1/m each, over
+    // its exact counts pooled across every shard.
+    let span = sink.span("margins");
+    let watch = Stopwatch::start();
+    let noisy_margins = publish_margins(
+        &exact,
+        cfg.margin.registry_name(),
+        eps1.divide(m),
+        base_seed,
+        workers,
+        sink,
+    );
+    build_ns += watch.elapsed_ns();
+    timings.margins = span.finish();
+
+    // Stage 3: DP correlation — the one Kendall pass over the pooled
+    // τ sample, or the raw matrix of an estimator without a sharded
+    // form (stage 1 guarantees a single shard for those).
+    let span = sink.span("correlation");
+    let raw = match cfg.method {
+        _ if m == 1 => Matrix::identity(1),
+        CorrelationMethod::Kendall(_) => {
+            let watch = Stopwatch::start();
+            let p = dp_tau_matrix(sampled, eps2, base_seed, workers, sink);
+            build_ns += watch.elapsed_ns();
+            p
+        }
+        CorrelationMethod::Mle(strategy) => {
+            dp_mle_matrix_par(resident, eps2, strategy, base_seed, workers, sink)?
+        }
+        CorrelationMethod::Spearman => {
+            dp_spearman_matrix_par(resident, eps2, base_seed, workers, sink)?
+        }
+    };
+    timings.correlation = span.finish();
+
+    // Stage 4: the fold — the accountant, then clamp +
+    // positive-definite repair.
+    let span = sink.span("pd_repair");
+    let parts = fold_summaries(noisy_margins, &specs, raw, cfg, build_ns, sink)?;
+    timings.pd_repair = span.finish();
+
+    Ok(Fit {
+        parts,
+        timings,
+        schema,
+        rows: n,
+    })
 }
 
 #[cfg(test)]
@@ -616,7 +541,7 @@ mod tests {
     use super::*;
     use crate::kendall::SamplingStrategy;
     use crate::mle::PartitionStrategy;
-    use crate::synthesizer::{DpCopulaConfig, MarginMethod};
+    use crate::synthesizer::{MarginMethod, Synthesis};
     use crate::SynthesisRequest;
     use dpmech::Epsilon;
     use rngkit::rngs::StdRng;
@@ -624,13 +549,13 @@ mod tests {
 
     /// One full run through the request front door.
     fn staged(
-        dp: DpCopula,
+        config: DpCopulaConfig,
         cols: &[Vec<u32>],
         domains: &[usize],
         seed: u64,
         opts: &EngineOptions,
     ) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
-        SynthesisRequest::from_config(cols, domains, *dp.config())
+        SynthesisRequest::from_config(cols, domains, config)
             .engine(*opts)
             .seed(seed)
             .run()
@@ -654,14 +579,13 @@ mod tests {
         let domains = vec![64usize; 3];
         let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
         config.method = CorrelationMethod::Kendall(SamplingStrategy::Fixed(500));
-        let dp = DpCopula::new(config);
 
         let (base, report) =
-            staged(dp, &cols, &domains, 42, &EngineOptions::with_workers(1)).unwrap();
+            staged(config, &cols, &domains, 42, &EngineOptions::with_workers(1)).unwrap();
         assert_eq!(report.workers, 1);
         for workers in [2, 7] {
             let (out, report) = staged(
-                dp,
+                config,
                 &cols,
                 &domains,
                 42,
@@ -678,8 +602,8 @@ mod tests {
     #[test]
     fn staged_report_times_every_stage() {
         let cols = test_columns(2, 3_000, 32, 2);
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let (_, report) = staged(dp, &cols, &[32, 32], 7, &EngineOptions::default()).unwrap();
+        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+        let (_, report) = staged(config, &cols, &[32, 32], 7, &EngineOptions::default()).unwrap();
         let t = report.timings;
         // Margins, correlation and sampling do real work; the plan and
         // repair stages may round to zero but must not exceed the total.
@@ -703,22 +627,10 @@ mod tests {
         ] {
             let mut config = DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap());
             config.method = method;
-            let (one, _) = staged(
-                DpCopula::new(config),
-                &cols,
-                &domains,
-                5,
-                &EngineOptions::with_workers(1),
-            )
-            .unwrap();
-            let (two, _) = staged(
-                DpCopula::new(config),
-                &cols,
-                &domains,
-                5,
-                &EngineOptions::with_workers(2),
-            )
-            .unwrap();
+            let (one, _) =
+                staged(config, &cols, &domains, 5, &EngineOptions::with_workers(1)).unwrap();
+            let (two, _) =
+                staged(config, &cols, &domains, 5, &EngineOptions::with_workers(2)).unwrap();
             assert_eq!(one.columns, two.columns, "{method:?}");
         }
     }
@@ -726,8 +638,8 @@ mod tests {
     #[test]
     fn staged_single_attribute_short_circuits_correlation() {
         let cols = vec![(0..500u32).map(|i| i % 40).collect::<Vec<_>>()];
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let (out, _) = staged(dp, &cols, &[40], 9, &EngineOptions::default()).unwrap();
+        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+        let (out, _) = staged(config, &cols, &[40], 9, &EngineOptions::default()).unwrap();
         assert_eq!(out.correlation, Matrix::identity(1));
         assert_eq!(out.epsilon_correlations, 0.0);
     }
@@ -738,15 +650,14 @@ mod tests {
         let domains = vec![48usize; 3];
         let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
         config.method = CorrelationMethod::Kendall(SamplingStrategy::Fixed(600));
-        let dp = DpCopula::new(config);
         for shards in [2, 4] {
             let mut opts = EngineOptions::with_workers(1);
             opts.shards = shards;
-            let (base, _) = staged(dp, &cols, &domains, 42, &opts).unwrap();
+            let (base, _) = staged(config, &cols, &domains, 42, &opts).unwrap();
             for workers in [2, 7] {
                 let mut opts = EngineOptions::with_workers(workers);
                 opts.shards = shards;
-                let (out, _) = staged(dp, &cols, &domains, 42, &opts).unwrap();
+                let (out, _) = staged(config, &cols, &domains, 42, &opts).unwrap();
                 assert_eq!(
                     out.columns, base.columns,
                     "shards={shards} workers={workers}"
@@ -761,17 +672,17 @@ mod tests {
     fn shard_validation_returns_named_errors() {
         let cols = test_columns(2, 100, 16, 22);
         let domains = vec![16usize; 2];
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
+        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
 
         let opts = EngineOptions::with_shards(0);
         assert_eq!(
-            staged(dp, &cols, &domains, 1, &opts).unwrap_err(),
+            staged(config, &cols, &domains, 1, &opts).unwrap_err(),
             DpCopulaError::ZeroShards
         );
 
         let opts = EngineOptions::with_shards(101);
         assert_eq!(
-            staged(dp, &cols, &domains, 1, &opts).unwrap_err(),
+            staged(config, &cols, &domains, 1, &opts).unwrap_err(),
             DpCopulaError::TooManyShards {
                 shards: 101,
                 records: 100
@@ -786,7 +697,7 @@ mod tests {
             let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
             config.method = method;
             assert_eq!(
-                staged(DpCopula::new(config), &cols, &domains, 1, &opts).unwrap_err(),
+                staged(config, &cols, &domains, 1, &opts).unwrap_err(),
                 DpCopulaError::ShardedCorrelationUnsupported { method: name },
                 "{method:?}"
             );
@@ -798,8 +709,8 @@ mod tests {
         // Sharding only gates the correlation estimator when there are
         // pairs to estimate; one attribute has none.
         let cols = vec![(0..500u32).map(|i| i % 40).collect::<Vec<_>>()];
-        let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-        let (out, _) = staged(dp, &cols, &[40], 9, &EngineOptions::with_shards(3)).unwrap();
+        let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+        let (out, _) = staged(config, &cols, &[40], 9, &EngineOptions::with_shards(3)).unwrap();
         assert_eq!(out.correlation, Matrix::identity(1));
     }
 
@@ -817,14 +728,7 @@ mod tests {
             MarginMethod::StructureFirst,
         ] {
             let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(margin);
-            let (out, _) = staged(
-                DpCopula::new(config),
-                &cols,
-                &[32, 32],
-                11,
-                &EngineOptions::default(),
-            )
-            .unwrap();
+            let (out, _) = staged(config, &cols, &[32, 32], 11, &EngineOptions::default()).unwrap();
             assert_eq!(out.noisy_margins.len(), 2, "margin {margin:?}");
         }
     }

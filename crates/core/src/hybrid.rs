@@ -16,7 +16,8 @@
 //!    small-domain values.
 
 use crate::error::{validate_budget, validate_columns, DpCopulaError, MIN_MECHANISM_EPSILON};
-use crate::synthesizer::{DpCopula, DpCopulaConfig};
+use crate::synthesizer::DpCopulaConfig;
+use crate::SynthesisRequest;
 use dpmech::{laplace_noise, Epsilon};
 use rngkit::Rng;
 use std::collections::HashMap;
@@ -77,8 +78,9 @@ impl HybridSynthesizer {
 
     /// Runs Algorithm 6.
     ///
-    /// If no attribute is small-domain this degrades to plain DPCopula
-    /// with the full budget (no count noise is spent). Before any draw,
+    /// Each DPCopula run is a [`SynthesisRequest`] seeded by one draw from
+    /// `rng`. If no attribute is small-domain this degrades to one plain
+    /// run with the full budget (no count noise is spent). Before any draw,
     /// a count budget below [`MIN_MECHANISM_EPSILON`], or a per-partition
     /// plan [`validate_budget`] refuses, is
     /// [`DpCopulaError::BudgetBelowFloor`].
@@ -96,7 +98,8 @@ impl HybridSynthesizer {
             (0..m).partition(|&j| domains[j] < SMALL_DOMAIN_THRESHOLD);
 
         if small.is_empty() {
-            let out = DpCopula::new(cfg.base).synthesize(columns, domains, rng)?;
+            let request = SynthesisRequest::from_config(columns, domains, cfg.base);
+            let (out, _) = request.seed(rng.next_u64()).run()?;
             return Ok(HybridSynthesis {
                 columns: out.columns,
                 partitions: 1,
@@ -170,9 +173,9 @@ impl HybridSynthesizer {
                 let mut base = cfg.base;
                 base.epsilon = eps_copula;
                 base.output_records = Some(n_out);
-                DpCopula::new(base)
-                    .synthesize(&part_cols, &part_domains, rng)?
-                    .columns
+                let request = SynthesisRequest::from_config(&part_cols, &part_domains, base);
+                let (out, _) = request.seed(rng.next_u64()).run()?;
+                out.columns
             };
 
             // Reassemble rows in original attribute order.
@@ -292,6 +295,10 @@ mod tests {
         assert_eq!(out.partitions, 1);
         assert!(out.small_attributes.is_empty());
         assert_eq!(out.columns[0].len(), 1000);
+        // It is one plain run, seeded by the generator's first draw.
+        let seed = StdRng::seed_from_u64(5).next_u64();
+        let request = SynthesisRequest::from_config(&cols, &[50, 50], base_config(1.0));
+        assert_eq!(out.columns, request.seed(seed).run().unwrap().0.columns);
     }
 
     #[test]

@@ -18,24 +18,24 @@
 //! * **DPCopula-MLE** (Algorithms 1–2): subsample-and-aggregate maximum
 //!   likelihood on the pseudo-copula data.
 //!
-//! Entry point: [`synthesizer::DpCopula`]. Small-domain attributes (e.g.
-//! binary gender) are handled by [`hybrid::HybridSynthesizer`]
-//! (Algorithm 6).
+//! Entry point: [`SynthesisRequest`] — [`SynthesisRequest::fit`] for a
+//! model to save and serve, [`SynthesisRequest::run`] for the fit plus
+//! its rows. Small-domain attributes (e.g. binary gender) are handled by
+//! [`hybrid::HybridSynthesizer`] (Algorithm 6).
 //!
 //! ```
-//! use dpcopula::synthesizer::{DpCopula, DpCopulaConfig};
+//! use dpcopula::SynthesisRequest;
 //! use dpmech::Epsilon;
-//! use rngkit::SeedableRng;
 //!
 //! // A toy 2-attribute dataset on domains 50 x 50.
 //! let col_a: Vec<u32> = (0..500).map(|i| i % 50).collect();
 //! let col_b: Vec<u32> = col_a.iter().map(|&v| (v * 7 % 50)).collect();
-//! let mut rng = rngkit::rngs::StdRng::seed_from_u64(1);
 //!
-//! let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-//! let synth = DpCopula::new(config)
-//!     .synthesize(&[col_a, col_b], &[50, 50], &mut rng)
-//!     .unwrap();
+//! let (synth, _report) =
+//!     SynthesisRequest::new(&[col_a, col_b], &[50, 50], Epsilon::new(1.0).unwrap())
+//!         .seed(1)
+//!         .run()
+//!         .unwrap();
 //! assert_eq!(synth.columns.len(), 2);
 //! assert_eq!(synth.columns[0].len(), 500);
 //! ```
@@ -48,7 +48,6 @@ pub mod empirical;
 pub mod empirical_copula;
 pub mod engine;
 pub mod error;
-pub mod evolving;
 pub mod gaussian;
 pub mod hybrid;
 pub mod kendall;
@@ -69,4 +68,4 @@ pub use model::FittedModel;
 pub use request::SynthesisRequest;
 pub use sampler::SamplingProfile;
 pub use shard::ShardSpec;
-pub use synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod, Synthesis};
+pub use synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod, Synthesis};

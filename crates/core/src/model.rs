@@ -340,7 +340,7 @@ impl FittedModel {
         Ok(concat_chunks(self.dims(), n, pieces))
     }
 
-    /// The one sampling entry point of a fitted model: draws the window
+    /// The serving entry point of a fitted model: draws the window
     /// `[offset, offset + n)` chunk by chunk on the sampling grid, across
     /// `workers` threads, and maps each chunk's columns through
     /// `encode(i, columns)` (`i` is the chunk's position in the window)
@@ -368,11 +368,37 @@ impl FittedModel {
         if offset.checked_add(n).is_none() {
             return Err(DpCopulaError::RowWindowOverflow { offset, n });
         }
-        let sink = &self.sink;
-        let span = sink.span("serve/window");
-        sink.add(SERVE_WINDOWS_TOTAL, Unit::Count, 1);
-        sink.add(SERVE_ROWS_TOTAL, Unit::Count, n as u64);
-        sink.add_labeled(
+        let span = self.sink.span("serve/window");
+        self.sink.add(SERVE_WINDOWS_TOTAL, Unit::Count, 1);
+        self.sink.add(SERVE_ROWS_TOTAL, Unit::Count, n as u64);
+        let blocks = self.sample_blocks(profile, offset, n, workers, STAGE_SERVE, encode);
+        drop(span);
+        Ok(blocks)
+    }
+
+    /// The one chunk loop behind every window of this model, served or
+    /// released by [`crate::SynthesisRequest::run`]: splits `[offset,
+    /// offset + n)` into the chunks of the provenance grid, draws chunk
+    /// `c` on `stream_rng(base_seed, sampler_stream, c)` with the
+    /// family's kernel across `workers` threads, and maps its columns
+    /// through `encode(i, columns)` on the worker that drew them. Counts
+    /// the rows under their profile; the `parkit` task metrics go to
+    /// this model's sink under `stage`. The caller checks that the
+    /// window fits the row space.
+    pub(crate) fn sample_blocks<B, E>(
+        &self,
+        profile: SamplingProfile,
+        offset: usize,
+        n: usize,
+        workers: usize,
+        stage: &str,
+        encode: E,
+    ) -> Vec<B>
+    where
+        B: Send,
+        E: Fn(usize, Vec<Vec<u32>>) -> B + Sync,
+    {
+        self.sink.add_labeled(
             SAMPLING_PROFILE_ROWS_TOTAL,
             &[("profile", profile.name())],
             Unit::Count,
@@ -386,7 +412,7 @@ impl FittedModel {
             stream: prov.sampler_stream,
             chunk: prov.sample_chunk as usize,
         };
-        let blocks = fan_out_chunks(window, workers, sink, STAGE_SERVE, |i, rng, skip, take| {
+        fan_out_chunks(window, workers, &self.sink, stage, |i, rng, skip, take| {
             let columns = match &self.sampler {
                 ServingSampler::Gaussian(s) => s.sample_chunk(profile, rng, skip, take),
                 // One (reference) kernel serves both profiles.
@@ -395,9 +421,7 @@ impl FittedModel {
                 }
             };
             encode(i, columns)
-        });
-        drop(span);
-        Ok(blocks)
+        })
     }
 }
 

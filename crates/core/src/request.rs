@@ -6,17 +6,19 @@
 //! the margin method, worker count, base seed, and the metrics sink —
 //! behind one builder, and finishes with:
 //!
-//! * [`SynthesisRequest::run`] — the full five-stage pipeline, returning
-//!   the usual `(Synthesis, PipelineReport)`;
-//! * [`SynthesisRequest::fit`] — stages 1–4 only, returning a durable
+//! * [`SynthesisRequest::fit`] — stages 1–4, returning a durable
 //!   `(FittedModel, PipelineReport)` for fit-once/sample-many serving
 //!   (sample it with [`FittedModel::try_sample_range_profiled`]);
+//! * [`SynthesisRequest::run`] — the same fit, then stage 5: the fitted
+//!   model's window `[0, output_records)` through the chunk loop that
+//!   serves every window, returned as `(Synthesis, PipelineReport)`;
 //! * [`SynthesisRequest::run_adaptive`] — DP copula-family selection
 //!   (§3.2's AIC remark) followed by the pipeline with the winner.
 //!
-//! `DpCopula::synthesize` and `selection::synthesize_adaptive` remain as
-//! the serial, generator-driven entry points; `DESIGN.md` §10 maps the
-//! removed staged entry points to this builder.
+//! A caller that holds a generator rather than a seed draws one:
+//! `.seed(rng.next_u64())`. `selection::synthesize_adaptive` remains as
+//! the serial, generator-driven entry point; `DESIGN.md` §10 maps the
+//! removed entry points to this builder.
 //!
 //! ## Input
 //!
@@ -27,15 +29,16 @@
 //! out-of-core path, which holds one block of input at a time). Both
 //! reach the same fit and release byte-identical values for equal data.
 
-use crate::engine::{EngineOptions, Fit, FitInput, PipelineReport};
+use crate::engine::{fit_parts, EngineOptions, FitInput, PipelineReport};
 use crate::error::DpCopulaError;
 use crate::model::{assemble_artifact, ArtifactMeta, FittedModel};
-use crate::sampler::SamplingProfile;
+use crate::sampler::{concat_chunks, SamplingProfile};
 use crate::selection::{synthesize_adaptive, AdaptiveConfig, AdaptiveSynthesis};
-use crate::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod, Synthesis};
+use crate::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod, Synthesis};
 use datagen::RowSource;
 use dpmech::Epsilon;
-use obskit::MetricsSink;
+use obskit::names::{ENGINE_WORKERS, PIPELINE_ROWS_OUT_TOTAL, PIPELINE_RUNS_TOTAL};
+use obskit::{MetricsSink, Unit};
 use rngkit::rngs::StdRng;
 use rngkit::SeedableRng;
 use std::cell::RefCell;
@@ -225,82 +228,103 @@ impl<'d> SynthesisRequest<'d> {
         Ok(())
     }
 
-    /// Stages 1–4 on this request's input, whatever its kind.
-    fn fit_parts(&self) -> Result<Fit, DpCopulaError> {
-        let dp = DpCopula::new(self.config);
-        match &self.input {
-            RequestInput::Columns { columns, domains } => dp.fit_parts(
+    /// Stages 1–4 on this request's input, whatever its kind, packaged
+    /// as a [`FittedModel`] that keeps this request's sink — the fit
+    /// behind both [`Self::run`] and [`Self::fit`]. Returns the model,
+    /// its report (sampling zero) and the input's row count.
+    fn fit_model(&self) -> Result<(FittedModel, PipelineReport, usize), DpCopulaError> {
+        let (cfg, seed, opts, sink) = (&self.config, self.base_seed, &self.opts, &self.sink);
+        let fit = match &self.input {
+            RequestInput::Columns { columns, domains } => fit_parts(
+                cfg,
                 FitInput::Columns { columns, domains },
-                self.base_seed,
-                &self.opts,
-                &self.sink,
-            ),
+                seed,
+                opts,
+                sink,
+            )?,
             RequestInput::Source(source) => {
                 let mut source = source.borrow_mut();
                 Self::reset_source(source.as_mut())?;
-                dp.fit_parts(
-                    FitInput::Source(source.as_mut()),
-                    self.base_seed,
-                    &self.opts,
-                    &self.sink,
-                )
+                fit_parts(cfg, FitInput::Source(source.as_mut()), seed, opts, sink)?
             }
-        }
+        };
+        let artifact = assemble_artifact(
+            &ArtifactMeta {
+                epsilon_total: cfg.epsilon.value(),
+                margin_method: cfg.margin.registry_name(),
+                base_seed: seed,
+                sample_chunk: opts.sample_chunk.max(1) as u64,
+            },
+            fit.schema,
+            fit.parts,
+        );
+        let mut model = FittedModel::from_artifact(artifact)?;
+        model.set_metrics_sink(sink.clone());
+        let report = PipelineReport {
+            timings: fit.timings,
+            workers: opts.workers.max(1),
+            base_seed: seed,
+        };
+        Ok((model, report, fit.rows))
     }
 
-    /// Runs the full five-stage pipeline: fits, then samples
-    /// `output_records` rows (default: the input's row count). Every
-    /// stage runs under a `pipeline/<stage>` span, the fan-outs publish
-    /// per-task latency, and the budget ledger and noise mechanisms
-    /// publish their counters; a disabled sink records nothing and the
-    /// bytes never depend on the sink.
+    /// Runs the full five-stage pipeline: [`Self::fit`]'s fit, then the
+    /// fitted model's window `[0, output_records)` (default: the input's
+    /// row count) through the chunk loop every served window runs, so
+    /// serving the saved model reproduces these rows by construction.
+    /// Every stage runs under a `pipeline/<stage>` span, the fan-outs
+    /// publish per-task latency, and the budget ledger and noise
+    /// mechanisms publish their counters; a disabled sink records nothing
+    /// and the bytes never depend on the sink. The released margins,
+    /// matrix and ε split are read back from the model's artifact.
     pub fn run(&self) -> Result<(Synthesis, PipelineReport), DpCopulaError> {
         let pipeline = self.sink.span("pipeline");
-        let fit = self.fit_parts()?;
-        let out = DpCopula::new(self.config).sample_parts(
-            fit.parts,
-            fit.timings,
-            fit.rows,
-            self.base_seed,
-            &self.opts,
-            &self.sink,
-        )?;
+        let (model, mut report, rows) = self.fit_model()?;
+        let n_out = self.config.output_records.unwrap_or(rows);
+        let span = self.sink.span("sampling");
+        let blocks = model.sample_blocks(
+            self.config.sampling_profile,
+            0,
+            n_out,
+            report.workers,
+            "sampling",
+            |_, columns| columns,
+        );
+        let columns = concat_chunks(model.dims(), n_out, blocks);
+        report.timings.sampling = span.finish();
+        self.sink.add(PIPELINE_RUNS_TOTAL, Unit::Count, 1);
+        self.sink
+            .add(PIPELINE_ROWS_OUT_TOTAL, Unit::Count, n_out as u64);
+        self.sink
+            .gauge_set(ENGINE_WORKERS, Unit::Info, report.workers as u64);
         drop(pipeline);
-        Ok(out)
+
+        let artifact = model.artifact();
+        let spent = |label: &str| {
+            let entry = artifact.ledger.entries.iter().find(|e| e.label == label);
+            entry.map_or(0.0, |e| e.epsilon)
+        };
+        let synthesis = Synthesis {
+            columns,
+            correlation: artifact.correlation.clone(),
+            noisy_margins: artifact.margins.clone(),
+            epsilon_margins: spent("margins"),
+            epsilon_correlations: spent("correlation"),
+        };
+        Ok((synthesis, report))
     }
 
     /// Runs stages 1–4 and packages the releases as a durable
     /// [`FittedModel`], whose report's sampling stage is zero. The model
     /// keeps this request's sink for its serving-path metrics, and its
     /// schema names the source's attributes (`attr{j}` for bare
-    /// columns). Sampling the window `[0, n)` reproduces [`run`]'s rows
-    /// with `output_records = n` at the same seed and chunk.
-    ///
-    /// [`run`]: SynthesisRequest::run
+    /// columns). Sampling the window `[0, n)` reproduces [`Self::run`]'s
+    /// rows with `output_records = n`: `run` samples this model.
     pub fn fit(&self) -> Result<(FittedModel, PipelineReport), DpCopulaError> {
         let pipeline = self.sink.span("pipeline");
-        let fit = self.fit_parts()?;
+        let (model, report, _) = self.fit_model()?;
         drop(pipeline);
-        let artifact = assemble_artifact(
-            &ArtifactMeta {
-                epsilon_total: self.config.epsilon.value(),
-                margin_method: self.config.margin.registry_name(),
-                base_seed: self.base_seed,
-                sample_chunk: self.opts.sample_chunk.max(1) as u64,
-            },
-            fit.schema,
-            fit.parts,
-        );
-        let mut model = FittedModel::from_artifact(artifact)?;
-        model.set_metrics_sink(self.sink.clone());
-        Ok((
-            model,
-            PipelineReport {
-                timings: fit.timings,
-                workers: self.opts.workers.max(1),
-                base_seed: self.base_seed,
-            },
-        ))
+        Ok((model, report))
     }
 
     /// Runs DP copula-family selection and then the pipeline with the

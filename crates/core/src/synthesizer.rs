@@ -1,5 +1,6 @@
-//! The top-level DPCopula synthesizer — Algorithm 1 (MLE flavour) and
-//! Algorithm 4 (Kendall flavour) of the paper.
+//! What a DPCopula run is configured with and what it releases —
+//! Algorithm 1 (MLE flavour) and Algorithm 4 (Kendall flavour) of the
+//! paper, run by [`crate::SynthesisRequest`].
 //!
 //! Pipeline (Figure 4):
 //!
@@ -13,8 +14,6 @@
 //! 4. sample synthetic records from the resulting Gaussian copula
 //!    (Algorithm 3).
 
-use crate::engine::EngineOptions;
-use crate::error::DpCopulaError;
 use crate::kendall::SamplingStrategy;
 use crate::mle::PartitionStrategy;
 use dphist::MarginRegistry;
@@ -109,8 +108,8 @@ pub struct DpCopulaConfig {
     /// Which sampling hot path emits the records. `Reference` (the
     /// default) keeps the pinned byte-reproducibility contract; `Fast`
     /// trades it for throughput while sampling the same distribution.
-    /// Part of the config (not [`EngineOptions`]) because it changes the
-    /// released bytes.
+    /// Part of the config (not [`crate::EngineOptions`]) because it
+    /// changes the released bytes.
     pub sampling_profile: crate::sampler::SamplingProfile,
 }
 
@@ -179,61 +178,27 @@ pub struct Synthesis {
     pub epsilon_correlations: f64,
 }
 
-/// The DPCopula synthesizer.
-#[derive(Debug, Clone, Copy)]
-pub struct DpCopula {
-    config: DpCopulaConfig,
-}
-
-impl DpCopula {
-    /// Creates a synthesizer from a configuration.
-    pub fn new(config: DpCopulaConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DpCopulaConfig {
-        &self.config
-    }
-
-    /// Runs the full pipeline on a columnar dataset (`columns[j]` is
-    /// attribute `j` on the integer domain `0..domains[j]`).
-    ///
-    /// Draws one base seed from `rng` and delegates to a
-    /// [`crate::request::SynthesisRequest`] with default engine options,
-    /// so the serial API and the staged parallel engine release identical
-    /// kinds of output (and the same seed always reproduces the same
-    /// synthesis regardless of the machine's core count).
-    ///
-    /// *Soft-deprecated:* prefer building a
-    /// [`crate::request::SynthesisRequest`] — the single front door that
-    /// also carries engine options and a metrics sink. This wrapper is
-    /// kept for source compatibility and releases byte-identical output
-    /// (`DESIGN.md` §10 has the migration table).
-    pub fn synthesize<R: Rng + ?Sized>(
-        &self,
-        columns: &[Vec<u32>],
-        domains: &[usize],
-        rng: &mut R,
-    ) -> Result<Synthesis, DpCopulaError> {
-        let base_seed = rng.next_u64();
-        let (synthesis, _report) =
-            crate::request::SynthesisRequest::from_config(columns, domains, self.config)
-                .engine(EngineOptions::default())
-                .seed(base_seed)
-                .run()?;
-        Ok(synthesis)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DpCopulaError;
     use crate::kendall::kendall_tau;
+    use crate::SynthesisRequest;
     use mathkit::correlation::equicorrelation;
     use mathkit::dist::MultivariateNormal;
     use rngkit::rngs::StdRng;
     use rngkit::SeedableRng;
+
+    /// One release through the front door, seeded by one draw from `rng`.
+    fn synthesize(
+        config: DpCopulaConfig,
+        columns: &[Vec<u32>],
+        domains: &[usize],
+        rng: &mut StdRng,
+    ) -> Result<Synthesis, DpCopulaError> {
+        let request = SynthesisRequest::from_config(columns, domains, config);
+        Ok(request.seed(rng.next_u64()).run()?.0)
+    }
 
     /// Gaussian-dependence data with uniform-ish margins on `0..domain`.
     fn test_data(rho: f64, m: usize, n: usize, domain: usize, seed: u64) -> Vec<Vec<u32>> {
@@ -258,9 +223,7 @@ mod tests {
         let cols = test_data(0.7, 2, 8_000, domain, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let config = DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap());
-        let out = DpCopula::new(config)
-            .synthesize(&cols, &[domain, domain], &mut rng)
-            .unwrap();
+        let out = synthesize(config, &cols, &[domain, domain], &mut rng).unwrap();
 
         assert_eq!(out.columns.len(), 2);
         assert_eq!(out.columns[0].len(), 8_000);
@@ -286,9 +249,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut config = DpCopulaConfig::mle(Epsilon::new(2.0).unwrap());
         config.method = CorrelationMethod::Mle(PartitionStrategy::Fixed(200));
-        let out = DpCopula::new(config)
-            .synthesize(&cols, &[domain, domain], &mut rng)
-            .unwrap();
+        let out = synthesize(config, &cols, &[domain, domain], &mut rng).unwrap();
         assert!(
             out.correlation[(0, 1)] > 0.2,
             "corr {}",
@@ -301,9 +262,7 @@ mod tests {
         let cols = test_data(0.3, 2, 1_000, 50, 5);
         let mut rng = StdRng::seed_from_u64(6);
         let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_output_records(123);
-        let out = DpCopula::new(config)
-            .synthesize(&cols, &[50, 50], &mut rng)
-            .unwrap();
+        let out = synthesize(config, &cols, &[50, 50], &mut rng).unwrap();
         assert_eq!(out.columns[0].len(), 123);
     }
 
@@ -312,9 +271,7 @@ mod tests {
         let cols = vec![(0..500u32).map(|i| i % 40).collect::<Vec<_>>()];
         let mut rng = StdRng::seed_from_u64(7);
         let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-        let out = DpCopula::new(config)
-            .synthesize(&cols, &[40], &mut rng)
-            .unwrap();
+        let out = synthesize(config, &cols, &[40], &mut rng).unwrap();
         assert_eq!(out.correlation, Matrix::identity(1));
         assert_eq!(out.epsilon_correlations, 0.0);
         assert!(out.columns[0].iter().all(|&v| v < 40));
@@ -324,9 +281,7 @@ mod tests {
     fn invalid_input_is_rejected() {
         let mut rng = StdRng::seed_from_u64(8);
         let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-        let err = DpCopula::new(config)
-            .synthesize(&[], &[], &mut rng)
-            .unwrap_err();
+        let err = synthesize(config, &[], &[], &mut rng).unwrap_err();
         assert_eq!(err, DpCopulaError::EmptyInput);
     }
 
@@ -345,9 +300,7 @@ mod tests {
         ] {
             let mut rng = StdRng::seed_from_u64(10);
             let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(margin);
-            let out = DpCopula::new(config)
-                .synthesize(&cols, &[64, 64], &mut rng)
-                .unwrap();
+            let out = synthesize(config, &cols, &[64, 64], &mut rng).unwrap();
             assert_eq!(out.columns[0].len(), 2_000, "margin {margin:?}");
         }
     }
@@ -364,9 +317,7 @@ mod tests {
         let l1 = |eps: f64, seed: u64| -> f64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let config = DpCopulaConfig::kendall(Epsilon::new(eps).unwrap());
-            let out = DpCopula::new(config)
-                .synthesize(&cols, &[64, 64], &mut rng)
-                .unwrap();
+            let out = synthesize(config, &cols, &[64, 64], &mut rng).unwrap();
             out.noisy_margins[0]
                 .iter()
                 .zip(&exact)

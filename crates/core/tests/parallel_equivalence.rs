@@ -12,12 +12,12 @@ use dpcopula::kendall::SamplingStrategy;
 use dpcopula::mle::{dp_mle_matrix_par, PartitionStrategy};
 use dpcopula::shard::{dp_tau_matrix_sharded, shard_specs};
 use dpcopula::spearman::dp_spearman_matrix_par;
-use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod, Synthesis};
+use dpcopula::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod, Synthesis};
 use dpcopula::{FittedModel, PipelineReport, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
 use obskit::MetricsSink;
 use rngkit::rngs::StdRng;
-use rngkit::{Rng, SeedableRng};
+use rngkit::{Rng, RngCore, SeedableRng};
 
 const WORKER_COUNTS: [usize; 2] = [2, 7];
 
@@ -47,13 +47,13 @@ fn dataset(m: usize, n: usize, seed: u64) -> (Vec<Vec<u32>>, Vec<usize>) {
 
 /// One full run through the request front door.
 fn staged(
-    dp: &DpCopula,
+    config: DpCopulaConfig,
     columns: &[Vec<u32>],
     domains: &[usize],
     seed: u64,
     opts: &EngineOptions,
 ) -> (Synthesis, PipelineReport) {
-    SynthesisRequest::from_config(columns, domains, *dp.config())
+    SynthesisRequest::from_config(columns, domains, config)
         .engine(*opts)
         .seed(seed)
         .run()
@@ -62,13 +62,13 @@ fn staged(
 
 /// A fitted model through the request front door.
 fn fitted(
-    dp: &DpCopula,
+    config: DpCopulaConfig,
     columns: &[Vec<u32>],
     domains: &[usize],
     seed: u64,
     opts: &EngineOptions,
 ) -> FittedModel {
-    SynthesisRequest::from_config(columns, domains, *dp.config())
+    SynthesisRequest::from_config(columns, domains, config)
         .engine(*opts)
         .seed(seed)
         .fit()
@@ -103,9 +103,8 @@ fn margins_are_bitwise_equal_across_worker_counts() {
         MarginMethod::Privelet,
     ] {
         let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(margin);
-        let dp = DpCopula::new(config);
         let (serial, _) = staged(
-            &dp,
+            config,
             &columns,
             &domains,
             101,
@@ -113,7 +112,7 @@ fn margins_are_bitwise_equal_across_worker_counts() {
         );
         for workers in WORKER_COUNTS {
             let (par, _) = staged(
-                &dp,
+                config,
                 &columns,
                 &domains,
                 101,
@@ -196,15 +195,14 @@ fn sampled_records_are_bitwise_equal_across_worker_counts() {
     ] {
         let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
         config.method = method;
-        let dp = DpCopula::new(config);
         // Small chunks so several sampling tasks exist per worker.
         let mut opts = EngineOptions::with_workers(1);
         opts.sample_chunk = 512;
-        let (serial, _) = staged(&dp, &columns, &domains, 505, &opts);
+        let (serial, _) = staged(config, &columns, &domains, 505, &opts);
         for workers in WORKER_COUNTS {
             let mut opts = EngineOptions::with_workers(workers);
             opts.sample_chunk = 512;
-            let (par, _) = staged(&dp, &columns, &domains, 505, &opts);
+            let (par, _) = staged(config, &columns, &domains, 505, &opts);
             assert_eq!(
                 par.columns, serial.columns,
                 "method={method:?} workers={workers}"
@@ -221,10 +219,10 @@ fn fitted_model_windows_are_bitwise_equal_across_worker_counts() {
     // [0, k) and [k, N) — for every split point, at every worker count,
     // and after an artifact save/load round-trip.
     let (columns, domains) = dataset(4, 3_000, 7);
-    let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
+    let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
     let mut opts = EngineOptions::with_workers(1);
     opts.sample_chunk = 512; // several chunks per window
-    let model = fitted(&dp, &columns, &domains, 606, &opts);
+    let model = fitted(config, &columns, &domains, 606, &opts);
 
     let n = 2_500;
     let whole = window(&model, SamplingProfile::Reference, 0, n, 1);
@@ -259,18 +257,16 @@ fn reference_profile_is_the_default_and_pins_todays_bytes() {
     // release identical bytes at workers {1, 2, 7} — introducing the
     // knob must not move the pinned stream.
     let (columns, domains) = dataset(4, 3_000, 8);
-    let implicit = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
-    let explicit = DpCopula::new(
-        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap())
-            .with_profile(SamplingProfile::Reference),
-    );
+    let implicit = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
+    let explicit = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap())
+        .with_profile(SamplingProfile::Reference);
     let mut opts = EngineOptions::with_workers(1);
     opts.sample_chunk = 512;
-    let (base, _) = staged(&implicit, &columns, &domains, 707, &opts);
+    let (base, _) = staged(implicit, &columns, &domains, 707, &opts);
     for &workers in &[1, 2, 7] {
         let mut opts = EngineOptions::with_workers(workers);
         opts.sample_chunk = 512;
-        let (exp, _) = staged(&explicit, &columns, &domains, 707, &opts);
+        let (exp, _) = staged(explicit, &columns, &domains, 707, &opts);
         assert_eq!(exp.columns, base.columns, "workers={workers}");
     }
 }
@@ -280,21 +276,20 @@ fn fast_profile_is_bitwise_equal_with_itself_across_worker_counts() {
     // The two-profile contract, fast side: same seed ⇒ same bytes at any
     // worker count, through the full engine and through serving.
     let (columns, domains) = dataset(4, 3_000, 9);
-    let dp = DpCopula::new(
-        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_profile(SamplingProfile::Fast),
-    );
+    let config =
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_profile(SamplingProfile::Fast);
     let mut opts = EngineOptions::with_workers(1);
     opts.sample_chunk = 512;
-    let (serial, _) = staged(&dp, &columns, &domains, 808, &opts);
+    let (serial, _) = staged(config, &columns, &domains, 808, &opts);
     for workers in WORKER_COUNTS {
         let mut opts = EngineOptions::with_workers(workers);
         opts.sample_chunk = 512;
-        let (par, _) = staged(&dp, &columns, &domains, 808, &opts);
+        let (par, _) = staged(config, &columns, &domains, 808, &opts);
         assert_eq!(par.columns, serial.columns, "workers={workers}");
     }
 
     // Serving side: fast windows split seamlessly, like reference ones.
-    let model = fitted(&dp, &columns, &domains, 808, &opts);
+    let model = fitted(config, &columns, &domains, 808, &opts);
     let fast = SamplingProfile::Fast;
     let n = 2_000;
     let whole = window(&model, fast, 0, n, 1);
@@ -312,14 +307,15 @@ fn fast_profile_is_bitwise_equal_with_itself_across_worker_counts() {
 
 #[test]
 fn serial_api_reproduces_per_seed_on_any_worker_count() {
-    // `synthesize` draws its base seed from the caller's rng and runs the
-    // staged engine with default options — so the same caller seed must
-    // reproduce even when PARKIT_WORKERS (or the core count) varies.
+    // A caller holding a generator draws the base seed from it and runs
+    // the request with default engine options — so the same caller seed
+    // must reproduce even when PARKIT_WORKERS (or the core count) varies.
     let (columns, domains) = dataset(3, 2_000, 6);
-    let dp = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()));
+    let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
     let run = || {
         let mut rng = StdRng::seed_from_u64(99);
-        dp.synthesize(&columns, &domains, &mut rng).unwrap()
+        let request = SynthesisRequest::from_config(&columns, &domains, config);
+        request.seed(rng.next_u64()).run().unwrap().0
     };
     let a = run();
     let b = run();

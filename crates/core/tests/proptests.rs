@@ -5,13 +5,14 @@
 use dpcopula::empirical::{pseudo_copula_column, MarginalDistribution, QuantileTable};
 use dpcopula::kendall::{kendall_sensitivity, kendall_tau, kendall_tau_naive};
 use dpcopula::sampler::CopulaSampler;
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig};
+use dpcopula::synthesizer::DpCopulaConfig;
+use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use mathkit::correlation::{
     clamp_to_correlation, correlation_from_upper_triangle, repair_positive_definite,
 };
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 use testkit::prop::vec;
 use testkit::{prop_assert, prop_assert_eq, property_tests};
 
@@ -163,9 +164,11 @@ property_tests! {
         ];
         let mut rng = StdRng::seed_from_u64(seed);
         let config = DpCopulaConfig::kendall(Epsilon::new(eps).unwrap());
-        let out = DpCopula::new(config)
-            .synthesize(&cols, &[domain, domain], &mut rng)
-            .unwrap();
+        let out = SynthesisRequest::from_config(&cols, &[domain, domain], config)
+.seed(rng.next_u64())
+.run()
+.unwrap()
+.0;
         prop_assert_eq!(out.columns.len(), 2);
         prop_assert_eq!(out.columns[0].len(), n);
         prop_assert!(out.columns.iter().flatten().all(|&v| (v as usize) < domain));

@@ -20,7 +20,6 @@ pub mod dataset;
 pub mod io;
 pub mod margin;
 pub mod rowsource;
-pub mod stream;
 pub mod synthetic;
 
 pub use dataset::{Attribute, Dataset};

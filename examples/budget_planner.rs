@@ -10,12 +10,13 @@
 //! ```
 
 use datagen::synthetic::{MarginKind, SyntheticSpec};
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{DpCopulaConfig, MarginMethod};
+use dpcopula::SynthesisRequest;
 use dpcopula_examples::heading;
 use dpmech::{BudgetAccountant, Epsilon};
 use queryeval::{ErrorSummary, Workload};
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 fn main() {
     let data = SyntheticSpec {
@@ -45,9 +46,11 @@ fn main() {
             let runs = 3;
             for s in 0..runs {
                 let mut rng = StdRng::seed_from_u64(100 + s);
-                let out = DpCopula::new(config)
-                    .synthesize(data.columns(), &data.domains(), &mut rng)
-                    .expect("synthesis failed");
+                let (out, _) =
+                    SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+                        .seed(rng.next_u64())
+                        .run()
+                        .expect("synthesis failed");
                 let answers = workload.estimate_with(|q| q.count(&out.columns));
                 rel += ErrorSummary::from_answers(&answers, &truth, 1.0).mean_relative;
             }

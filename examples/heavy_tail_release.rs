@@ -12,11 +12,12 @@ use dpcopula::empirical::MarginalDistribution;
 use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig};
 use dpcopula::synthesizer::DpCopulaConfig;
 use dpcopula::tcopula::TCopulaSampler;
+use dpcopula::SynthesisRequest;
 use dpcopula_examples::heading;
 use dpmech::Epsilon;
 use mathkit::correlation::equicorrelation;
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 /// Joint-extreme co-occurrence rate: fraction of records where both
 /// attributes fall in their own top q-quantile — the observable tail
@@ -64,9 +65,14 @@ fn main() {
     println!("joint 2%-tail rate: original {tail_orig:.4} -> synthetic {tail_synth:.4}");
 
     // Contrast: a plain Gaussian DPCopula release of the same data.
-    let gauss = dpcopula::DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap()))
-        .synthesize(&data, &[domain as usize; 2], &mut rng)
-        .expect("synthesis failed");
+    let (gauss, _) = SynthesisRequest::from_config(
+        &data,
+        &[domain as usize; 2],
+        DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap()),
+    )
+    .seed(rng.next_u64())
+    .run()
+    .expect("synthesis failed");
     let tail_gauss = joint_tail_rate(&gauss.columns, domain, 0.02);
     println!("plain Gaussian copula release would give {tail_gauss:.4}");
     println!("\nthe t copula preserves co-extremes the Gaussian flattens.");

@@ -7,14 +7,15 @@
 
 use dpcopula::convergence::ConvergenceReport;
 use dpcopula::kendall::kendall_tau;
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig};
+use dpcopula::synthesizer::DpCopulaConfig;
+use dpcopula::SynthesisRequest;
 use dpcopula_examples::heading;
 use dpmech::Epsilon;
 use mathkit::correlation::equicorrelation;
 use mathkit::dist::MultivariateNormal;
 use mathkit::special::norm_cdf;
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 fn main() {
     // 1. Make a toy dataset: two attributes on a domain of 200 values,
@@ -41,8 +42,9 @@ fn main() {
     //    paper's defaults (Kendall correlation, k = 8, EFPA margins).
     heading("DPCopula synthesis (epsilon = 1.0)");
     let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-    let synthesis = DpCopula::new(config)
-        .synthesize(&columns, &[domain, domain], &mut rng)
+    let (synthesis, _) = SynthesisRequest::from_config(&columns, &[domain, domain], config)
+        .seed(rng.next_u64())
+        .run()
         .expect("synthesis failed");
     println!(
         "budget split: margins eps1 = {:.3}, correlations eps2 = {:.3}",

@@ -7,14 +7,15 @@
 //! ```
 
 use datagen::synthetic::{MarginKind, SyntheticSpec};
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{DpCopulaConfig, MarginMethod};
+use dpcopula::SynthesisRequest;
 use dpcopula_examples::heading;
 use dphist::psd::{Psd, PsdConfig};
 use dphist::RangeCountEstimator;
 use dpmech::Epsilon;
 use queryeval::{ErrorSummary, Workload};
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 fn main() {
     // 6-D, 1000-bin domains: the sparse regime the paper targets
@@ -46,8 +47,9 @@ fn main() {
         // DPCopula release -> answer by counting synthetic records.
         let config = DpCopulaConfig::kendall(epsilon).with_margin(MarginMethod::Php);
         let mut rng = StdRng::seed_from_u64(50);
-        let synth = DpCopula::new(config)
-            .synthesize(data.columns(), &data.domains(), &mut rng)
+        let (synth, _) = SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+            .seed(rng.next_u64())
+            .run()
             .expect("synthesis failed");
         let answers = workload.estimate_with(|q| q.count(&synth.columns));
         let dpcopula = ErrorSummary::from_answers(&answers, &truth, 1.0);

@@ -5,10 +5,11 @@
 use datagen::synthetic::{MarginKind, SyntheticSpec};
 use dpcopula::convergence::ConvergenceReport;
 use dpcopula::kendall::{dp_kendall_tau, kendall_tau};
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{DpCopulaConfig, MarginMethod};
+use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 fn report_at(n: usize) -> ConvergenceReport {
     let data = SyntheticSpec {
@@ -28,9 +29,11 @@ fn report_at(n: usize) -> ConvergenceReport {
         let mut rng = StdRng::seed_from_u64(1000 + s);
         let config =
             DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_margin(MarginMethod::Php);
-        let out = DpCopula::new(config)
-            .synthesize(data.columns(), &data.domains(), &mut rng)
-            .unwrap();
+        let out = SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+            .seed(rng.next_u64())
+            .run()
+            .unwrap()
+            .0;
         let r = ConvergenceReport::compare(data.columns(), &out.columns);
         for (acc, v) in ks_acc.iter_mut().zip(&r.marginal_ks) {
             *acc += v;
@@ -109,9 +112,11 @@ fn synthetic_tau_tracks_original_tau() {
     let t_orig = kendall_tau(&data.columns()[0], &data.columns()[1]);
     let mut rng = StdRng::seed_from_u64(1);
     let config = DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap());
-    let out = DpCopula::new(config)
-        .synthesize(data.columns(), &data.domains(), &mut rng)
-        .unwrap();
+    let out = SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+        .seed(rng.next_u64())
+        .run()
+        .unwrap()
+        .0;
     let t_synth = kendall_tau(&out.columns[0], &out.columns[1]);
     assert!(
         (t_orig - t_synth).abs() < 0.08,

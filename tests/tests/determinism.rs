@@ -3,7 +3,8 @@
 
 use datagen::census::us_census;
 use datagen::synthetic::SyntheticSpec;
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig};
+use dpcopula::synthesizer::DpCopulaConfig;
+use dpcopula::SynthesisRequest;
 use dphist::privelet::PriveletPlus;
 use dphist::RangeCountEstimator;
 use dpmech::Epsilon;
@@ -35,9 +36,11 @@ fn synthesis_is_rng_deterministic() {
     let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
     let run = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
-        DpCopula::new(config)
-            .synthesize(data.columns(), &data.domains(), &mut rng)
+        SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+            .seed(rng.next_u64())
+            .run()
             .unwrap()
+            .0
             .columns
     };
     assert_eq!(run(42), run(42));

@@ -8,12 +8,12 @@ use dpcopula::error::DpCopulaError;
 use dpcopula::hybrid::{HybridConfig, HybridSynthesizer};
 use dpcopula::kendall::SamplingStrategy;
 use dpcopula::sampler::CopulaSampler;
-use dpcopula::synthesizer::{CorrelationMethod, DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod};
 use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use mathkit::Matrix;
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 fn all_margin_methods() -> Vec<MarginMethod> {
     vec![
@@ -33,17 +33,28 @@ fn single_record_multi_attribute_errors_cleanly() {
     // error, not a panic (code-review finding).
     let cols = vec![vec![0u32], vec![1u32]];
     let mut rng = StdRng::seed_from_u64(0);
-    let err = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()))
-        .synthesize(&cols, &[2, 2], &mut rng)
-        .unwrap_err();
+    let err = SynthesisRequest::from_config(
+        &cols,
+        &[2, 2],
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+    )
+    .seed(rng.next_u64())
+    .run()
+    .unwrap_err();
     assert!(matches!(
         err,
         DpCopulaError::TooFewRecords { records: 1, .. }
     ));
     // Single attribute with one record is fine (margins only).
-    let ok = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()))
-        .synthesize(&[vec![3u32]], &[5], &mut rng)
-        .unwrap();
+    let ok = SynthesisRequest::from_config(
+        &[vec![3u32]],
+        &[5],
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+    )
+    .seed(rng.next_u64())
+    .run()
+    .unwrap()
+    .0;
     assert_eq!(ok.columns[0].len(), 1);
 }
 
@@ -51,9 +62,15 @@ fn single_record_multi_attribute_errors_cleanly() {
 fn two_record_dataset_synthesizes() {
     let cols = vec![vec![0u32, 49], vec![49u32, 0]];
     let mut rng = StdRng::seed_from_u64(1);
-    let out = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()))
-        .synthesize(&cols, &[50, 50], &mut rng)
-        .unwrap();
+    let out = SynthesisRequest::from_config(
+        &cols,
+        &[50, 50],
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+    )
+    .seed(rng.next_u64())
+    .run()
+    .unwrap()
+    .0;
     assert_eq!(out.columns[0].len(), 2);
     assert!(out.columns.iter().flatten().all(|&v| v < 50));
 }
@@ -64,9 +81,15 @@ fn constant_attribute_is_handled() {
     // the pipeline must not divide by zero anywhere.
     let cols = vec![vec![7u32; 500], (0..500u32).map(|i| i % 90).collect()];
     let mut rng = StdRng::seed_from_u64(2);
-    let out = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()))
-        .synthesize(&cols, &[100, 90], &mut rng)
-        .unwrap();
+    let out = SynthesisRequest::from_config(
+        &cols,
+        &[100, 90],
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+    )
+    .seed(rng.next_u64())
+    .run()
+    .unwrap()
+    .0;
     assert!(out.correlation[(0, 1)].abs() <= 1.0);
     assert!(out.columns[1].iter().all(|&v| v < 90));
 }
@@ -79,9 +102,15 @@ fn extreme_budgets_do_not_break_structure() {
     ];
     for eps in [1e-6, 1e6] {
         let mut rng = StdRng::seed_from_u64(3);
-        let out = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(eps).unwrap()))
-            .synthesize(&cols, &[40, 40], &mut rng)
-            .unwrap();
+        let out = SynthesisRequest::from_config(
+            &cols,
+            &[40, 40],
+            DpCopulaConfig::kendall(Epsilon::new(eps).unwrap()),
+        )
+        .seed(rng.next_u64())
+        .run()
+        .unwrap()
+        .0;
         assert_eq!(out.columns[0].len(), 300, "eps={eps}");
         assert!(out.columns.iter().flatten().all(|&v| v < 40));
         assert!(mathkit::cholesky::is_positive_definite(&out.correlation));
@@ -128,7 +157,6 @@ fn tiny_per_mechanism_budgets_are_refused_with_a_typed_error() {
     use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig};
     use dpcopula::{distfit, EngineOptions};
     use obskit::MetricsSink;
-    use rngkit::RngCore;
 
     let data = datagen::census::us_census(2_000, 3);
     let domains = data.domains();
@@ -337,8 +365,9 @@ fn mle_error_is_reported_not_panicked() {
     let cols = vec![vec![1u32, 2, 3, 4], vec![4u32, 3, 2, 1]];
     let mut rng = StdRng::seed_from_u64(7);
     let config = DpCopulaConfig::mle(Epsilon::new(0.1).unwrap());
-    let err = DpCopula::new(config)
-        .synthesize(&cols, &[10, 10], &mut rng)
+    let err = SynthesisRequest::from_config(&cols, &[10, 10], config)
+        .seed(rng.next_u64())
+        .run()
         .unwrap_err();
     assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
 }
@@ -349,9 +378,15 @@ fn domain_of_one_is_degenerate_but_valid() {
     // exact, correlation is meaningless but must stay in range.
     let cols = vec![vec![0u32; 200], (0..200u32).map(|i| i % 30).collect()];
     let mut rng = StdRng::seed_from_u64(8);
-    let out = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()))
-        .synthesize(&cols, &[1, 30], &mut rng)
-        .unwrap();
+    let out = SynthesisRequest::from_config(
+        &cols,
+        &[1, 30],
+        DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+    )
+    .seed(rng.next_u64())
+    .run()
+    .unwrap()
+    .0;
     assert!(out.columns[0].iter().all(|&v| v == 0));
 }
 
@@ -360,8 +395,10 @@ fn output_records_zero_produces_empty_release() {
     let cols = vec![vec![0u32, 1, 2], vec![2u32, 1, 0]];
     let mut rng = StdRng::seed_from_u64(9);
     let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()).with_output_records(0);
-    let out = DpCopula::new(config)
-        .synthesize(&cols, &[3, 3], &mut rng)
-        .unwrap();
+    let out = SynthesisRequest::from_config(&cols, &[3, 3], config)
+        .seed(rng.next_u64())
+        .run()
+        .unwrap()
+        .0;
     assert!(out.columns.iter().all(Vec::is_empty));
 }

@@ -5,11 +5,12 @@
 use datagen::census::{brazil_census, us_census};
 use datagen::synthetic::{MarginKind, SyntheticSpec};
 use dpcopula::hybrid::{HybridConfig, HybridSynthesizer};
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig, MarginMethod};
+use dpcopula::synthesizer::{DpCopulaConfig, MarginMethod};
+use dpcopula::SynthesisRequest;
 use dpmech::Epsilon;
 use queryeval::{ErrorSummary, Workload};
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 fn assert_valid_release(columns: &[Vec<u32>], domains: &[usize], expect_n: usize, tol: f64) {
     assert_eq!(columns.len(), domains.len());
@@ -40,9 +41,15 @@ fn synthetic_families_round_trip() {
         }
         .generate();
         let mut rng = StdRng::seed_from_u64(1);
-        let out = DpCopula::new(DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()))
-            .synthesize(data.columns(), &data.domains(), &mut rng)
-            .unwrap();
+        let out = SynthesisRequest::from_config(
+            data.columns(),
+            &data.domains(),
+            DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap()),
+        )
+        .seed(rng.next_u64())
+        .run()
+        .unwrap()
+        .0;
         assert_valid_release(&out.columns, &data.domains(), data.len(), 0.0);
     }
 }
@@ -91,9 +98,11 @@ fn generous_budget_gives_low_query_error() {
 
     let config =
         DpCopulaConfig::kendall(Epsilon::new(10.0).unwrap()).with_margin(MarginMethod::Php);
-    let out = DpCopula::new(config)
-        .synthesize(data.columns(), &data.domains(), &mut rng)
-        .unwrap();
+    let out = SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+        .seed(rng.next_u64())
+        .run()
+        .unwrap()
+        .0;
     let answers = workload.estimate_with(|q| q.count(&out.columns));
     let summary = ErrorSummary::from_answers(&answers, &truth, 1.0);
     assert!(
@@ -123,9 +132,11 @@ fn error_grows_as_budget_shrinks() {
             let mut rng = StdRng::seed_from_u64(70 + s);
             let config =
                 DpCopulaConfig::kendall(Epsilon::new(eps).unwrap()).with_margin(MarginMethod::Php);
-            let out = DpCopula::new(config)
-                .synthesize(data.columns(), &data.domains(), &mut rng)
-                .unwrap();
+            let out = SynthesisRequest::from_config(data.columns(), &data.domains(), config)
+                .seed(rng.next_u64())
+                .run()
+                .unwrap()
+                .0;
             let answers = workload.estimate_with(|q| q.count(&out.columns));
             total += ErrorSummary::from_answers(&answers, &truth, 1.0).mean_relative;
         }

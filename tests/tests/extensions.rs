@@ -1,10 +1,9 @@
 //! Integration tests for the future-work extensions: t copula, AIC
-//! family selection, the evolving synthesizer, and the empirical-copula
-//! diagnostic — exercised together across crates.
+//! family selection, and the empirical-copula diagnostic — exercised
+//! together across crates.
 
 use dpcopula::empirical::MarginalDistribution;
 use dpcopula::empirical_copula::EmpiricalCopula;
-use dpcopula::evolving::EvolvingSynthesizer;
 use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig, CopulaFamily};
 use dpcopula::synthesizer::{DpCopulaConfig, MarginMethod};
 use dpcopula::tcopula::TCopulaSampler;
@@ -54,28 +53,6 @@ fn family_selection_is_part_of_the_budget() {
         (downstream - total * 0.75).abs() < 1e-9,
         "downstream budget {downstream}"
     );
-}
-
-#[test]
-fn evolving_stream_is_structurally_valid_per_epoch() {
-    let config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
-    let mut ev = EvolvingSynthesizer::new(config, 0.5);
-    let mut rng = StdRng::seed_from_u64(3);
-    let p = equicorrelation(3, 0.4);
-    let gen = dpcopula::sampler::CopulaSampler::new(
-        &p,
-        vec![uniform_margin(50), uniform_margin(50), uniform_margin(50)],
-    )
-    .unwrap();
-    for _ in 0..3 {
-        let cols = gen.sample_columns(1_500, &mut rng);
-        let out = ev.process_epoch(&cols, &[50, 50, 50], &mut rng).unwrap();
-        assert_eq!(out.columns.len(), 3);
-        assert_eq!(out.columns[0].len(), 1_500);
-        assert!(out.columns.iter().flatten().all(|&v| v < 50));
-        assert!(mathkit::cholesky::is_positive_definite(&out.correlation));
-    }
-    assert_eq!(ev.epochs(), 3);
 }
 
 #[test]

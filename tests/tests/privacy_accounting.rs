@@ -1,10 +1,11 @@
 //! Integration tests for privacy-budget conservation across the composed
 //! pipeline (Theorems 3.1, 3.2, 4.1, 4.2 of the paper).
 
-use dpcopula::synthesizer::{DpCopula, DpCopulaConfig};
+use dpcopula::synthesizer::DpCopulaConfig;
+use dpcopula::SynthesisRequest;
 use dpmech::{BudgetAccountant, BudgetError, Epsilon};
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{RngCore, SeedableRng};
 
 #[test]
 fn synthesizer_budget_sums_to_total_for_any_split() {
@@ -17,9 +18,11 @@ fn synthesizer_budget_sums_to_total_for_any_split() {
         for k in [0.5, 1.0, 8.0, 20.0] {
             let mut rng = StdRng::seed_from_u64(1);
             let config = DpCopulaConfig::kendall(Epsilon::new(eps).unwrap()).with_k_ratio(k);
-            let out = DpCopula::new(config)
-                .synthesize(&cols, &[50, 50, 50], &mut rng)
-                .unwrap();
+            let out = SynthesisRequest::from_config(&cols, &[50, 50, 50], config)
+                .seed(rng.next_u64())
+                .run()
+                .unwrap()
+                .0;
             assert!(
                 (out.epsilon_margins + out.epsilon_correlations - eps).abs() < 1e-9,
                 "eps={eps} k={k}: {} + {}",
@@ -85,9 +88,11 @@ fn noise_scales_inversely_with_budget_end_to_end() {
         for s in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(s);
             let config = DpCopulaConfig::kendall(Epsilon::new(eps).unwrap());
-            let out = DpCopula::new(config)
-                .synthesize(&cols, &[n as usize, n as usize], &mut rng)
-                .unwrap();
+            let out = SynthesisRequest::from_config(&cols, &[n as usize, n as usize], config)
+                .seed(rng.next_u64())
+                .run()
+                .unwrap()
+                .0;
             dev += (out.correlation[(0, 1)] - 1.0).abs();
         }
         dev / 10.0
