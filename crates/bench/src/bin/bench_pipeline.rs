@@ -1,25 +1,24 @@
 //! Emits `BENCH_pipeline.json`: machine-readable per-stage wall-clock
 //! statistics (min/median/p95 seconds) of the staged synthesis engine at
-//! worker counts {1, 2, 4} on fig11-sized census data, plus the legacy
-//! serial correlation estimator (`dp_correlation_matrix`, single-threaded)
-//! as the reference the correlation-stage speedup is measured against,
-//! the sampling stage timed under both sampling profiles (`reference` vs
-//! the ziggurat/table `fast` hot path), the budget-plan and correlation
-//! stages and the whole fit of an 8-attribute sharded fit
-//! (`correlation_wide`, no gate), and CSV ingest of that fit's rows
-//! (`ingest`, no gate).
+//! worker counts {1, 2, 4} on fig11-sized census data (`workers`), the
+//! budget-plan and correlation stages and the whole fit of an
+//! 8-attribute sharded fit (`correlation_wide`, no gate), CSV ingest of
+//! that fit's rows (`ingest`, no gate), the sampling stage timed under
+//! both sampling profiles (`reference` vs the ziggurat/table `fast` hot
+//! path), the in-process fit at 1, 2 and 4 shards with the merge's share
+//! of it (`fit_shards`, gated below), and the out-of-core `fit_shard` ×
+//! 4 + `merge_shards` path with its largest block (`distfit`, gated on
+//! the block bound).
 //!
 //! `QUICK=1` shrinks the input and sample count for smoke runs.
 
 use datagen::census::{brazil_census, us_census};
 use datagen::RowSource;
-use dpcopula::kendall::{dp_correlation_matrix, SamplingStrategy};
+use dpcopula::kendall::SamplingStrategy;
 use dpcopula::shard::kendall_sample_target;
 use dpcopula::{DpCopulaConfig, EngineOptions, SamplingProfile, SynthesisRequest};
 use dpmech::Epsilon;
 use obskit::{MetricsRegistry, MetricsSink, Stopwatch};
-use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -123,23 +122,6 @@ fn main() {
     let config = DpCopulaConfig::kendall(eps).with_k_ratio(k_ratio);
     let (_, eps2) = eps.split_ratio(k_ratio);
 
-    // Reference: the legacy serial correlation estimator, exactly as the
-    // pre-engine pipeline ran it (per-pair lexicographic sorts, one
-    // thread, repair included).
-    let mut legacy = Vec::with_capacity(samples);
-    for s in 0..samples {
-        let mut rng = StdRng::seed_from_u64(0xaced + s as u64);
-        let t0 = Stopwatch::start();
-        let p = dp_correlation_matrix(data.columns(), eps2, SamplingStrategy::Auto, &mut rng);
-        legacy.push(t0.elapsed().as_secs_f64());
-        assert_eq!(p.rows(), m);
-    }
-    let legacy_stats = stats(&legacy);
-    println!(
-        "legacy serial correlation: median {:.4}s over {samples} samples",
-        legacy_stats.median
-    );
-
     // The staged engine at each worker count: per-stage duration vectors.
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"benchmark\": \"pipeline_stages\",");
@@ -150,14 +132,8 @@ fn main() {
          \"host_cores\": {}}},",
         std::thread::available_parallelism().map_or(1, |c| c.get())
     );
-    let _ = writeln!(
-        out,
-        "  \"legacy_serial_correlation\": {},",
-        json_stats(legacy_stats)
-    );
 
     let _ = writeln!(out, "  \"workers\": [");
-    let mut correlation_medians = Vec::new();
     for (wi, &workers) in worker_counts.iter().enumerate() {
         let mut per_stage: Vec<Vec<f64>> = (0..5).map(|_| Vec::with_capacity(samples)).collect();
         let mut totals = Vec::with_capacity(samples);
@@ -174,7 +150,6 @@ fn main() {
             totals.push(report.timings.total().as_secs_f64());
         }
         let corr = stats(&per_stage[2]);
-        correlation_medians.push(corr.median);
         println!(
             "engine workers={workers}: total median {:.4}s, correlation median {:.4}s",
             stats(&totals).median,
@@ -512,7 +487,7 @@ fn main() {
         out,
         "  \"distfit\": {{\"shards\": {distfit_shards}, \"block_rows\": {block_rows}, \
          \"fit_shard_total\": {}, \"merge\": {}, \"peak_block_rows\": {peak_block_rows}, \
-         \"peak_block_bytes\": {peak_block_bytes}, \"blocks\": {census_blocks}}},",
+         \"peak_block_bytes\": {peak_block_bytes}, \"blocks\": {census_blocks}}}",
         json_stats(distfit_fit),
         json_stats(distfit_merge)
     );
@@ -524,22 +499,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Correlation-stage speedup of the engine over the legacy serial
-    // estimator, at each worker count (medians).
-    let _ = writeln!(out, "  \"correlation_speedup_vs_legacy\": {{");
-    for (wi, &workers) in worker_counts.iter().enumerate() {
-        let comma = if wi + 1 < worker_counts.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    \"{workers}\": {:.3}{comma}",
-            legacy_stats.median / correlation_medians[wi]
-        );
-    }
-    let _ = writeln!(out, "  }}");
     out.push_str("}\n");
 
     let path = "BENCH_pipeline.json";
@@ -549,10 +508,6 @@ fn main() {
         std::fs::write(path, &out).expect("write BENCH_pipeline.json");
         println!("wrote {path}");
     }
-    println!(
-        "correlation speedup vs legacy at 4 workers: {:.2}x",
-        legacy_stats.median / correlation_medians[worker_counts.len() - 1]
-    );
 
     // Gates. Merge overhead: folding per-shard summaries (histogram
     // sums, budget accountant, ledger max) must cost a small fraction of

@@ -612,10 +612,13 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
         };
         println!("  {:<20} domain {:>6}{binned}", attr.name, attr.domain);
     }
+    let family = match artifact.family {
+        modelstore::CopulaFamily::StudentT { dof } => format!("student-t (dof {dof})"),
+        other => other.name().to_string(),
+    };
     println!(
-        "margin method: {}\ncopula family: {}",
-        artifact.margin_method,
-        artifact.family.name()
+        "margin method: {}\ncopula family: {family}",
+        artifact.margin_method
     );
     let ledger = &artifact.ledger;
     println!(

@@ -230,6 +230,48 @@ fn inspect_reports_sections_and_budget() {
 }
 
 #[test]
+fn selecting_fit_inspects_and_serves_its_student_t_model() {
+    // A fit that selects its copula family writes the winner into the
+    // artifact; the binary inspects and serves it like any other model,
+    // and its rows are the ones the request's `run` releases.
+    use dpcopula::empirical::MarginalDistribution;
+    use dpcopula::tcopula::TCopulaSampler;
+    use dpcopula::SynthesisRequest;
+    use rngkit::SeedableRng;
+
+    let dir = Scratch::new("select_family");
+    let spec = datagen::synthetic::SyntheticSpec {
+        dims: 3,
+        rho: 0.6,
+        ..Default::default()
+    };
+    let margins = vec![MarginalDistribution::from_noisy_histogram(&[1.0; 64]); 3];
+    let t3 = TCopulaSampler::new(&spec.correlation(), 3.0, margins).unwrap();
+    let columns = t3.sample_columns(3_000, &mut rngkit::rngs::StdRng::seed_from_u64(4));
+    let request = SynthesisRequest::new(&columns, &[64; 3], dpmech::Epsilon::new(2.0).unwrap())
+        .select_family()
+        .output_records(1_000)
+        .seed(5);
+    let (model, _) = request.fit().unwrap();
+    let path = dir.path("t.dpcm");
+    model.save(&path).unwrap();
+
+    let report = run_ok(&["inspect", "--model", &path]);
+    for needle in [
+        "copula family: student-t (dof 4)\n",
+        "  selection    epsilon 0.200000\n",
+        "spent 2.000000",
+    ] {
+        assert!(report.contains(needle), "missing `{needle}` in:\n{report}");
+    }
+    let csv = dir.path("rows.csv");
+    run_ok(&["sample", "--model", &path, "--rows", "1000", "--out", &csv]);
+    let served = datagen::io::load_csv(&csv).unwrap();
+    let (synth, _) = request.run().unwrap();
+    assert_eq!(served.columns(), &synth.columns[..]);
+}
+
+#[test]
 fn sharded_fit_matches_single_shard_budget_and_serves() {
     let dir = Scratch::new("sharded");
     let csv = gen_small(&dir, "census.csv");

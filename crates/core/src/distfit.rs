@@ -29,8 +29,8 @@
 //! restated for the wire formats in §14): every noise draw happens once,
 //! at merge time, on the pooled counts and the pooled sample.
 
-use crate::engine::{fold_summaries, publish_margins, EngineOptions};
-use crate::error::{validate_budget, DpCopulaError};
+use crate::engine::{fold_summaries, publish_margins, BudgetPlan, EngineOptions};
+use crate::error::DpCopulaError;
 use crate::kendall::{self, SamplingStrategy};
 use crate::model::{assemble_artifact, ArtifactMeta, FittedModel, STREAM_SCHEME};
 use crate::shard::{self, RowReducer};
@@ -115,41 +115,6 @@ impl<'a> CountedSource<'a> {
     }
 }
 
-/// A [`RowSource`] read fully into memory: schema, domains, columns.
-pub(crate) type MaterializedSource = (Vec<AttributeSpec>, Vec<usize>, Vec<Vec<u32>>);
-
-/// Materializes a [`RowSource`] into resident columns — the fallback
-/// for estimators without streamable sufficient statistics (MLE,
-/// Spearman) and for adaptive family selection, which partition the raw
-/// records.
-pub(crate) fn materialize_source(
-    source: &mut dyn RowSource,
-) -> Result<MaterializedSource, DpCopulaError> {
-    let attrs = source.attributes().to_vec();
-    let m = attrs.len();
-    if m == 0 {
-        return Err(DpCopulaError::EmptyInput);
-    }
-    let schema: Vec<AttributeSpec> = attrs
-        .iter()
-        .map(|a| AttributeSpec::new(a.name.clone(), a.domain))
-        .collect();
-    let domains: Vec<usize> = attrs.iter().map(|a| a.domain).collect();
-    let mut columns: Vec<Vec<u32>> = vec![Vec::new(); m];
-    while let Some(block) = source.next_block()? {
-        if block.columns().len() != m {
-            return Err(DpCopulaError::ArityMismatch {
-                columns: block.columns().len(),
-                domains: m,
-            });
-        }
-        for (col, part) in columns.iter_mut().zip(block.columns()) {
-            col.extend_from_slice(part);
-        }
-    }
-    Ok((schema, domains, columns))
-}
-
 /// Reduces **one shard** of a distributed fit from a streaming source
 /// holding exactly that shard's rows, producing the durable
 /// [`ShardArtifact`] the coordinator's [`merge_shards`] consumes: the
@@ -217,9 +182,8 @@ pub fn fit_shard(
             return Err(DpCopulaError::ShardedCorrelationUnsupported { method: "spearman" })
         }
     };
-    validate_budget(config.epsilon, config.k_ratio, m)?;
+    let plan = BudgetPlan::new(config.epsilon, config.k_ratio, m, false)?;
     let domains: Vec<usize> = attrs.iter().map(|a| a.domain).collect();
-    let (_, eps2) = config.epsilon.split_ratio(config.k_ratio);
     let specs = shard::shard_specs(total_rows, shards);
     let spec = specs[shard_index];
     sink.gauge_set(ENGINE_SHARDS, Unit::Info, shards as u64);
@@ -229,7 +193,7 @@ pub fn fit_shard(
     // strategy, seed), so no counting pass is needed; block memory stays
     // bounded by the source's chunk size.
     let target = (m > 1).then(|| {
-        let target = shard::kendall_sample_target(m, total_rows, strategy, eps2);
+        let target = shard::kendall_sample_target(m, total_rows, strategy, plan.eps2);
         shard::partition_sample_target(target, &specs)[shard_index]
     });
     let workers = opts.workers.max(1);
@@ -434,9 +398,7 @@ pub fn merge_shards(
     }
     let epsilon = Epsilon::new(conf.epsilon)?;
     let m = first.schema.len();
-    validate_budget(epsilon, conf.k_ratio, m)?;
-    let budget = DpCopulaConfig::kendall(epsilon).with_k_ratio(conf.k_ratio);
-    let (eps1, eps2) = epsilon.split_ratio(conf.k_ratio);
+    let plan = BudgetPlan::new(epsilon, conf.k_ratio, m, false)?;
     // Each τ sample must be its shard's share of the plan `fit_shard`
     // drew: anything else pools into a different statistic.
     if m > 1 {
@@ -447,7 +409,7 @@ pub fn merge_shards(
             });
         }
         let strategy = sampling_strategy(conf.strategy);
-        let target = shard::kendall_sample_target(m, total_rows, strategy, eps2);
+        let target = shard::kendall_sample_target(m, total_rows, strategy, plan.eps2);
         let shares = shard::partition_sample_target(target, &specs);
         for (&share, (file, artifact)) in shares.iter().zip(&ordered) {
             if artifact.sampled.len() != m {
@@ -486,7 +448,7 @@ pub fn merge_shards(
     let noisy_margins = publish_margins(
         &pooled,
         &conf.margin_method,
-        eps1.divide(m),
+        plan.eps1.divide(m),
         conf.base_seed,
         workers,
         sink,
@@ -500,10 +462,10 @@ pub fn merge_shards(
                 parts.concat()
             })
             .collect();
-        kendall::dp_tau_matrix(pooled, eps2, conf.base_seed, workers, sink)
+        kendall::dp_tau_matrix(pooled, plan.eps2, conf.base_seed, workers, sink)
     };
     let build_ns = watch.elapsed_ns();
-    let parts = fold_summaries(noisy_margins, &specs, raw, &budget, build_ns, sink)?;
+    let parts = fold_summaries(noisy_margins, &specs, raw, &plan, build_ns, sink)?;
     let artifact = assemble_artifact(
         &ArtifactMeta {
             epsilon_total: epsilon.value(),

@@ -30,9 +30,10 @@
 //! two stages can collide on a generator even when their indices overlap.
 
 use crate::distfit::CountedSource;
-use crate::error::{validate_budget, validate_shape, DpCopulaError};
+use crate::error::{validate_shape, DpCopulaError, MIN_MECHANISM_EPSILON};
 use crate::kendall::dp_tau_matrix;
 use crate::mle::dp_mle_matrix_par;
+use crate::selection::{dp_select_family, CANDIDATES, SELECTION_BLOCKS, SELECTION_SHARE};
 use crate::shard::{self, RowReducer, ShardSpec};
 use crate::spearman::dp_spearman_matrix_par;
 use crate::synthesizer::{CorrelationMethod, DpCopulaConfig};
@@ -41,7 +42,7 @@ use dphist::MarginRegistry;
 use dpmech::{BudgetAccountant, Epsilon};
 use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
 use mathkit::Matrix;
-use modelstore::{AttributeSpec, ShardInfo};
+use modelstore::{AttributeSpec, CopulaFamily, ShardInfo};
 use obskit::names::ENGINE_SHARDS;
 use obskit::{MetricsSink, Stopwatch, Unit, SPAN_NS};
 use std::time::Duration;
@@ -58,6 +59,8 @@ pub const STREAM_MLE_NOISE: u64 = 4;
 pub const STREAM_SPEARMAN_NOISE: u64 = 5;
 /// RNG stream for copula sampling (index = row-chunk id).
 pub const STREAM_SAMPLER: u64 = 6;
+/// RNG stream for the copula-family vote's noise (index = candidate id).
+pub const STREAM_SELECTION: u64 = 7;
 
 /// Runs `f` and publishes the noise draws it made (on this thread) as
 /// `noise_draws_total{stage, mech}` counters. Uses the thread-local draw
@@ -238,6 +241,10 @@ pub(crate) struct FitParts {
     pub noisy_margins: Vec<Vec<f64>>,
     /// The clamped + PD-repaired DP correlation matrix.
     pub correlation: Matrix,
+    /// The copula family: the vote's winner, or the Gaussian.
+    pub family: CopulaFamily,
+    /// Budget spent on the family vote (0 without one).
+    pub epsilon_selection: f64,
     /// Budget spent on margins (`epsilon_1`).
     pub epsilon_margins: f64,
     /// Budget spent on correlations (`epsilon_2`; 0 for one attribute).
@@ -267,6 +274,61 @@ enum Rows<'a> {
     Streamed(CountedSource<'a>),
 }
 
+/// One fit's per-mechanism budgets: the family vote's share of the
+/// total when the fit selects a copula family, then the rest split by
+/// `k` into `eps1` for the margins (`eps1/m` each) and `eps2` for the
+/// correlations (`eps2/C(m,2)` each).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BudgetPlan {
+    /// The total ε the fold's accountant holds the debits to.
+    pub total: Epsilon,
+    /// The family vote's ε, when the fit selects a family.
+    pub selection: Option<Epsilon>,
+    /// The margins' budget `epsilon_1`.
+    pub eps1: Epsilon,
+    /// The correlations' budget `epsilon_2`.
+    pub eps2: Epsilon,
+}
+
+impl BudgetPlan {
+    /// Plans `total` over `attributes` attributes, with a family vote
+    /// when `select` is set. Refuses with
+    /// [`DpCopulaError::BudgetBelowFloor`] a plan that gives the vote, a
+    /// margin or a pair less than [`MIN_MECHANISM_EPSILON`]. One
+    /// attribute releases no pair.
+    pub(crate) fn new(
+        total: Epsilon,
+        k_ratio: f64,
+        attributes: usize,
+        select: bool,
+    ) -> Result<Self, DpCopulaError> {
+        let selection = select.then(|| total.fraction(SELECTION_SHARE));
+        let rest = match selection {
+            Some(vote) => Epsilon::new(total.value() - vote.value())?,
+            None => total,
+        };
+        let (eps1, eps2) = rest.split_ratio(k_ratio);
+        let m = attributes.max(1);
+        let pairs = m * (m - 1) / 2;
+        let mut smallest = eps1.divide(m).value();
+        if pairs > 0 {
+            smallest = smallest.min(eps2.divide(pairs).value());
+        }
+        if let Some(vote) = selection {
+            smallest = smallest.min(vote.value());
+        }
+        if smallest < MIN_MECHANISM_EPSILON {
+            return Err(DpCopulaError::BudgetBelowFloor { smallest });
+        }
+        Ok(Self {
+            total,
+            selection,
+            eps1,
+            eps2,
+        })
+    }
+}
+
 /// What one fit released, plus how long its stages took.
 pub(crate) struct Fit {
     /// The released model pieces.
@@ -286,25 +348,29 @@ pub(crate) struct Fit {
 ///
 /// `noisy_margins` are the published margins and `raw` the released
 /// correlation estimate before repair (Kendall's pooled τ matrix, or
-/// MLE's or Spearman's; the identity for one attribute). Only the
-/// budget fields of `config` are read. `build_ns` is the caller's time
-/// building those releases, reported as `pipeline/shard_fit`; the
-/// serial fold alone is `pipeline/shard_merge`.
+/// MLE's or Spearman's; the identity for one attribute), each released
+/// under `plan`, whose vote (if any) the accountant debits first. The
+/// parts' family is the Gaussian; a selecting fit writes its winner.
+/// `build_ns` is the caller's time building those releases, reported
+/// as `pipeline/shard_fit`; the serial fold alone is
+/// `pipeline/shard_merge`.
 pub(crate) fn fold_summaries(
     noisy_margins: Vec<Vec<f64>>,
     specs: &[ShardSpec],
     raw: Matrix,
-    config: &DpCopulaConfig,
+    plan: &BudgetPlan,
     build_ns: u64,
     sink: &MetricsSink,
 ) -> Result<FitParts, DpCopulaError> {
     let m = noisy_margins.len();
-    let (eps1, eps2) = config.epsilon.split_ratio(config.k_ratio);
-    let eps_margin = eps1.divide(m);
-    let mut accountant = BudgetAccountant::new(config.epsilon);
+    let eps_margin = plan.eps1.divide(m);
+    let mut accountant = BudgetAccountant::new(plan.total);
     sink.gauge_set(ENGINE_SHARDS, Unit::Info, specs.len() as u64);
 
     let watch = Stopwatch::start();
+    if let Some(vote) = plan.selection {
+        accountant.spend_tracked(vote, "selection", sink)?;
+    }
     for _ in 0..m {
         accountant.spend_tracked(eps_margin, "margins", sink)?;
     }
@@ -313,7 +379,7 @@ pub(crate) fn fold_summaries(
         raw
     } else {
         let mut p = raw;
-        accountant.spend_tracked(eps2, "correlation", sink)?;
+        accountant.spend_tracked(plan.eps2, "correlation", sink)?;
         clamp_to_correlation(&mut p);
         repair_positive_definite(&p)
     };
@@ -351,8 +417,10 @@ pub(crate) fn fold_summaries(
     Ok(FitParts {
         noisy_margins,
         correlation,
-        epsilon_margins: eps1.value(),
-        epsilon_correlations: if m > 1 { eps2.value() } else { 0.0 },
+        family: CopulaFamily::Gaussian,
+        epsilon_selection: plan.selection.map_or(0.0, Epsilon::value),
+        epsilon_margins: plan.eps1.value(),
+        epsilon_correlations: if m > 1 { plan.eps2.value() } else { 0.0 },
         shards,
     })
 }
@@ -361,6 +429,11 @@ pub(crate) fn fold_summaries(
 /// everything that touches the raw data and the privacy budget — on
 /// resident columns and streaming sources alike. Sampling from the
 /// result is free post-processing.
+///
+/// With `select` the fit also chooses its copula family: the budget
+/// plan sets [`crate::selection`]'s share of ε aside, and the
+/// `correlation` stage runs the family vote over every row, on stream
+/// [`STREAM_SELECTION`], before the estimator.
 ///
 /// The input is partitioned into `opts.shards` row shards, whose pooled
 /// counts and τ sample are released once each and folded by
@@ -372,12 +445,14 @@ pub(crate) fn fold_summaries(
 /// subsample plan (8 B per sampled row, plus a 4 B/row shuffle and up to
 /// 8 B per sampled row of buckets while a shard's plan is drawn and
 /// ordered) and the subsample itself — every row under
-/// `SamplingStrategy::Full`. MLE and Spearman read the raw records, so
-/// for them the reducing pass keeps the columns. For equal rows every
+/// `SamplingStrategy::Full`. MLE, Spearman and the family vote read the
+/// raw records, so for them the reducing pass keeps the columns. For
+/// equal rows every
 /// input kind and block size releases the same bytes (pinned in
 /// `tests/distfit_identity.rs`).
 pub(crate) fn fit_parts(
     cfg: &DpCopulaConfig,
+    select: bool,
     input: FitInput<'_>,
     base_seed: u64,
     opts: &EngineOptions,
@@ -419,7 +494,14 @@ pub(crate) fn fit_parts(
     };
     let domains: Vec<usize> = schema.iter().map(|a| a.domain).collect();
     let m = domains.len();
-    validate_budget(cfg.epsilon, cfg.k_ratio, m)?;
+    if select && m < 2 {
+        // A copula family has no dependence to describe.
+        return Err(DpCopulaError::TooFewAttributes {
+            attributes: m,
+            required: 2,
+        });
+    }
+    let plan = BudgetPlan::new(cfg.epsilon, cfg.k_ratio, m, select)?;
     let n = match &input {
         Rows::Resident(columns) => columns[0].len(),
         Rows::Streamed(counted) => counted.rows,
@@ -452,10 +534,9 @@ pub(crate) fn fit_parts(
         }
         _ => None,
     };
-    let (eps1, eps2) = cfg.epsilon.split_ratio(cfg.k_ratio);
     let specs = shard::shard_specs(n, opts.shards);
     let targets = strategy.filter(|_| m > 1).map(|strategy| {
-        let target = shard::kendall_sample_target(m, n, strategy, eps2);
+        let target = shard::kendall_sample_target(m, n, strategy, plan.eps2);
         shard::partition_sample_target(target, &specs)
     });
     let watch = Stopwatch::start();
@@ -467,9 +548,14 @@ pub(crate) fn fit_parts(
             columns
         }
         Rows::Streamed(counted) => {
-            // MLE and Spearman partition the raw records, so the
-            // reducing pass keeps a copy of every block for them.
-            let keep = if m > 1 && strategy.is_none() { m } else { 0 };
+            // MLE, Spearman and the family vote partition the raw
+            // records, so the reducing pass keeps a copy of every block
+            // for them.
+            let keep = if m > 1 && (strategy.is_none() || select) {
+                m
+            } else {
+                0
+            };
             let mut columns: Vec<Vec<u32>> = (0..keep).map(|_| Vec::with_capacity(n)).collect();
             counted.replay(|block| {
                 reducer.push(block, workers)?;
@@ -493,7 +579,7 @@ pub(crate) fn fit_parts(
     let noisy_margins = publish_margins(
         &exact,
         cfg.margin.registry_name(),
-        eps1.divide(m),
+        plan.eps1.divide(m),
         base_seed,
         workers,
         sink,
@@ -501,23 +587,30 @@ pub(crate) fn fit_parts(
     build_ns += watch.elapsed_ns();
     timings.margins = span.finish();
 
-    // Stage 3: DP correlation — the one Kendall pass over the pooled
-    // τ sample, or the raw matrix of an estimator without a sharded
-    // form (stage 1 guarantees a single shard for those).
+    // Stage 3: DP correlation — the family vote when the fit selects,
+    // then the one Kendall pass over the pooled τ sample, or the raw
+    // matrix of an estimator without a sharded form (stage 1
+    // guarantees a single shard for those).
     let span = sink.span("correlation");
+    let family = match plan.selection {
+        Some(eps) => harvest_draws(sink, "correlation", || {
+            dp_select_family(resident, &CANDIDATES, SELECTION_BLOCKS, eps, base_seed)
+        })?,
+        None => CopulaFamily::Gaussian,
+    };
     let raw = match cfg.method {
         _ if m == 1 => Matrix::identity(1),
         CorrelationMethod::Kendall(_) => {
             let watch = Stopwatch::start();
-            let p = dp_tau_matrix(sampled, eps2, base_seed, workers, sink);
+            let p = dp_tau_matrix(sampled, plan.eps2, base_seed, workers, sink);
             build_ns += watch.elapsed_ns();
             p
         }
         CorrelationMethod::Mle(strategy) => {
-            dp_mle_matrix_par(resident, eps2, strategy, base_seed, workers, sink)?
+            dp_mle_matrix_par(resident, plan.eps2, strategy, base_seed, workers, sink)?
         }
         CorrelationMethod::Spearman => {
-            dp_spearman_matrix_par(resident, eps2, base_seed, workers, sink)?
+            dp_spearman_matrix_par(resident, plan.eps2, base_seed, workers, sink)?
         }
     };
     timings.correlation = span.finish();
@@ -525,7 +618,8 @@ pub(crate) fn fit_parts(
     // Stage 4: the fold — the accountant, then clamp +
     // positive-definite repair.
     let span = sink.span("pd_repair");
-    let parts = fold_summaries(noisy_margins, &specs, raw, cfg, build_ns, sink)?;
+    let mut parts = fold_summaries(noisy_margins, &specs, raw, &plan, build_ns, sink)?;
+    parts.family = family;
     timings.pd_repair = span.finish();
 
     Ok(Fit {

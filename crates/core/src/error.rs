@@ -285,8 +285,9 @@ impl std::fmt::Display for DpCopulaError {
             DpCopulaError::BudgetBelowFloor { smallest } => write!(
                 f,
                 "per-mechanism budget {smallest:e} (epsilon_1/m per margin, \
-                 epsilon_2/C(m,2) per pair, count_fraction*epsilon per hybrid \
-                 partition count) is below the floor {MIN_MECHANISM_EPSILON:e}"
+                 epsilon_2/C(m,2) per pair, epsilon/10 for a family vote, \
+                 count_fraction*epsilon per hybrid partition count) is below \
+                 the floor {MIN_MECHANISM_EPSILON:e}"
             ),
         }
     }
@@ -352,18 +353,7 @@ pub fn validate_budget(
     k_ratio: f64,
     attributes: usize,
 ) -> Result<(), DpCopulaError> {
-    let (eps1, eps2) = epsilon.split_ratio(k_ratio);
-    let m = attributes.max(1);
-    let pairs = m * (m - 1) / 2;
-    let mut smallest = eps1.divide(m).value();
-    if pairs > 0 {
-        smallest = smallest.min(eps2.divide(pairs).value());
-    }
-    if smallest >= MIN_MECHANISM_EPSILON {
-        Ok(())
-    } else {
-        Err(DpCopulaError::BudgetBelowFloor { smallest })
-    }
+    crate::engine::BudgetPlan::new(epsilon, k_ratio, attributes, false).map(drop)
 }
 
 /// The shape half of [`validate_columns`]: at least one attribute and

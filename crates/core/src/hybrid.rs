@@ -81,9 +81,9 @@ impl HybridSynthesizer {
     /// Each DPCopula run is a [`SynthesisRequest`] seeded by one draw from
     /// `rng`. If no attribute is small-domain this degrades to one plain
     /// run with the full budget (no count noise is spent). Before any draw,
-    /// a count budget below [`MIN_MECHANISM_EPSILON`], or a per-partition
-    /// plan [`validate_budget`] refuses, is
-    /// [`DpCopulaError::BudgetBelowFloor`].
+    /// a count budget below [`MIN_MECHANISM_EPSILON`], or a plan
+    /// [`validate_budget`] refuses (the plain run's or the partitions'),
+    /// is [`DpCopulaError::BudgetBelowFloor`].
     pub fn synthesize<R: Rng + ?Sized>(
         &self,
         columns: &[Vec<u32>],
@@ -98,6 +98,7 @@ impl HybridSynthesizer {
             (0..m).partition(|&j| domains[j] < SMALL_DOMAIN_THRESHOLD);
 
         if small.is_empty() {
+            validate_budget(cfg.base.epsilon, cfg.base.k_ratio, m)?;
             let request = SynthesisRequest::from_config(columns, domains, cfg.base);
             let (out, _) = request.seed(rng.next_u64()).run()?;
             return Ok(HybridSynthesis {
@@ -376,6 +377,9 @@ mod tests {
         let ternary: Vec<u32> = (0..600).map(|i| i % 3).collect();
         let mut wide = vec![binary.clone()];
         wide.extend((0..4u32).map(|j| (0..600).map(|i| (i * (j + 1)) % 50).collect()));
+        let large: Vec<Vec<u32>> = (0..5u32)
+            .map(|j| (0..600).map(|i| (i * (j + 1)) % 50).collect())
+            .collect();
         let cases = [
             // All small: at ε = 1e-150 a count's Laplace scale is 1e151,
             // and its release would saturate `usize`.
@@ -383,6 +387,9 @@ mod tests {
             // Four large attributes at ε = 3e-119: the counts' 3e-120
             // clears the floor, a pair of the per-partition plan does not.
             (wide, vec![2, 50, 50, 50, 50], 3e-119),
+            // No small attribute: one plain run, whose pairs get less
+            // than the floor.
+            (large, vec![50; 5], 3e-119),
         ];
         for (cols, domains, eps) in &cases {
             for seed in 0..4 {

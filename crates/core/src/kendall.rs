@@ -10,17 +10,13 @@
 //! the pooled sensitivity, and map `sin(π/2·τ)`. The in-process fit at
 //! any shard count, [`crate::distfit::merge_shards`] and
 //! [`crate::shard::dp_tau_matrix_sharded`] all call it, so a sharded
-//! release is the pooled statistic by construction (DESIGN.md §12). The
-//! serial [`dp_correlation_matrix`] shares its counting half and draws
-//! its noise from the caller's generator.
+//! release is the pooled statistic by construction (DESIGN.md §12), and
+//! it is the library's only τ-matrix release.
 
 use crate::engine::{harvest_draws, STREAM_KENDALL_NOISE};
-use crate::shard::kendall_sample_target;
 use dpmech::{laplace_noise, Epsilon};
-use mathkit::correlation::{clamp_to_correlation, repair_positive_definite};
 use mathkit::Matrix;
 use obskit::MetricsSink;
-use rngkit::seq::SliceRandom;
 use rngkit::Rng;
 use std::sync::Mutex;
 
@@ -387,58 +383,6 @@ pub enum SamplingStrategy {
     Fixed(usize),
 }
 
-/// Computes the full DP correlation-matrix estimator of Algorithm 5:
-/// noisy pairwise Kendall's tau on (optionally sampled) records, the
-/// `sin(pi/2 * tau)` map, and the eigenvalue positive-definite repair.
-///
-/// `eps2_total` is the budget for *all* coefficients; each pair spends
-/// `eps2_total / C(m,2)` (sequential composition across pairs).
-pub fn dp_correlation_matrix<R: Rng + ?Sized>(
-    columns: &[Vec<u32>],
-    eps2_total: Epsilon,
-    strategy: SamplingStrategy,
-    rng: &mut R,
-) -> Matrix {
-    let m = columns.len();
-    assert!(m >= 1, "need at least one column");
-    if m == 1 {
-        return Matrix::identity(1);
-    }
-    let n = columns[0].len();
-    let pairs = pair_ids(m);
-    let eps_pair = eps2_total.divide(pairs.len());
-    let sample_target = kendall_sample_target(m, n, strategy, eps2_total);
-
-    // One shared row sample for all pairs (records are sampled once, not
-    // per pair, so the per-pair sequential composition still holds on the
-    // sampled sub-dataset).
-    let rows: Vec<usize> = if sample_target < n {
-        let mut all: Vec<usize> = (0..n).collect();
-        all.shuffle(rng);
-        all.truncate(sample_target);
-        all
-    } else {
-        (0..n).collect()
-    };
-
-    let sampled = columns
-        .iter()
-        .map(|col| rows.iter().map(|&r| col[r]).collect())
-        .collect();
-    let off = MetricsSink::off();
-    let concordances = pair_concordances(&rank_columns(sampled, 1, &off), 1, &off);
-    let scale = kendall_sensitivity(rows.len()) / eps_pair.value();
-    let mut p = Matrix::identity(m);
-    for (&(i, j), c) in pairs.iter().zip(&concordances) {
-        let tau = c.tau() + laplace_noise(rng, scale);
-        let r = (std::f64::consts::FRAC_PI_2 * tau).sin();
-        p[(i, j)] = r;
-        p[(j, i)] = r;
-    }
-    clamp_to_correlation(&mut p);
-    repair_positive_definite(&p)
-}
-
 /// The attribute pairs `(i, j)`, `i < j`, of `m` attributes in
 /// lexicographic order; pair id `k` indexes this list.
 pub(crate) fn pair_ids(m: usize) -> Vec<(usize, usize)> {
@@ -524,6 +468,7 @@ mod tests {
     use super::*;
     use mathkit::cholesky::is_positive_definite;
     use rngkit::rngs::StdRng;
+    use rngkit::seq::SliceRandom;
     use rngkit::SeedableRng;
 
     #[test]
@@ -610,28 +555,19 @@ mod tests {
                     .collect()
             })
             .collect();
-        let p = dp_correlation_matrix(
-            &cols,
-            Epsilon::new(1.0).unwrap(),
-            SamplingStrategy::Full,
-            &mut rng,
-        );
-        assert!(is_positive_definite(&p));
-        assert!(mathkit::correlation::is_correlation_shaped(&p, 1e-9));
+        // Algorithm 5 end to end: the fit's τ release, clamped and
+        // repaired.
+        let (model, _) =
+            crate::SynthesisRequest::new(&cols, &[1000; 3], Epsilon::new(1.0).unwrap())
+                .estimator(crate::CorrelationMethod::Kendall(SamplingStrategy::Full))
+                .seed(3)
+                .fit()
+                .unwrap();
+        let p = &model.artifact().correlation;
+        assert!(is_positive_definite(p));
+        assert!(mathkit::correlation::is_correlation_shaped(p, 1e-9));
         // Strong positive dependence should survive.
         assert!(p[(0, 1)] > 0.5, "p01 = {}", p[(0, 1)]);
-    }
-
-    #[test]
-    fn single_column_matrix_is_identity() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let p = dp_correlation_matrix(
-            &[vec![1u32, 2, 3]],
-            Epsilon::new(1.0).unwrap(),
-            SamplingStrategy::Full,
-            &mut rng,
-        );
-        assert_eq!(p, Matrix::identity(1));
     }
 
     #[test]
@@ -821,12 +757,8 @@ mod tests {
         let x: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
         let y: Vec<u32> = x.iter().map(|&v| (v / 2) + 1).collect();
         let cols = vec![x, y];
-        let p = dp_correlation_matrix(
-            &cols,
-            Epsilon::new(0.5).unwrap(),
-            SamplingStrategy::Auto,
-            &mut rng,
-        );
+        // Auto samples 100 of the 20,000 rows at ε₂ = 1.
+        let p = whole_table_tau(&cols, SamplingStrategy::Auto, 5, 1).unwrap();
         assert!(p[(0, 1)] > 0.8, "p01 = {}", p[(0, 1)]);
     }
 

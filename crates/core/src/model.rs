@@ -76,22 +76,26 @@ pub(crate) fn assemble_artifact(
     schema: Vec<AttributeSpec>,
     parts: crate::engine::FitParts,
 ) -> ModelArtifact {
-    let mut entries = vec![BudgetEntry {
-        label: "margins".into(),
-        epsilon: parts.epsilon_margins,
-    }];
-    if parts.epsilon_correlations > 0.0 {
-        entries.push(BudgetEntry {
-            label: "correlation".into(),
-            epsilon: parts.epsilon_correlations,
-        });
-    }
+    // The ledger in spending order; a fit without a vote or without
+    // pairs spends nothing on them.
+    let entries = [
+        ("selection", parts.epsilon_selection),
+        ("margins", parts.epsilon_margins),
+        ("correlation", parts.epsilon_correlations),
+    ]
+    .into_iter()
+    .filter(|&(_, epsilon)| epsilon > 0.0)
+    .map(|(label, epsilon)| BudgetEntry {
+        label: label.into(),
+        epsilon,
+    })
+    .collect();
     ModelArtifact {
         schema,
         margin_method: meta.margin_method.to_string(),
         margins: parts.noisy_margins,
         correlation: parts.correlation,
-        family: CopulaFamily::Gaussian,
+        family: parts.family,
         ledger: BudgetLedger {
             total: meta.epsilon_total,
             entries,

@@ -11,14 +11,14 @@
 //!   (sample it with [`FittedModel::try_sample_range_profiled`]);
 //! * [`SynthesisRequest::run`] — the same fit, then stage 5: the fitted
 //!   model's window `[0, output_records)` through the chunk loop that
-//!   serves every window, returned as `(Synthesis, PipelineReport)`;
-//! * [`SynthesisRequest::run_adaptive`] — DP copula-family selection
-//!   (§3.2's AIC remark) followed by the pipeline with the winner.
+//!   serves every window, returned as `(Synthesis, PipelineReport)`.
 //!
-//! A caller that holds a generator rather than a seed draws one:
-//! `.seed(rng.next_u64())`. `selection::synthesize_adaptive` remains as
-//! the serial, generator-driven entry point; `DESIGN.md` §10 maps the
-//! removed entry points to this builder.
+//! [`SynthesisRequest::select_family`] makes either finisher's fit also
+//! choose its copula family by a DP vote (§3.2's AIC remark) and write
+//! the winner into the artifact, so an adaptive release is saved,
+//! served and sampled like any other. A caller that holds a generator
+//! rather than a seed draws one: `.seed(rng.next_u64())`. `DESIGN.md`
+//! §10 maps the removed entry points to this builder.
 //!
 //! ## Input
 //!
@@ -33,14 +33,11 @@ use crate::engine::{fit_parts, EngineOptions, FitInput, PipelineReport};
 use crate::error::DpCopulaError;
 use crate::model::{assemble_artifact, ArtifactMeta, FittedModel};
 use crate::sampler::{concat_chunks, SamplingProfile};
-use crate::selection::{synthesize_adaptive, AdaptiveConfig, AdaptiveSynthesis};
 use crate::synthesizer::{CorrelationMethod, DpCopulaConfig, MarginMethod, Synthesis};
 use datagen::RowSource;
 use dpmech::Epsilon;
 use obskit::names::{ENGINE_WORKERS, PIPELINE_ROWS_OUT_TOTAL, PIPELINE_RUNS_TOTAL};
 use obskit::{MetricsSink, Unit};
-use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
 use std::cell::RefCell;
 
 /// The data a request runs against: resident columns (eager, borrowed)
@@ -86,6 +83,7 @@ impl std::fmt::Debug for RequestInput<'_> {
 pub struct SynthesisRequest<'d> {
     input: RequestInput<'d>,
     config: DpCopulaConfig,
+    select_family: bool,
     opts: EngineOptions,
     base_seed: u64,
     sink: MetricsSink,
@@ -111,6 +109,7 @@ impl<'d> SynthesisRequest<'d> {
         Self {
             input: RequestInput::Columns { columns, domains },
             config,
+            select_family: false,
             opts: EngineOptions::default(),
             base_seed: 0,
             sink: MetricsSink::off(),
@@ -131,6 +130,7 @@ impl<'d> SynthesisRequest<'d> {
         Self {
             input: RequestInput::Source(RefCell::new(Box::new(source))),
             config,
+            select_family: false,
             opts: EngineOptions::default(),
             base_seed: 0,
             sink: MetricsSink::off(),
@@ -168,6 +168,21 @@ impl<'d> SynthesisRequest<'d> {
     /// released bytes (to an equally valid draw from the same model).
     pub fn profile(mut self, profile: SamplingProfile) -> Self {
         self.config = self.config.with_profile(profile);
+        self
+    }
+
+    /// Makes the fit choose its copula family (default: the Gaussian).
+    /// The fit spends a tenth of ε on a DP vote of 100 disjoint row
+    /// blocks between the Gaussian and Student-t copulas with 4 and 10
+    /// degrees of freedom, each block voting for its lowest AIC, then
+    /// splits the rest by `k` as usual. The winner is the artifact's
+    /// family, so [`Self::run`] and every served window sample it; the
+    /// ledger reads `selection`, `margins`, `correlation`. A fit of fewer
+    /// than two attributes is refused with
+    /// [`DpCopulaError::TooFewAttributes`], and one of fewer than 800
+    /// rows with [`DpCopulaError::InsufficientDataForMle`].
+    pub fn select_family(mut self) -> Self {
+        self.select_family = true;
         self
     }
 
@@ -234,20 +249,16 @@ impl<'d> SynthesisRequest<'d> {
     /// its report (sampling zero) and the input's row count.
     fn fit_model(&self) -> Result<(FittedModel, PipelineReport, usize), DpCopulaError> {
         let (cfg, seed, opts, sink) = (&self.config, self.base_seed, &self.opts, &self.sink);
-        let fit = match &self.input {
-            RequestInput::Columns { columns, domains } => fit_parts(
-                cfg,
-                FitInput::Columns { columns, domains },
-                seed,
-                opts,
-                sink,
-            )?,
-            RequestInput::Source(source) => {
-                let mut source = source.borrow_mut();
+        let mut source;
+        let input = match &self.input {
+            RequestInput::Columns { columns, domains } => FitInput::Columns { columns, domains },
+            RequestInput::Source(cell) => {
+                source = cell.borrow_mut();
                 Self::reset_source(source.as_mut())?;
-                fit_parts(cfg, FitInput::Source(source.as_mut()), seed, opts, sink)?
+                FitInput::Source(source.as_mut())
             }
         };
+        let fit = fit_parts(cfg, self.select_family, input, seed, opts, sink)?;
         let artifact = assemble_artifact(
             &ArtifactMeta {
                 epsilon_total: cfg.epsilon.value(),
@@ -326,46 +337,6 @@ impl<'d> SynthesisRequest<'d> {
         drop(pipeline);
         Ok((model, report))
     }
-
-    /// Runs DP copula-family selection and then the pipeline with the
-    /// winning family, using [`AdaptiveConfig::new`]'s candidate set
-    /// around this request's configuration. The selection path is
-    /// inherently sequential, so it derives its generator from this
-    /// request's seed; equal seeds reproduce equal releases.
-    pub fn run_adaptive(&self) -> Result<AdaptiveSynthesis, DpCopulaError> {
-        self.run_adaptive_with(&AdaptiveConfig::new(self.config))
-    }
-
-    /// [`SynthesisRequest::run_adaptive`] with explicit candidates,
-    /// selection fraction, and partition count. `config.base` is
-    /// ignored in favour of this request's configuration.
-    pub fn run_adaptive_with(
-        &self,
-        config: &AdaptiveConfig,
-    ) -> Result<AdaptiveSynthesis, DpCopulaError> {
-        let config = AdaptiveConfig {
-            base: self.config,
-            candidates: config.candidates.clone(),
-            selection_fraction: config.selection_fraction,
-            partitions: config.partitions,
-        };
-        let mut rng = StdRng::seed_from_u64(self.base_seed);
-        match &self.input {
-            RequestInput::Columns { columns, domains } => {
-                synthesize_adaptive(&config, columns, domains, &mut rng)
-            }
-            RequestInput::Source(source) => {
-                // Family selection partitions the raw records, so a
-                // streaming input is materialized first (the documented
-                // limitation — adaptive selection is not out-of-core).
-                let mut source = source.borrow_mut();
-                Self::reset_source(source.as_mut())?;
-                let (_schema, domains, columns) =
-                    crate::distfit::materialize_source(source.as_mut())?;
-                synthesize_adaptive(&config, &columns, &domains, &mut rng)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -373,6 +344,8 @@ mod tests {
     use super::*;
     use obskit::names::{PIPELINE_ROWS_OUT_TOTAL, PIPELINE_RUNS_TOTAL};
     use obskit::{MetricValue, MetricsRegistry};
+    use rngkit::rngs::StdRng;
+    use rngkit::SeedableRng;
     use std::sync::Arc;
 
     fn test_columns(m: usize, n: usize, domain: u32, seed: u64) -> Vec<Vec<u32>> {
@@ -389,20 +362,53 @@ mod tests {
     }
 
     #[test]
-    fn run_adaptive_is_reproducible_per_seed() {
+    fn selecting_fit_is_reproducible_per_seed() {
         let cols = test_columns(2, 4_000, 64, 3);
         let domains = vec![64usize; 2];
-        let request = SynthesisRequest::new(&cols, &domains, Epsilon::new(5.0).unwrap()).seed(9);
-        let a = request.run_adaptive().unwrap();
-        let b = request.run_adaptive().unwrap();
-        assert_eq!(a.synthesis.columns, b.synthesis.columns);
-        assert_eq!(a.family, b.family);
-        // And it matches the legacy free function fed the same generator.
-        let mut rng = StdRng::seed_from_u64(9);
-        let config = AdaptiveConfig::new(*request.config());
-        let legacy = synthesize_adaptive(&config, &cols, &domains, &mut rng).unwrap();
-        assert_eq!(a.synthesis.columns, legacy.synthesis.columns);
-        assert_eq!(a.family, legacy.family);
+        let request = SynthesisRequest::new(&cols, &domains, Epsilon::new(5.0).unwrap())
+            .select_family()
+            .seed(9);
+        let (a, _) = request.run().unwrap();
+        let (b, _) = request.run().unwrap();
+        assert_eq!(a.columns, b.columns);
+        // `run` samples the fitted model, whichever family won.
+        let (model, _) = request.fit().unwrap();
+        let window = model
+            .try_sample_range_profiled(SamplingProfile::Reference, 0, 4_000, 3)
+            .unwrap();
+        assert_eq!(window, a.columns);
+    }
+
+    #[test]
+    fn selecting_fit_debits_the_vote_through_the_accountant() {
+        use obskit::names::{BUDGET_EPS_SPENT_NEPS, BUDGET_SPENDS_TOTAL};
+        let cols = test_columns(3, 2_000, 32, 6);
+        let domains = vec![32usize; 3];
+        let registry = Arc::new(MetricsRegistry::new());
+        let (model, _) = SynthesisRequest::new(&cols, &domains, Epsilon::new(2.0).unwrap())
+            .select_family()
+            .metrics(MetricsSink::to_registry(registry.clone()))
+            .seed(4)
+            .fit()
+            .unwrap();
+        let snap = registry.snapshot();
+        let counter = |name: &str, stage: &str| {
+            let id = obskit::series_id(name, &[("stage", stage)]);
+            match snap.get(&id).map(|e| &e.value) {
+                Some(MetricValue::Counter(n)) => *n,
+                other => panic!("{id}: {other:?}"),
+            }
+        };
+        let ledger = &model.artifact().ledger;
+        let labels: Vec<&str> = ledger.entries.iter().map(|e| &*e.label).collect();
+        assert_eq!(labels, ["selection", "margins", "correlation"]);
+        let mut neps = 0;
+        for (entry, spends) in ledger.entries.iter().zip([1, 3, 1]) {
+            assert_eq!(counter(BUDGET_SPENDS_TOTAL, &entry.label), spends);
+            neps += counter(BUDGET_EPS_SPENT_NEPS, &entry.label);
+        }
+        assert_eq!(counter(BUDGET_EPS_SPENT_NEPS, "selection"), 200_000_000);
+        assert!(neps.abs_diff(2_000_000_000) <= 3, "{neps} nano-eps");
     }
 
     #[test]

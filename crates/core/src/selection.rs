@@ -1,9 +1,11 @@
 //! Differentially private copula-family selection by AIC — the paper's
 //! §3.2 remark ("we can use many approaches to test the goodness-of-fit,
 //! such as Akaike's Information Criterion (AIC), to identify the best
-//! copula") turned into a working mechanism, plus an adaptive synthesizer
-//! that picks between the Gaussian and Student-t families before
-//! sampling.
+//! copula") turned into a step of the fit. A request that calls
+//! [`crate::SynthesisRequest::select_family`] spends a tenth of its ε on
+//! a vote inside the `correlation` stage between the Gaussian and
+//! Student-t copulas with 4 and 10 degrees of freedom, splits the rest by
+//! `k` as usual, and writes the winner into its artifact's family.
 //!
 //! The AIC of a copula family `F` with `k_F` parameters is
 //! `2 k_F - 2 ln L`. Selection is by **subsample-and-aggregate voting**:
@@ -17,81 +19,57 @@
 //! matter are O(block) while a DP mean-log-likelihood release must be
 //! calibrated to a worst-case rank rearrangement and drowns the signal.
 //!
-//! [`dp_select_family`] is the one selection release. Over Student-t
+//! `dp_select_family` is the one selection release. Over Student-t
 //! candidates alone it selects the degrees of freedom: every candidate
 //! pays the same AIC penalty, so each block votes for its highest
 //! (clamped) t-copula log-likelihood.
 
-use crate::empirical::{pseudo_copula_column, MarginalDistribution};
-use crate::error::{validate_budget, validate_columns, DpCopulaError};
+use crate::empirical::pseudo_copula_column;
+use crate::engine::STREAM_SELECTION;
+use crate::error::DpCopulaError;
 use crate::gaussian::GaussianCopula;
-use crate::kendall::{dp_correlation_matrix, SamplingStrategy};
-use crate::sampler::CopulaSampler;
-use crate::synthesizer::{DpCopulaConfig, Synthesis};
-use crate::tcopula::{TCopula, TCopulaSampler};
-use dphist::histogram::Histogram1D;
+use crate::tcopula::TCopula;
 use dpmech::{laplace_noise, Epsilon};
 use mathkit::dist::Continuous as _;
 use mathkit::special::norm_quantile;
 use mathkit::stats::pearson;
 use mathkit::Matrix;
-use rngkit::Rng;
+use modelstore::CopulaFamily;
 
 /// Clamp applied to per-record log-densities so the AIC release has
 /// bounded sensitivity.
 pub const LL_CLAMP: f64 = 25.0;
 
-/// A copula family candidate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CopulaFamily {
-    /// The Gaussian copula (the paper's default).
-    Gaussian,
-    /// Student-t copula with fixed degrees of freedom.
-    StudentT {
-        /// Degrees of freedom `nu > 0`.
-        df: f64,
-    },
-}
+/// The families a selecting fit votes over: the Gaussian, and Student-t
+/// with 4 and 10 degrees of freedom.
+pub(crate) const CANDIDATES: [CopulaFamily; 3] = [
+    CopulaFamily::Gaussian,
+    CopulaFamily::StudentT { dof: 4.0 },
+    CopulaFamily::StudentT { dof: 10.0 },
+];
 
-impl CopulaFamily {
-    /// Number of free parameters beyond the correlation matrix (the
-    /// matrix's `C(m,2)` entries are shared by all elliptical families).
-    fn extra_params(self) -> f64 {
-        match self {
-            CopulaFamily::Gaussian => 0.0,
-            CopulaFamily::StudentT { .. } => 1.0,
-        }
-    }
-}
+/// The share of a selecting fit's ε the vote spends.
+pub(crate) const SELECTION_SHARE: f64 = 0.1;
 
-impl std::fmt::Display for CopulaFamily {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CopulaFamily::Gaussian => write!(f, "gaussian"),
-            CopulaFamily::StudentT { df } => write!(f, "t(nu={df})"),
-        }
-    }
-}
+/// Subsample-and-aggregate blocks of a selecting fit's vote.
+pub(crate) const SELECTION_BLOCKS: usize = 100;
 
-/// One candidate's released support.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FamilyScore {
-    /// The candidate.
-    pub family: CopulaFamily,
-    /// Noisy count of blocks whose AIC preferred this candidate
-    /// (higher is better).
-    pub noisy_votes: f64,
-}
-
-/// Selects the best copula family by per-block AIC voting, spending
-/// `epsilon` on the vote-histogram release.
-pub fn dp_select_family<R: Rng + ?Sized>(
+/// Selects the best copula family by per-block AIC voting over
+/// `partitions` disjoint blocks of `columns`, spending `epsilon` on the
+/// vote-histogram release. Candidate `i`'s Laplace noise comes from
+/// `stream_rng(base_seed, STREAM_SELECTION, i)`, so the winner is a pure
+/// function of the rows, the candidates and the seed.
+///
+/// # Panics
+/// Panics without candidates, below two columns, or on a hybrid
+/// candidate.
+pub(crate) fn dp_select_family(
     columns: &[Vec<u32>],
     candidates: &[CopulaFamily],
     partitions: usize,
     epsilon: Epsilon,
-    rng: &mut R,
-) -> Result<(CopulaFamily, Vec<FamilyScore>), DpCopulaError> {
+    base_seed: u64,
+) -> Result<CopulaFamily, DpCopulaError> {
     assert!(!candidates.is_empty(), "need candidate families");
     let m = columns.len();
     assert!(m >= 2, "family selection needs at least two attributes");
@@ -128,28 +106,32 @@ pub fn dp_select_family<R: Rng + ?Sized>(
         }
         let p = mathkit::correlation::repair_positive_definite(&p);
 
-        // Per-block AIC for every candidate; vote for the minimiser.
+        // Per-block AIC for every candidate; vote for the minimiser. A
+        // t candidate pays one parameter beyond the shared matrix.
         let mut best = (0usize, f64::INFINITY);
         for (ci, &family) in candidates.iter().enumerate() {
             let mut ll = 0.0;
-            match family {
+            let extra = match family {
                 CopulaFamily::Gaussian => {
                     let c = GaussianCopula::new(p.clone()).expect("repaired matrix is PD");
                     for row in 0..block {
                         let z: Vec<f64> = scores.iter().map(|s| s[row]).collect();
                         ll += c.log_density_scores(&z).clamp(-LL_CLAMP, LL_CLAMP);
                     }
+                    0.0
                 }
-                CopulaFamily::StudentT { df } => {
-                    let c = TCopula::new(p.clone(), df).expect("repaired matrix is PD");
-                    let tdist = mathkit::dist::StudentT::new(df).expect("positive df");
+                CopulaFamily::StudentT { dof } => {
+                    let c = TCopula::new(p.clone(), dof).expect("repaired matrix is PD");
+                    let tdist = mathkit::dist::StudentT::new(dof).expect("positive dof");
                     for row in 0..block {
                         let x: Vec<f64> = u_cols.iter().map(|u| tdist.quantile(u[row])).collect();
                         ll += c.log_density_scores(&x).clamp(-LL_CLAMP, LL_CLAMP);
                     }
+                    1.0
                 }
-            }
-            let aic = 2.0 * (pairs + family.extra_params()) - 2.0 * ll;
+                CopulaFamily::Hybrid { .. } => panic!("the hybrid is not a copula candidate"),
+            };
+            let aic = 2.0 * (pairs + extra) - 2.0 * ll;
             if aic < best.1 {
                 best = (ci, aic);
             }
@@ -159,148 +141,27 @@ pub fn dp_select_family<R: Rng + ?Sized>(
 
     // One record flips at most one block's vote (L1 sensitivity 2 on the
     // histogram).
-    let scores: Vec<FamilyScore> = candidates
+    let noisy: Vec<f64> = votes
         .iter()
-        .zip(&votes)
-        .map(|(&family, &v)| FamilyScore {
-            family,
-            noisy_votes: v + laplace_noise(rng, 2.0 / epsilon.value()),
+        .enumerate()
+        .map(|(i, &v)| {
+            let mut rng = parkit::stream_rng(base_seed, STREAM_SELECTION, i as u64);
+            v + laplace_noise(&mut rng, 2.0 / epsilon.value())
         })
         .collect();
-    let best = scores
-        .iter()
-        .max_by(|a, b| {
-            a.noisy_votes
-                .partial_cmp(&b.noisy_votes)
-                .expect("finite votes")
-        })
+    let best = (0..candidates.len())
+        .max_by(|&a, &b| noisy[a].partial_cmp(&noisy[b]).expect("finite votes"))
         .expect("non-empty");
-    Ok((best.family, scores.clone()))
-}
-
-/// Configuration of the adaptive (family-selecting) synthesizer.
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Base DPCopula configuration; its `epsilon` is the total budget.
-    pub base: DpCopulaConfig,
-    /// Candidate families (default: Gaussian plus t with nu in {4, 10}).
-    pub candidates: Vec<CopulaFamily>,
-    /// Fraction of the budget spent on family selection.
-    pub selection_fraction: f64,
-    /// Subsample-and-aggregate block count for the selection.
-    pub partitions: usize,
-}
-
-impl AdaptiveConfig {
-    /// Sensible defaults around a base configuration.
-    pub fn new(base: DpCopulaConfig) -> Self {
-        Self {
-            base,
-            candidates: vec![
-                CopulaFamily::Gaussian,
-                CopulaFamily::StudentT { df: 4.0 },
-                CopulaFamily::StudentT { df: 10.0 },
-            ],
-            selection_fraction: 0.1,
-            partitions: 100,
-        }
-    }
-}
-
-/// Result of an adaptive synthesis: the usual release plus which family
-/// won and the score table.
-#[derive(Debug, Clone)]
-pub struct AdaptiveSynthesis {
-    /// The synthetic release.
-    pub synthesis: Synthesis,
-    /// The selected family.
-    pub family: CopulaFamily,
-    /// Noisy AIC scores of every candidate.
-    pub scores: Vec<FamilyScore>,
-}
-
-/// Runs family selection and then the full DPCopula pipeline with the
-/// winning family. Budget: `selection_fraction * eps` on selection, the
-/// rest split between margins and correlations as usual.
-///
-/// *Soft-deprecated:* prefer
-/// [`crate::request::SynthesisRequest::run_adaptive`], which derives the
-/// generator from the request's seed and shares the front-door builder;
-/// for a generator seeded identically it releases byte-identical output
-/// (`DESIGN.md` §10).
-pub fn synthesize_adaptive<R: Rng + ?Sized>(
-    config: &AdaptiveConfig,
-    columns: &[Vec<u32>],
-    domains: &[usize],
-    rng: &mut R,
-) -> Result<AdaptiveSynthesis, DpCopulaError> {
-    validate_columns(columns, domains)?;
-    if columns.len() < 2 {
-        // Copula-family selection is meaningless without dependence.
-        return Err(DpCopulaError::TooFewAttributes {
-            attributes: columns.len(),
-            required: 2,
-        });
-    }
-    assert!(
-        config.selection_fraction > 0.0 && config.selection_fraction < 1.0,
-        "selection fraction must be in (0,1)"
-    );
-    let total = config.base.epsilon;
-    let eps_select = total.fraction(config.selection_fraction);
-    let eps_rest = Epsilon::new(total.value() - eps_select.value())?;
-    validate_budget(eps_rest, config.base.k_ratio, columns.len())?;
-
-    let (family, scores) = dp_select_family(
-        columns,
-        &config.candidates,
-        config.partitions,
-        eps_select,
-        rng,
-    )?;
-
-    // Margins + correlation with the remaining budget.
-    let (eps1, eps2) = eps_rest.split_ratio(config.base.k_ratio);
-    let m = columns.len();
-    let n = columns[0].len();
-    let eps_margin = eps1.divide(m);
-    let mut margins = Vec::with_capacity(m);
-    let mut noisy_margins = Vec::with_capacity(m);
-    for (col, &domain) in columns.iter().zip(domains) {
-        let exact = Histogram1D::from_values(col, domain);
-        let noisy = config.base.margin.publish(exact.counts(), eps_margin, rng);
-        margins.push(MarginalDistribution::from_noisy_histogram(&noisy));
-        noisy_margins.push(noisy);
-    }
-    let correlation = dp_correlation_matrix(columns, eps2, SamplingStrategy::Auto, rng);
-
-    let n_out = config.base.output_records.unwrap_or(n);
-    let columns_out = match family {
-        CopulaFamily::Gaussian => {
-            CopulaSampler::new(&correlation, margins)?.sample_columns(n_out, rng)
-        }
-        CopulaFamily::StudentT { df } => {
-            TCopulaSampler::new(&correlation, df, margins)?.sample_columns(n_out, rng)
-        }
-    };
-
-    Ok(AdaptiveSynthesis {
-        synthesis: Synthesis {
-            columns: columns_out,
-            correlation,
-            noisy_margins,
-            epsilon_margins: eps1.value(),
-            epsilon_correlations: eps2.value(),
-        },
-        family,
-        scores,
-    })
+    Ok(candidates[best])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::empirical::MarginalDistribution;
+    use crate::sampler::CopulaSampler;
+    use crate::tcopula::TCopulaSampler;
+    use crate::SynthesisRequest;
     use mathkit::correlation::equicorrelation;
     use rngkit::rngs::StdRng;
     use rngkit::SeedableRng;
@@ -324,68 +185,78 @@ mod tests {
         s.sample_columns(n, &mut rng)
     }
 
+    const GAUSSIAN_OR_T3: [CopulaFamily; 2] =
+        [CopulaFamily::Gaussian, CopulaFamily::StudentT { dof: 3.0 }];
+
     #[test]
     fn aic_prefers_gaussian_on_gaussian_data() {
         let cols = gaussian_data(12_000, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let (best, scores) = dp_select_family(
-            &cols,
-            &[CopulaFamily::Gaussian, CopulaFamily::StudentT { df: 3.0 }],
-            80,
-            Epsilon::new(10.0).unwrap(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(best, CopulaFamily::Gaussian, "scores {scores:?}");
-        assert_eq!(scores.len(), 2);
+        let eps = Epsilon::new(10.0).unwrap();
+        let best = dp_select_family(&cols, &GAUSSIAN_OR_T3, 80, eps, 2).unwrap();
+        assert_eq!(best, CopulaFamily::Gaussian);
     }
 
     #[test]
     fn aic_prefers_t_on_t_data() {
         let cols = t_data(12_000, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let (best, scores) = dp_select_family(
-            &cols,
-            &[CopulaFamily::Gaussian, CopulaFamily::StudentT { df: 3.0 }],
-            80,
-            Epsilon::new(10.0).unwrap(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(
-            best,
-            CopulaFamily::StudentT { df: 3.0 },
-            "scores {scores:?}"
-        );
+        let eps = Epsilon::new(10.0).unwrap();
+        let best = dp_select_family(&cols, &GAUSSIAN_OR_T3, 80, eps, 4).unwrap();
+        assert_eq!(best, CopulaFamily::StudentT { dof: 3.0 });
+    }
+
+    #[test]
+    fn vote_noise_comes_from_the_selection_stream() {
+        // At ε = 1e-9 the noise (scale 2e9) swamps 100 block votes, so
+        // the larger of the two candidates' draws on their
+        // `STREAM_SELECTION` generators picks the winner.
+        let cols = gaussian_data(800, 9);
+        let eps = Epsilon::new(1e-9).unwrap();
+        let mut wins = [0; 2];
+        for seed in 0..16 {
+            let noise = |i| {
+                let mut rng = parkit::stream_rng(seed, STREAM_SELECTION, i);
+                laplace_noise(&mut rng, 2.0 / eps.value())
+            };
+            let want = usize::from(noise(1) > noise(0));
+            let best = dp_select_family(&cols, &GAUSSIAN_OR_T3, 100, eps, seed).unwrap();
+            assert_eq!(best, GAUSSIAN_OR_T3[want], "seed {seed}");
+            wins[want] += 1;
+        }
+        assert!(wins[0] > 0 && wins[1] > 0, "{wins:?}");
     }
 
     #[test]
     fn adaptive_synthesis_runs_end_to_end() {
+        // A selecting request releases rows, a family from the candidate
+        // set, and a ledger of the vote's 10% plus the usual split.
         let cols = t_data(8_000, 5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let config = AdaptiveConfig::new(DpCopulaConfig::kendall(Epsilon::new(5.0).unwrap()));
-        let out = synthesize_adaptive(&config, &cols, &[400, 400], &mut rng).unwrap();
-        assert_eq!(out.synthesis.columns.len(), 2);
-        assert_eq!(out.synthesis.columns[0].len(), 8_000);
-        assert!(out.synthesis.columns.iter().flatten().all(|&v| v < 400));
-        assert_eq!(out.scores.len(), 3);
-        // Budget: selection 10% + (margins + correlations) = total.
-        let spent = 0.5 + out.synthesis.epsilon_margins + out.synthesis.epsilon_correlations;
+        let request = SynthesisRequest::new(&cols, &[400, 400], Epsilon::new(5.0).unwrap())
+            .select_family()
+            .seed(6);
+        let (out, _) = request.run().unwrap();
+        assert_eq!(out.columns.len(), 2);
+        assert_eq!(out.columns[0].len(), 8_000);
+        assert!(out.columns.iter().flatten().all(|&v| v < 400));
+        let (model, _) = request.fit().unwrap();
+        let artifact = model.artifact();
+        assert!(
+            CANDIDATES.contains(&artifact.family),
+            "{:?}",
+            artifact.family
+        );
+        let labels: Vec<&str> = artifact.ledger.entries.iter().map(|e| &*e.label).collect();
+        assert_eq!(labels, ["selection", "margins", "correlation"]);
+        assert!((artifact.ledger.entries[0].epsilon - 0.5).abs() < 1e-12);
+        let spent = 0.5 + out.epsilon_margins + out.epsilon_correlations;
         assert!((spent - 5.0).abs() < 1e-9, "spent {spent}");
+        assert!((artifact.ledger.spent() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn tiny_blocks_error() {
         let cols = vec![vec![1u32; 20], vec![2u32; 20]];
-        let mut rng = StdRng::seed_from_u64(7);
-        let err = dp_select_family(
-            &cols,
-            &[CopulaFamily::Gaussian, CopulaFamily::StudentT { df: 3.0 }],
-            10,
-            Epsilon::new(1.0).unwrap(),
-            &mut rng,
-        )
-        .unwrap_err();
+        let eps = Epsilon::new(1.0).unwrap();
+        let err = dp_select_family(&cols, &GAUSSIAN_OR_T3, 10, eps, 7).unwrap_err();
         assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
     }
 }

@@ -16,10 +16,8 @@
 
 use crate::kendall::SamplingStrategy;
 use crate::mle::PartitionStrategy;
-use dphist::MarginRegistry;
 use dpmech::Epsilon;
 use mathkit::Matrix;
-use rngkit::{Rng, RngCore};
 
 /// Which algorithm estimates the DP correlation matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,10 +57,10 @@ pub enum MarginMethod {
 }
 
 impl MarginMethod {
-    /// The [`MarginRegistry`] name this variant resolves to. The enum is
-    /// only a typed façade over the registry — publication behaviour
-    /// lives with each method's [`dphist::Publish1d`] impl, and the
-    /// constructor lives in [`MarginRegistry::builtin`].
+    /// The [`dphist::MarginRegistry`] name this variant resolves to. The
+    /// enum is only a typed façade over the registry — publication
+    /// behaviour lives with each method's [`dphist::Publish1d`] impl, and
+    /// the constructor lives in [`dphist::MarginRegistry::builtin`].
     pub fn registry_name(self) -> &'static str {
         match self {
             MarginMethod::Efpa => "efpa",
@@ -74,18 +72,6 @@ impl MarginMethod {
             MarginMethod::NoiseFirst => "noisefirst",
             MarginMethod::StructureFirst => "structurefirst",
         }
-    }
-
-    /// Publishes one marginal histogram with the chosen algorithm,
-    /// dispatching through the builtin [`MarginRegistry`].
-    pub fn publish<R: Rng + ?Sized>(self, counts: &[f64], eps: Epsilon, rng: &mut R) -> Vec<f64> {
-        // `&mut R` is Sized and implements RngCore, so `&mut &mut R`
-        // coerces to the `&mut dyn RngCore` the registry dispatches on.
-        let mut reborrow: &mut R = rng;
-        let dyn_rng: &mut dyn RngCore = &mut reborrow;
-        MarginRegistry::builtin()
-            .publish(self.registry_name(), counts, eps, dyn_rng)
-            .expect("builtin registry covers every MarginMethod")
     }
 }
 
@@ -162,8 +148,8 @@ impl DpCopulaConfig {
 }
 
 /// Everything a DPCopula run releases. All fields are differentially
-/// private and safe to publish together (their budgets compose to the
-/// configured `epsilon`).
+/// private and safe to publish together (their budgets, with a family
+/// vote's when the fit selects one, compose to the configured `epsilon`).
 #[derive(Debug, Clone)]
 pub struct Synthesis {
     /// Synthetic records, column-major.
@@ -187,7 +173,7 @@ mod tests {
     use mathkit::correlation::equicorrelation;
     use mathkit::dist::MultivariateNormal;
     use rngkit::rngs::StdRng;
-    use rngkit::SeedableRng;
+    use rngkit::{RngCore, SeedableRng};
 
     /// One release through the front door, seeded by one draw from `rng`.
     fn synthesize(

@@ -10,11 +10,13 @@
 //! DP estimation reuses the machinery of Algorithm 5 unchanged for `P`:
 //! the identity `rho = sin(pi/2 * tau)` holds for **every** elliptical
 //! copula, so the noisy-Kendall estimator and its privacy proof carry
-//! over verbatim. The degrees of freedom are chosen by
-//! [`crate::selection::dp_select_family`] over `StudentT { df }`
-//! candidates: each disjoint block votes for its maximising `nu`, and the
-//! vote histogram is released through the Laplace mechanism. This module
-//! holds the density and the sampler; it releases nothing itself.
+//! over verbatim. A fit chooses between the Gaussian and t copulas with
+//! 4 or 10 degrees of freedom when its request asks for
+//! [`crate::SynthesisRequest::select_family`]: each disjoint block votes
+//! for its lowest-AIC candidate, the vote histogram is released through
+//! the Laplace mechanism, and the winner is written into the artifact,
+//! whose [`crate::FittedModel`] samples through [`TCopulaSampler`]. This
+//! module holds the density and the sampler; it releases nothing itself.
 //!
 //! Sampling follows the classic construction: `x = z / sqrt(w / nu)` with
 //! `z ~ N(0, P)` and `w ~ chi^2(nu)`, then `u_j = T_nu(x_j)` and the
@@ -186,9 +188,10 @@ mod tests {
     use super::*;
     use crate::error::DpCopulaError;
     use crate::kendall::kendall_tau;
-    use crate::selection::{dp_select_family, CopulaFamily};
+    use crate::selection::dp_select_family;
     use dpmech::Epsilon;
     use mathkit::correlation::equicorrelation;
+    use modelstore::CopulaFamily;
     use rngkit::rngs::StdRng;
     use rngkit::SeedableRng;
 
@@ -254,21 +257,21 @@ mod tests {
         dfs: &[f64],
         partitions: usize,
         epsilon: f64,
-        rng: &mut StdRng,
+        seed: u64,
     ) -> Result<f64, DpCopulaError> {
         let candidates: Vec<CopulaFamily> = dfs
             .iter()
-            .map(|&df| CopulaFamily::StudentT { df })
+            .map(|&dof| CopulaFamily::StudentT { dof })
             .collect();
-        let (best, _) = dp_select_family(
+        let best = dp_select_family(
             cols,
             &candidates,
             partitions,
             Epsilon::new(epsilon).unwrap(),
-            rng,
+            seed,
         )?;
         match best {
-            CopulaFamily::StudentT { df } => Ok(df),
+            CopulaFamily::StudentT { dof } => Ok(dof),
             other => panic!("t candidates selected {other:?}"),
         }
     }
@@ -281,7 +284,7 @@ mod tests {
         let gen = TCopulaSampler::new(&p, 3.0, margins).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let cols = gen.sample_columns(12_000, &mut rng);
-        let nu = select_df(&cols, &[3.0, 10.0, 1e5], 60, 5.0, &mut rng).unwrap();
+        let nu = select_df(&cols, &[3.0, 10.0, 1e5], 60, 5.0, 12).unwrap();
         assert_eq!(nu, 3.0, "selected nu {nu}");
     }
 
@@ -293,15 +296,14 @@ mod tests {
         let gen = CopulaSampler::new(&p, margins).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let cols = gen.sample_columns(12_000, &mut rng);
-        let nu = select_df(&cols, &[3.0, 1e5], 60, 5.0, &mut rng).unwrap();
+        let nu = select_df(&cols, &[3.0, 1e5], 60, 5.0, 13).unwrap();
         assert_eq!(nu, 1e5, "selected nu {nu}");
     }
 
     #[test]
     fn df_selection_errors_on_tiny_blocks() {
         let cols = vec![vec![1u32, 2, 3], vec![3u32, 2, 1]];
-        let mut rng = StdRng::seed_from_u64(4);
-        let err = select_df(&cols, &[3.0, 10.0], 10, 1.0, &mut rng).unwrap_err();
+        let err = select_df(&cols, &[3.0, 10.0], 10, 1.0, 4).unwrap_err();
         assert!(matches!(err, DpCopulaError::InsufficientDataForMle { .. }));
     }
 }

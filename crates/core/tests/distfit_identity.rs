@@ -258,6 +258,32 @@ fn streaming_source_fit_matches_eager_fit_bytewise() {
 }
 
 #[test]
+fn selecting_source_fit_matches_eager_fit_bytewise() {
+    // The family vote reads every row, so the reducing pass keeps a
+    // source's blocks for it: a selecting fit from a source in small
+    // blocks, rewindable or one-pass, releases the resident fit's bytes.
+    let dataset = test_dataset(3, 1_200, 20, 19);
+    let epsilon = Epsilon::new(2.0).unwrap();
+    let (eager, _) = SynthesisRequest::new(dataset.columns(), &dataset.domains(), epsilon)
+        .select_family()
+        .seed(23)
+        .fit()
+        .unwrap();
+    let eager = eager.artifact().encode();
+    let fit = |request: SynthesisRequest| {
+        let (model, _) = request.select_family().seed(23).fit().unwrap();
+        model.artifact().encode()
+    };
+    for block_rows in [1usize, 97] {
+        let source = DatasetSource::with_block_rows(dataset.clone(), block_rows);
+        let streamed = fit(SynthesisRequest::from_source(source.clone(), epsilon));
+        assert_eq!(streamed, eager, "block_rows={block_rows}");
+        let one_pass = fit(SynthesisRequest::from_source(OnePass(source), epsilon));
+        assert_eq!(one_pass, eager, "one-pass block_rows={block_rows}");
+    }
+}
+
+#[test]
 fn streaming_csv_source_fit_matches_eager_fit_bytewise() {
     // The CSV file source is the out-of-core ingestion the CLI and the
     // daemon use; its parse must feed the exact same values.

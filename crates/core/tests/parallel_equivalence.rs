@@ -213,6 +213,29 @@ fn sampled_records_are_bitwise_equal_across_worker_counts() {
 }
 
 #[test]
+fn selecting_fit_is_bitwise_equal_across_worker_counts() {
+    // The family vote's noise is keyed by candidate, not by thread, so a
+    // selecting fit writes the same `.dpcm` bytes at any worker count.
+    let (columns, domains) = dataset(3, 3_000, 10);
+    let config = DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap());
+    let fit = |workers| {
+        SynthesisRequest::from_config(&columns, &domains, config)
+            .select_family()
+            .engine(EngineOptions::with_workers(workers))
+            .seed(909)
+            .fit()
+            .unwrap()
+            .0
+            .artifact()
+            .encode()
+    };
+    let serial = fit(1);
+    for workers in WORKER_COUNTS {
+        assert_eq!(fit(workers), serial, "workers={workers}");
+    }
+}
+
+#[test]
 fn fitted_model_windows_are_bitwise_equal_across_worker_counts() {
     // The serving layer's contract: a window is keyed off absolute
     // row position, so rows [0, N) must equal the concatenation of

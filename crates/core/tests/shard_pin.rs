@@ -243,30 +243,19 @@ fn sharded_streams_match_their_pinned_digests() {
 
 /// The Kendall kernel's own streams, pinned in the same file after the
 /// sharded ones.
-const KERNEL_PINS: [&str; 3] = [
-    "concordance_brazil25200.i64le",
-    "concordance_us5400.i64le",
-    "dp_correlation_matrix_auto.f64le",
-];
+const KERNEL_PINS: [&str; 2] = ["concordance_brazil25200.i64le", "concordance_us5400.i64le"];
 
-/// The integers and the serial release of the Kendall kernel, at the
-/// shapes the fits score:
-///
-/// * every pair's [`Concordance`](dpcopula::kendall::Concordance) (`s`,
-///   then `pairs`, 8 bytes little-endian each), pair `(i, j)`, `i < j`,
-///   in lexicographic order, over `brazil_census(25_200, 7)` (the Auto
-///   τ sample of an 8-attribute fit at ε₂ = 1/9) and `us_census(5_400,
-///   7)`;
-/// * the serial [`dp_correlation_matrix`](dpcopula::kendall::dp_correlation_matrix)
-///   behind `selection::synthesize_adaptive` over `us_census(8_000, 7)`
-///   at ε₂ = 1/9 under `Auto` (a 5,400-row subsample) with
-///   `StdRng::seed_from_u64(99)`, as `f64` bits little-endian.
+/// The integers of the Kendall kernel, at the shapes the fits score:
+/// every pair's [`Concordance`](dpcopula::kendall::Concordance) (`s`,
+/// then `pairs`, 8 bytes little-endian each), pair `(i, j)`, `i < j`, in
+/// lexicographic order, over `brazil_census(25_200, 7)` (the Auto τ
+/// sample of an 8-attribute fit at ε₂ = 1/9) and `us_census(5_400, 7)`.
 ///
 /// The census columns tie heavily (domains 2–1,020), so most pairs score
 /// many records per `(x, y)` value cell.
 fn kernel_streams() -> Vec<(String, Vec<u8>)> {
     use datagen::census::{brazil_census, us_census};
-    use dpcopula::kendall::{concordance_cached, dp_correlation_matrix, RankedColumn};
+    use dpcopula::kendall::{concordance_cached, RankedColumn};
 
     let concordances = |columns: &[Vec<u32>]| -> Vec<u8> {
         let ranked: Vec<RankedColumn> = columns
@@ -283,17 +272,9 @@ fn kernel_streams() -> Vec<(String, Vec<u8>)> {
         }
         bytes
     };
-    let mut rng = StdRng::seed_from_u64(99);
-    let p = dp_correlation_matrix(
-        us_census(8_000, 7).columns(),
-        Epsilon::new(1.0 / 9.0).unwrap(),
-        SamplingStrategy::Auto,
-        &mut rng,
-    );
     let streams = vec![
         concordances(brazil_census(25_200, 7).columns()),
         concordances(us_census(5_400, 7).columns()),
-        p.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect(),
     ];
     KERNEL_PINS
         .iter()
@@ -311,8 +292,8 @@ fn kendall_kernel_streams_match_their_pinned_digests() {
 /// run, pinned in the same file after the kernel's streams.
 const RELEASE_PINS: [&str; 7] = [
     "fit_mle_fixed40.dpcm",
-    "adaptive_t3_votes.f64le",
-    "adaptive_t3_release.bin",
+    "adaptive_t3.dpcm",
+    "adaptive_t3_window.u32le",
     "t5_window_off0_w1.u32le",
     "t5_window_off0_w3.u32le",
     "t5_window_off511_w1.u32le",
@@ -323,12 +304,10 @@ const RELEASE_PINS: [&str; 7] = [
 ///
 /// * the `.dpcm` bytes of an MLE fit (`Mle(Fixed(40))`, 100-row blocks)
 ///   over the 3 × 4,000 dataset at seed 77;
-/// * `selection::synthesize_adaptive` over a 3 × 3,000 t(3)-copula
-///   dataset with `StdRng::seed_from_u64(5)`: the winning family and
-///   every candidate's family and `noisy_votes` (a family is its degrees
-///   of freedom, 0 for the Gaussian; `f64` bits little-endian), then the
-///   release — the correlation matrix and the noisy margins as `f64`
-///   bits, the columns as `u32`, all little-endian;
+/// * the `.dpcm` bytes of the family-selecting fit (ε = 2, seed 5) of a
+///   3 × 3,000 t(3)-copula dataset, and its reference window `[0,
+///   3000)` as `u32` little-endian: the vote picks t with 4 degrees of
+///   freedom, so the window goes through the Student-t kernel;
 /// * reference windows of a `StudentT { dof: 5 }` model (the Kendall
 ///   `Auto` fit of the dataset with a 512-row sampling chunk, its family
 ///   set to t) at offset 0 (1,100 rows, three chunks) and offset 511
@@ -337,13 +316,10 @@ const RELEASE_PINS: [&str; 7] = [
 fn release_streams() -> Vec<(String, Vec<u8>)> {
     use dpcopula::empirical::MarginalDistribution;
     use dpcopula::mle::PartitionStrategy;
-    use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig, CopulaFamily};
     use dpcopula::tcopula::TCopulaSampler;
     use dpcopula::{FittedModel, SamplingProfile};
     use mathkit::correlation::equicorrelation;
 
-    let f64s =
-        |values: &[f64]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
     let (columns, domains) = dataset(3, 4_000, 20240601);
 
     let mut config = DpCopulaConfig::kendall(Epsilon::new(1.0).unwrap());
@@ -356,27 +332,14 @@ fn release_streams() -> Vec<(String, Vec<u8>)> {
     let margins = vec![MarginalDistribution::from_noisy_histogram(&[1.0; 64]); 3];
     let t3 = TCopulaSampler::new(&equicorrelation(3, 0.6), 3.0, margins).unwrap();
     let t3_columns = t3.sample_columns(3_000, &mut StdRng::seed_from_u64(4));
-    let adaptive = synthesize_adaptive(
-        &AdaptiveConfig::new(DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap())),
-        &t3_columns,
-        &[64; 3],
-        &mut StdRng::seed_from_u64(5),
-    )
-    .unwrap();
-    let dof = |family: CopulaFamily| match family {
-        CopulaFamily::Gaussian => 0.0,
-        CopulaFamily::StudentT { df } => df,
-    };
-    let mut votes = vec![dof(adaptive.family)];
-    for score in &adaptive.scores {
-        votes.extend([dof(score.family), score.noisy_votes]);
-    }
-    let synthesis = &adaptive.synthesis;
-    let mut release = f64s(synthesis.correlation.as_slice());
-    for margin in &synthesis.noisy_margins {
-        release.extend(f64s(margin));
-    }
-    release.extend(u32s(&synthesis.columns));
+    let (adaptive, _) = SynthesisRequest::new(&t3_columns, &[64; 3], Epsilon::new(2.0).unwrap())
+        .select_family()
+        .seed(5)
+        .fit()
+        .unwrap();
+    let adaptive_window = adaptive
+        .try_sample_range_profiled(SamplingProfile::Reference, 0, 3_000, 1)
+        .unwrap();
 
     let (kendall, _) = SynthesisRequest::from_config(
         &columns,
@@ -399,8 +362,8 @@ fn release_streams() -> Vec<(String, Vec<u8>)> {
 
     let streams = vec![
         mle.artifact().encode(),
-        f64s(&votes),
-        release,
+        adaptive.artifact().encode(),
+        u32s(&adaptive_window),
         window(0, 1_100, 1),
         window(0, 1_100, 3),
         window(511, 600, 1),
@@ -415,7 +378,22 @@ fn release_streams() -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn release_streams_match_their_pinned_digests() {
-    assert_digests_pinned(&release_streams());
+    let streams = release_streams();
+    // The selecting fit wrote its winner, t(4), and a ledger that spends
+    // the vote first and sums to ε.
+    let (_, bytes) = streams
+        .iter()
+        .find(|(name, _)| name == "adaptive_t3.dpcm")
+        .unwrap();
+    let artifact = modelstore::ModelArtifact::decode(bytes).unwrap();
+    assert_eq!(
+        artifact.family,
+        modelstore::CopulaFamily::StudentT { dof: 4.0 }
+    );
+    let labels: Vec<&str> = artifact.ledger.entries.iter().map(|e| &*e.label).collect();
+    assert_eq!(labels, ["selection", "margins", "correlation"]);
+    assert!((artifact.ledger.spent() - 2.0).abs() < 1e-9);
+    assert_digests_pinned(&streams);
 }
 
 /// The absolute offsets of the pinned Gaussian windows, for the default

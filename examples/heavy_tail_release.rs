@@ -1,18 +1,17 @@
 //! Heavy-tail release: data whose extremes co-occur (tail dependence)
-//! is poorly served by a Gaussian copula. This example uses the adaptive
-//! synthesizer — DP model selection by AIC between the Gaussian and
+//! is poorly served by a Gaussian copula. This example asks the fit to
+//! select its copula family — a DP vote by AIC between the Gaussian and
 //! Student-t families (the paper's future-work extension) — and shows the
-//! t copula winning on t-generated data.
+//! t copula winning on t-generated data, then samples the fitted model.
 //!
 //! ```sh
 //! cargo run -p dpcopula-examples --release --bin heavy_tail_release
 //! ```
 
 use dpcopula::empirical::MarginalDistribution;
-use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig};
 use dpcopula::synthesizer::DpCopulaConfig;
 use dpcopula::tcopula::TCopulaSampler;
-use dpcopula::SynthesisRequest;
+use dpcopula::{SamplingProfile, SynthesisRequest};
 use dpcopula_examples::heading;
 use dpmech::Epsilon;
 use mathkit::correlation::equicorrelation;
@@ -47,21 +46,24 @@ fn main() {
     println!("records: {n}; joint 2%-tail rate: {tail_orig:.4}");
     println!("(independence would give 0.0004; the excess is tail dependence)");
 
-    heading("adaptive DP synthesis with AIC family selection (epsilon = 2.0)");
-    let config = AdaptiveConfig::new(DpCopulaConfig::kendall(Epsilon::new(2.0).unwrap()));
-    let out = synthesize_adaptive(&config, &data, &[domain as usize; 2], &mut rng)
-        .expect("synthesis failed");
-    for s in &out.scores {
-        println!(
-            "  candidate {:<12} noisy AIC block votes = {:.1}",
-            s.family.to_string(),
-            s.noisy_votes
-        );
+    heading("DP fit with AIC family selection (epsilon = 2.0)");
+    let (model, _) =
+        SynthesisRequest::new(&data, &[domain as usize; 2], Epsilon::new(2.0).unwrap())
+            .select_family()
+            .seed(rng.next_u64())
+            .fit()
+            .expect("fit failed");
+    let artifact = model.artifact();
+    println!("selected family: {:?}", artifact.family);
+    for entry in &artifact.ledger.entries {
+        println!("  {:<12} epsilon {:.4}", entry.label, entry.epsilon);
     }
-    println!("selected family: {}", out.family);
 
     heading("tail fidelity of the release");
-    let tail_synth = joint_tail_rate(&out.synthesis.columns, domain, 0.02);
+    let rows = model
+        .try_sample_range_profiled(SamplingProfile::Reference, 0, n, 1)
+        .expect("sampling failed");
+    let tail_synth = joint_tail_rate(&rows, domain, 0.02);
     println!("joint 2%-tail rate: original {tail_orig:.4} -> synthetic {tail_synth:.4}");
 
     // Contrast: a plain Gaussian DPCopula release of the same data.

@@ -154,7 +154,6 @@ fn tiny_per_mechanism_budgets_are_refused_with_a_typed_error() {
     // 1e-310, ε₁ = 0 at k = 1e-150): every fit entry point refuses it
     // before it draws.
     use dpcopula::error::MIN_MECHANISM_EPSILON;
-    use dpcopula::selection::{synthesize_adaptive, AdaptiveConfig};
     use dpcopula::{distfit, EngineOptions};
     use obskit::MetricsSink;
 
@@ -183,17 +182,24 @@ fn tiny_per_mechanism_budgets_are_refused_with_a_typed_error() {
         .unwrap_err();
         assert!(below(&err), "fit_shard eps={eps} k={k}: {err}");
 
-        // The vote would draw first: a refusal leaves the generator alone.
-        let mut rng = StdRng::seed_from_u64(9);
-        let err = synthesize_adaptive(
-            &AdaptiveConfig::new(config),
-            data.columns(),
-            &domains,
-            &mut rng,
-        )
-        .unwrap_err();
-        assert!(below(&err), "adaptive eps={eps} k={k}: {err}");
-        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(9).next_u64());
+        // A selecting fit plans the vote's share with the rest.
+        let err = SynthesisRequest::from_config(data.columns(), &domains, config)
+            .select_family()
+            .fit()
+            .unwrap_err();
+        assert!(below(&err), "selecting fit eps={eps} k={k}: {err}");
+    }
+    // Two attributes at k = 1 and ε = 5e-120: a margin gets 0.225·ε and
+    // the pair 0.45·ε, so only the vote's 0.1·ε is below the floor.
+    let two = &data.columns()[..2];
+    let config = DpCopulaConfig::kendall(Epsilon::new(5e-120).unwrap()).with_k_ratio(1.0);
+    let request = || SynthesisRequest::from_config(two, &domains[..2], config);
+    assert!(request().fit().is_ok());
+    match request().select_family().fit().unwrap_err() {
+        DpCopulaError::BudgetBelowFloor { smallest } => {
+            assert!((smallest / 5e-121 - 1.0).abs() < 1e-12, "{smallest:e}")
+        }
+        other => panic!("{other}"),
     }
 
     // `.dpcs` files carry their own ε and k into the merge.
@@ -308,7 +314,9 @@ fn every_margin_method_survives_pathological_histograms() {
     ];
     for counts in &cases {
         for method in all_margin_methods() {
-            let out = method.publish(counts, eps, &mut rng);
+            let out = dphist::MarginRegistry::builtin()
+                .publish(method.registry_name(), counts, eps, &mut rng)
+                .unwrap();
             assert_eq!(
                 out.len(),
                 counts.len(),
