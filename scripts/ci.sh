@@ -182,7 +182,7 @@ pin_example quickstart "2680006100 603"
 pin_example census_release "891752849 897"
 pin_example budget_planner "3593714852 764"
 pin_example workload_eval "2981658027 480"
-pin_example heavy_tail_release "3269190184 627"
+pin_example heavy_tail_release "174435419 554"
 pin_example streaming_release "3795201704 637"
 target/release/fit_once_sample_many > /dev/null
 echo "    six example stdouts match their pinned checksums; fit_once_sample_many runs"
