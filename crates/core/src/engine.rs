@@ -11,9 +11,10 @@
 //!   large resident input;
 //! * **margins** — one task per attribute, publishing its exact counts
 //!   over every shard once;
-//! * **correlation** — one task per column of the pooled τ sample to
-//!   rank it, then one task per attribute pair (`C(m,2)` tasks) to score
-//!   it;
+//! * **correlation** — the copula-family vote when the request selects a
+//!   family (on the caller's thread), then one task per column of the
+//!   pooled τ sample to rank it and one task per attribute pair
+//!   (`C(m,2)` tasks) to score it;
 //! * **sampling** — one task per row chunk of
 //!   [`EngineOptions::sample_chunk`] records.
 //!
